@@ -1,18 +1,14 @@
 //! Shard-pipeline overhead benchmarks: the evidence that out-of-core
 //! execution (`leo-shard`) is close to free at the merge layer.
 //!
-//! Four measurements, tiny scale:
+//! Three measurements, tiny scale:
 //!
 //! * `latency_unsharded` — the baseline: one `latency_studies` fold over
 //!   the full pair set, single-threaded.
-//! * `latency_sharded_4` — the same study as 4 in-process pair shards:
-//!   per-shard context builds + folds + spill files + merge. **This /
-//!   `latency_unsharded` is the headline overhead ratio** gated by
-//!   `scripts/ci.sh` (the sharded path re-builds the study context per
-//!   shard, so the ratio bounds the whole out-of-core tax, not just the
-//!   merge).
 //! * `merge_4_shards` — `merge_latency_files` over 4 pre-spilled shard
-//!   files alone: decode + validate + concatenate + sketch merges.
+//!   files alone: decode + validate + concatenate + sketch merges — the
+//!   coordinator's share of a sharded run. **This / `latency_unsharded`
+//!   is the overhead ratio** gated by `scripts/ci.sh`.
 //! * `keepers_roundtrip` — encode + decode of one shard's keepers in
 //!   memory (codec cost with no I/O).
 //!
@@ -22,7 +18,7 @@
 use leo_core::experiments::latency::latency_studies;
 use leo_core::{ExperimentScale, Mode, StudyContext};
 use leo_shard::codec::PayloadKind;
-use leo_shard::runner::{config_hash, latency_shard, run_latency_sharded, spill_latency_shard};
+use leo_shard::runner::{config_hash, latency_shard, spill_latency_shard};
 use leo_shard::{LatencyKeepers, ShardSpec};
 use leo_util::bench::Harness;
 
@@ -39,14 +35,7 @@ fn main() {
     let ctx = StudyContext::build(cfg.clone());
     h.bench("latency_unsharded", || latency_studies(&ctx, &MODES, 1));
 
-    // Full sharded pipeline: partition, per-shard context + fold, spill,
-    // merge. Byte-identity with the baseline is covered by tests and the
-    // CI diff lane; this measures what that isolation costs.
-    h.bench("latency_sharded_4", || {
-        run_latency_sharded(&cfg, &MODES, SHARDS, &dir, "bench").expect("sharded run")
-    });
-
-    // Merge alone, over pre-spilled files.
+    // Merge alone, over files spilled as the OS workers spill them.
     let files: Vec<_> = ShardSpec::all(SHARDS)
         .into_iter()
         .map(|spec| spill_latency_shard(&cfg, &MODES, spec, 1, &dir, "merge_only").expect("spill"))

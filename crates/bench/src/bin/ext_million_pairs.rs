@@ -15,7 +15,9 @@
 //! (`--shard i/K --shard-dir D --threads T` is the internal worker
 //! protocol — the coordinator re-invokes itself with those.)
 
-use leo_bench::{finish_run_with, init_run, print_table, results_dir, shard_label};
+use leo_bench::{
+    finish_run_with, init_run, print_table, results_dir, shard_label, spawn_shard_workers,
+};
 use leo_core::{ConstellationKind, Mode, NetworkConfig, StudyConfig};
 use leo_shard::runner::{merge_latency_files, shard_file_name, spill_latency_shard};
 use leo_shard::ShardSpec;
@@ -195,40 +197,19 @@ fn main() {
 
     // Spawn the workers. Logging is forced on: the RSS assertion reads
     // each worker's manifest, so a silent worker is a failed worker.
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("{LABEL}: current_exe: {e}");
-        std::process::exit(1);
-    });
-    let specs = ShardSpec::all(a.workers);
-    let mut children = Vec::with_capacity(a.workers);
-    for &spec in &specs {
-        let child = std::process::Command::new(&exe)
-            .args(["--pairs", &a.pairs.to_string()])
+    let spawned = spawn_shard_workers(a.workers, &dir, |cmd| {
+        cmd.args(["--pairs", &a.pairs.to_string()])
             .args(["--cities", &a.cities.to_string()])
             .args(["--snapshots", &a.snapshots.to_string()])
             .args(["--threads", &threads_per_worker.to_string()])
-            .args(["--shard", &spec.to_string()])
-            .arg("--shard-dir")
-            .arg(&dir)
             .env("LEO_LOG", "info")
-            .env("LEO_LOG_DIR", &dir)
-            .spawn()
-            .unwrap_or_else(|e| {
-                eprintln!("{LABEL}: spawn worker {spec}: {e}");
-                std::process::exit(1);
-            });
-        children.push((spec, child));
+            .env("LEO_LOG_DIR", &dir);
+    });
+    if let Err(e) = spawned {
+        eprintln!("{LABEL}: {e}");
+        std::process::exit(1);
     }
-    for (spec, mut child) in children {
-        let status = child.wait().unwrap_or_else(|e| {
-            eprintln!("{LABEL}: wait for worker {spec}: {e}");
-            std::process::exit(1);
-        });
-        if !status.success() {
-            eprintln!("{LABEL}: worker {spec} exited with {status}");
-            std::process::exit(1);
-        }
-    }
+    let specs = ShardSpec::all(a.workers);
 
     // Merge the spill files into the full run.
     let files: Vec<PathBuf> = specs

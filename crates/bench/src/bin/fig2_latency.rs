@@ -2,25 +2,23 @@
 //! BP vs hybrid, plus the §1/§4 headline summary numbers.
 //!
 //! Sharded execution (`leo-shard`): `--shards K` partitions the traffic
-//! matrix into `K` pair shards, runs each through the same latency fold
-//! on a range-restricted context, spills keepers, and merges — the
-//! tables and CSV are **byte-identical** to an unsharded run (CI diffs
-//! them). Add `--spawn` to fan out over OS processes instead of
-//! in-process workers; `--shard i/K --shard-dir D` is the worker half
-//! of that protocol (spills one shard, prints nothing to stdout).
+//! matrix into `K` pair shards and runs each as an OS worker process
+//! through the same latency fold on a range-restricted context; the
+//! workers spill keepers and this process merges them — the tables and
+//! CSV are **byte-identical** to an unsharded run (CI diffs them).
+//! `--shard i/K --shard-dir D` is the worker half of that protocol
+//! (spills one shard, prints nothing to stdout).
 
 use leo_bench::{
     config_with_cities, finish_run, finish_run_with, init_run, print_table, results_dir,
-    scale_from_args, shard_cli, shard_dir, shard_label, spawn_shard_workers,
+    scale_from_args, scale_name, shard_cli, shard_dir, shard_label, spawn_shard_workers,
 };
 use leo_core::experiments::latency::{latency_studies, summarize, PairStats};
 use leo_core::metrics::Distribution;
 use leo_core::output::CsvWriter;
 use leo_core::{Mode, StudyContext};
 use leo_shard::codec::read_shard;
-use leo_shard::runner::{
-    merge_latency_files, run_latency_sharded, shard_file_name, spill_latency_shard,
-};
+use leo_shard::runner::{merge_latency_files, shard_file_name, spill_latency_shard};
 use leo_shard::ShardSpec;
 use leo_util::diag;
 
@@ -36,7 +34,7 @@ fn cdf_rows(stats: &[PairStats]) -> (Distribution, Distribution) {
     )
 }
 
-/// Worker half of the `--spawn` protocol: fold one shard, spill it,
+/// Worker half of the `--shards` protocol: fold one shard, spill it,
 /// record the run log, say nothing on stdout.
 fn run_worker(cfg: &leo_core::StudyConfig, spec: ShardSpec, dir: &std::path::Path) {
     let label = shard_label(LABEL, spec);
@@ -84,34 +82,27 @@ fn main() {
     let mut extras: Vec<(&str, String)> = Vec::new();
     let mut studies = if cli.shards > 0 {
         let dir = shard_dir(&cli);
-        let (run, keepers) = if cli.spawn {
-            spawn_shard_workers(scale, cli.shards, &dir, &[]).unwrap_or_else(|e| {
-                eprintln!("fig2: {e}");
-                std::process::exit(1);
-            });
-            let files: Vec<_> = ShardSpec::all(cli.shards)
-                .into_iter()
-                .map(|s| dir.join(shard_file_name(LABEL, s)))
-                .collect();
-            merge_latency_files(&files).unwrap_or_else(|e| {
-                eprintln!("fig2: merging worker spills: {e}");
-                std::process::exit(1);
-            })
-        } else {
-            let (run, keepers, _files) = run_latency_sharded(&cfg, &MODES, cli.shards, &dir, LABEL)
-                .unwrap_or_else(|e| {
-                    eprintln!("fig2: sharded run: {e}");
-                    std::process::exit(1);
-                });
-            (run, keepers)
-        };
+        spawn_shard_workers(cli.shards, &dir, |cmd| {
+            cmd.args(["--scale", scale_name(scale)]);
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("fig2: {e}");
+            std::process::exit(1);
+        });
+        let files: Vec<_> = ShardSpec::all(cli.shards)
+            .into_iter()
+            .map(|s| dir.join(shard_file_name(LABEL, s)))
+            .collect();
+        let (run, keepers) = merge_latency_files(&files).unwrap_or_else(|e| {
+            eprintln!("fig2: merging worker spills: {e}");
+            std::process::exit(1);
+        });
         assert_eq!(
             run.n_pairs as usize,
             ctx.pairs.len(),
             "merged shards cover a different traffic matrix than this config"
         );
         extras.push(("shards", run.shard_count.to_string()));
-        extras.push(("spawned", cli.spawn.to_string()));
         keepers.to_stats(&ctx.pairs).unwrap_or_else(|e| {
             eprintln!("fig2: {e}");
             std::process::exit(1);

@@ -6,13 +6,13 @@
 //! `--shards K` routes each pair shard in a range-restricted context,
 //! spills the per-pair path sets (one file per constellation per
 //! shard), and re-solves the *global* max-min allocation from the
-//! merged path list — byte-identical tables and CSV. `--spawn` fans
-//! out over OS processes; `--shard i/K --shard-dir D` is the worker
-//! half of that protocol.
+//! merged path list — byte-identical tables and CSV. Each shard runs as
+//! an OS worker process; `--shard i/K --shard-dir D` is the worker half
+//! of that protocol.
 
 use leo_bench::{
-    finish_run, finish_run_with, init_run, print_table, results_dir, scale_from_args, shard_cli,
-    shard_dir, shard_label, spawn_shard_workers,
+    finish_run, finish_run_with, init_run, print_table, results_dir, scale_from_args, scale_name,
+    shard_cli, shard_dir, shard_label, spawn_shard_workers,
 };
 use leo_core::experiments::throughput::{
     disconnected_satellite_fraction, throughput, throughput_from_path_edges, ThroughputResult,
@@ -20,7 +20,7 @@ use leo_core::experiments::throughput::{
 use leo_core::output::CsvWriter;
 use leo_core::{ConstellationKind, ExperimentScale, Mode, StudyContext};
 use leo_flow::FlowWorkspace;
-use leo_shard::runner::{merge_flow_files, run_flow_sharded, shard_file_name, spill_flow_shard};
+use leo_shard::runner::{merge_flow_files, shard_file_name, spill_flow_shard};
 use leo_shard::{FlowPathsKeepers, ShardSpec};
 use leo_util::diag;
 
@@ -63,7 +63,8 @@ fn run_worker(scale: ExperimentScale, spec: ShardSpec, dir: &std::path::Path) {
     finish_run_with(&label, &kind_config(scale, KINDS[0]), &extras);
 }
 
-/// Merged per-constellation path sets, keyed off the combo order.
+/// Merged per-constellation path sets from the workers' spill files,
+/// keyed off the combo order.
 fn sharded_paths(
     scale: ExperimentScale,
     kind: ConstellationKind,
@@ -71,24 +72,14 @@ fn sharded_paths(
 ) -> FlowPathsKeepers {
     let dir = shard_dir(cli);
     let cfg = kind_config(scale, kind);
-    let (run, merged) = if cli.spawn {
-        let files: Vec<_> = ShardSpec::all(cli.shards)
-            .into_iter()
-            .map(|s| dir.join(shard_file_name(&kind_label(kind), s)))
-            .collect();
-        merge_flow_files(&files).unwrap_or_else(|e| {
-            eprintln!("fig4 ({kind:?}): merging worker spills: {e}");
-            std::process::exit(1);
-        })
-    } else {
-        let (run, merged, _files) =
-            run_flow_sharded(&cfg, T_S, &COMBOS, cli.shards, &dir, &kind_label(kind))
-                .unwrap_or_else(|e| {
-                    eprintln!("fig4 ({kind:?}): sharded run: {e}");
-                    std::process::exit(1);
-                });
-        (run, merged)
-    };
+    let files: Vec<_> = ShardSpec::all(cli.shards)
+        .into_iter()
+        .map(|s| dir.join(shard_file_name(&kind_label(kind), s)))
+        .collect();
+    let (run, merged) = merge_flow_files(&files).unwrap_or_else(|e| {
+        eprintln!("fig4 ({kind:?}): merging worker spills: {e}");
+        std::process::exit(1);
+    });
     assert_eq!(
         run.config_hash,
         leo_shard::runner::config_hash(&cfg),
@@ -109,9 +100,12 @@ fn main() {
     init_run(LABEL);
     let want_disconnected = cli.rest.iter().any(|a| a == "--disconnected");
 
-    if cli.shards > 0 && cli.spawn {
+    if cli.shards > 0 {
         let dir = shard_dir(&cli);
-        if let Err(e) = spawn_shard_workers(scale, cli.shards, &dir, &[]) {
+        let spawned = spawn_shard_workers(cli.shards, &dir, |cmd| {
+            cmd.args(["--scale", scale_name(scale)]);
+        });
+        if let Err(e) = spawned {
             eprintln!("fig4: {e}");
             std::process::exit(1);
         }
@@ -213,10 +207,7 @@ fn main() {
         finish_run_with(
             LABEL,
             &scale.config(),
-            &[
-                ("shards", cli.shards.to_string()),
-                ("spawned", cli.spawn.to_string()),
-            ],
+            &[("shards", cli.shards.to_string())],
         );
     } else {
         finish_run(LABEL, &scale.config());

@@ -24,7 +24,7 @@
 //! informational-only and never fail the diff.
 //!
 //! Merge mode (`--merge`) treats every input path as one shard-worker
-//! log of a single sharded run (`leo-shard`'s `--spawn` protocol writes
+//! log of a single sharded run (`leo-shard`'s `--shards` protocol writes
 //! `RUN_<label>.s<i>of<K>.jsonl` per worker) and analyzes the union:
 //!
 //! ```text

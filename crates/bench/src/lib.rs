@@ -10,6 +10,7 @@ use leo_core::{ExperimentScale, StudyConfig};
 use leo_shard::ShardSpec;
 use leo_util::telemetry;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 /// Parse `--scale <tiny|bench|paper>` from `std::env::args`, defaulting
 /// to `bench`. Unknown values abort with a usage message.
@@ -46,11 +47,10 @@ pub fn scale_name(scale: ExperimentScale) -> &'static str {
 /// Sharding options shared by the figure bins (parsed from the args
 /// left over after [`scale_from_args`]):
 ///
-/// * `--shards K` — coordinator: run the study as `K` pair shards and
-///   merge (output stays byte-identical to an unsharded run).
-/// * `--spawn` — with `--shards K`, run each shard as a separate OS
-///   process (re-invoking this binary in worker mode) instead of
-///   in-process workers.
+/// * `--shards K` — coordinator: run the study as `K` pair shards, each
+///   a separate OS process (this binary re-invoked in worker mode), and
+///   merge their spill files (output stays byte-identical to an
+///   unsharded run).
 /// * `--shard i/K` — worker mode: compute shard `i` only, spill it to
 ///   the shard dir, print nothing to stdout, and exit.
 /// * `--shard-dir D` — where spill files live (default
@@ -59,8 +59,6 @@ pub fn scale_name(scale: ExperimentScale) -> &'static str {
 pub struct ShardCli {
     /// Coordinator shard count; 0 = unsharded.
     pub shards: usize,
-    /// Coordinator: fan out over OS processes instead of threads.
-    pub spawn: bool,
     /// Worker mode: the one shard this process computes.
     pub worker: Option<ShardSpec>,
     /// Spill directory override.
@@ -89,7 +87,6 @@ pub fn shard_cli(rest: Vec<String>) -> ShardCli {
                     _ => bail(format!("--shards needs a count >= 1, got '{v}'")),
                 };
             }
-            "--spawn" => cli.spawn = true,
             "--shard" => {
                 let v = it.next().unwrap_or_default();
                 cli.worker = match ShardSpec::parse(&v) {
@@ -107,8 +104,8 @@ pub fn shard_cli(rest: Vec<String>) -> ShardCli {
             _ => cli.rest.push(a),
         }
     }
-    if cli.worker.is_some() && (cli.shards > 0 || cli.spawn) {
-        bail("--shard (worker mode) conflicts with --shards/--spawn".to_string());
+    if cli.worker.is_some() && cli.shards > 0 {
+        bail("--shard (worker mode) conflicts with --shards".to_string());
     }
     cli
 }
@@ -132,28 +129,24 @@ pub fn shard_label(label: &str, spec: ShardSpec) -> String {
 }
 
 /// Re-invoke this binary once per shard as an OS worker process
-/// (`--scale S --shard i/K --shard-dir D` + `extra`), wait for all of
-/// them, and fail if any worker fails. Workers inherit stdio: their
-/// stdout stays silent by protocol, diagnostics go to stderr.
+/// (`--shard i/K --shard-dir D`, plus whatever `configure` adds — the
+/// binary's own arguments and environment), wait for all of them, and
+/// fail if any worker fails. Workers inherit stdio: their stdout stays
+/// silent by protocol, diagnostics go to stderr.
 pub fn spawn_shard_workers(
-    scale: ExperimentScale,
     count: usize,
     dir: &Path,
-    extra: &[&str],
+    configure: impl Fn(&mut Command),
 ) -> Result<(), String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let mut children = Vec::with_capacity(count);
     for spec in ShardSpec::all(count) {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("--scale")
-            .arg(scale_name(scale))
-            .arg("--shard")
+        let mut cmd = Command::new(&exe);
+        cmd.arg("--shard")
             .arg(spec.to_string())
             .arg("--shard-dir")
             .arg(dir);
-        for a in extra {
-            cmd.arg(a);
-        }
+        configure(&mut cmd);
         let child = cmd
             .spawn()
             .map_err(|e| format!("spawn shard worker {spec}: {e}"))?;

@@ -288,13 +288,7 @@ fn merged_shard_run_logs_match_single_run_series() {
     // coordinator's log, which this test doesn't read.
     run(&[]);
     let shards = dir.join("shards");
-    run(&[
-        "--shards",
-        "2",
-        "--spawn",
-        "--shard-dir",
-        shards.to_str().unwrap(),
-    ]);
+    run(&["--shards", "2", "--shard-dir", shards.to_str().unwrap()]);
     let single = report(&[dir.join("RUN_fig2_latency.jsonl").to_str().unwrap()]);
     assert!(single.status.success());
     let merged = report(&[

@@ -30,7 +30,6 @@
 //! println!("{} nodes, {} edges", snap.graph.num_nodes(), snap.graph.num_edges());
 //! ```
 
-pub mod codec;
 pub mod config;
 pub mod experiments;
 pub mod ground;

@@ -40,7 +40,7 @@ static SNAPSHOTS_BUILT: Counter = Counter::new("snapshots_built");
 /// [`StudyContext::snapshot_bundle`] did *not* redo.
 static VISIBILITY_SHARED_MODES: Counter = Counter::new("visibility_shared_modes");
 /// Telemetry: sweep steps that rebuilt satellite state from scratch (the
-/// first step of every [`TimeSweep`], including each `sweep_map` chunk).
+/// first step of every [`TimeSweep`], including each parallel-sweep chunk).
 static SWEEP_FULL_REBUILDS: Counter = Counter::new("sweep_full_rebuilds");
 /// Telemetry: satellites relocated between sub-point cells by incremental
 /// sweep steps — the work a full index rebuild would redo for *every*
@@ -356,59 +356,41 @@ impl StudyContext {
         }
     }
 
-    /// Parallel [`StudyContext::sweep_times`]: splits `times` into
-    /// `threads` contiguous chunks, runs one [`TimeSweep`] per chunk, and
-    /// returns `f(i, snapshots)` for every index in order.
-    ///
-    /// `threads == 0` means "use available parallelism", exactly like
-    /// [`crate::par::parallel_map`]. Because sweep-built snapshots are
-    /// bit-identical to fresh ones, the results do not depend on the
-    /// thread count — only the first step of each chunk pays the full
-    /// rebuild cost.
+    /// Parallel [`StudyContext::sweep_times`] that collects
+    /// `f(i, snapshots)` for every index, in order — a
+    /// [`StudyContext::sweep_fold`] into a `Vec`, so it shares that
+    /// fan-out's chunking and thread-count invariance.
     pub fn sweep_map<R, F>(&self, times: &[f64], modes: &[Mode], threads: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize, &[NetworkSnapshot]) -> R + Sync,
     {
-        let n = times.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(4, |p| p.get())
-        } else {
-            threads
-        }
-        .min(n);
-        let chunk = n.div_ceil(threads);
-        let ranges: Vec<(usize, usize)> = (0..n)
-            .step_by(chunk)
-            .map(|lo| (lo, (lo + chunk).min(n)))
-            .collect();
-        let per_chunk = crate::par::parallel_map(&ranges, threads, |&(lo, hi)| {
-            let mut sweep = TimeSweep::new(self, modes);
-            let mut out = Vec::with_capacity(hi - lo);
-            for (i, &t) in times.iter().enumerate().take(hi).skip(lo) {
-                out.push(f(i, sweep.step(t)));
-            }
-            out
-        });
-        per_chunk.into_iter().flatten().collect()
+        self.sweep_fold(
+            times,
+            modes,
+            threads,
+            Vec::new,
+            |out, i, snaps| out.push(f(i, snaps)),
+            |into, from| into.extend(from),
+        )
     }
 
-    /// Streaming parallel sweep: like [`StudyContext::sweep_map`], but
-    /// each chunk folds into an accumulator of type `A` instead of
-    /// collecting one result per snapshot — memory stays O(threads ·
-    /// |A|) no matter how long the time series is.
+    /// Streaming parallel sweep: splits `times` into `threads`
+    /// contiguous chunks, runs one [`TimeSweep`] per chunk, and folds
+    /// each chunk into an accumulator of type `A` — memory stays
+    /// O(threads · |A|) no matter how long the time series is.
     ///
-    /// `make` builds a fresh accumulator per chunk, `step(acc, i, snaps)`
-    /// folds snapshot `i` in, and `merge(into, from)` combines chunk
-    /// accumulators **in time order** (chunk 0 first). Snapshots are
-    /// bit-identical regardless of chunking, so the whole fold is
-    /// thread-count invariant exactly when `merge ∘ step` is associative
-    /// over chunk boundaries — true for min/max folds, integer counts,
-    /// `leo_util::sketch` types, and [`crate::metrics::TailQuantile`];
-    /// see `tests/streaming.rs` for the cross-crate pin.
+    /// `threads == 0` means "use available parallelism", exactly like
+    /// [`crate::par::parallel_map`]. `make` builds a fresh accumulator
+    /// per chunk, `step(acc, i, snaps)` folds snapshot `i` in, and
+    /// `merge(into, from)` combines chunk accumulators **in time order**
+    /// (chunk 0 first). Only the first step of each chunk pays the full
+    /// rebuild cost, and sweep-built snapshots are bit-identical to fresh
+    /// ones, so the whole fold is thread-count invariant exactly when
+    /// `merge ∘ step` is associative over chunk boundaries — true for
+    /// min/max folds, integer counts, `leo_util::sketch` types, and
+    /// [`crate::metrics::TailQuantile`]; see `tests/streaming.rs` for the
+    /// cross-crate pin.
     pub fn sweep_fold<A, F, M>(
         &self,
         times: &[f64],
@@ -423,36 +405,14 @@ impl StudyContext {
         F: Fn(&mut A, usize, &[NetworkSnapshot]) + Sync,
         M: Fn(&mut A, A),
     {
-        let n = times.len();
-        if n == 0 {
-            return make();
-        }
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(4, |p| p.get())
-        } else {
-            threads
-        }
-        .min(n);
-        let chunk = n.div_ceil(threads);
-        let ranges: Vec<(usize, usize)> = (0..n)
-            .step_by(chunk)
-            .map(|lo| (lo, (lo + chunk).min(n)))
-            .collect(); // lint: allow(hot-path-alloc) one tiny Vec of chunk bounds per sweep fan-out, not per step
-        let per_chunk = crate::par::parallel_map(&ranges, threads, |&(lo, hi)| {
-            let mut sweep = TimeSweep::new(self, modes);
-            let mut acc = make();
-            for (i, &t) in times.iter().enumerate().take(hi).skip(lo) {
-                step(&mut acc, i, sweep.step(t));
-            }
-            acc
-        });
-        let mut iter = per_chunk.into_iter();
-        // lint: allow(unwrap-in-lib) n > 0 guarantees at least one chunk accumulator
-        let mut acc = iter.next().expect("at least one chunk");
-        for part in iter {
-            merge(&mut acc, part);
-        }
-        acc
+        self.fold_chunks(
+            times,
+            modes,
+            threads,
+            make,
+            |sweep, acc, i, t| step(acc, i, sweep.step(t)),
+            merge,
+        )
     }
 
     /// [`StudyContext::sweep_times`] with per-mode [`EdgeDelta`]s:
@@ -494,6 +454,36 @@ impl StudyContext {
         F: Fn(&mut A, usize, &[NetworkSnapshot], &[EdgeDelta]) + Sync,
         M: Fn(&mut A, A),
     {
+        self.fold_chunks(
+            times,
+            modes,
+            threads,
+            make,
+            |sweep, acc, i, t| {
+                let (snaps, deltas) = sweep.step_with_deltas(t);
+                step(acc, i, snaps, deltas);
+            },
+            merge,
+        )
+    }
+
+    /// The one chunk-and-merge fan-out behind every parallel sweep:
+    /// `advance(sweep, acc, i, times[i])` steps the chunk's
+    /// [`TimeSweep`] and folds the result into the chunk accumulator.
+    fn fold_chunks<A, S, M>(
+        &self,
+        times: &[f64],
+        modes: &[Mode],
+        threads: usize,
+        make: impl Fn() -> A + Sync,
+        advance: S,
+        merge: M,
+    ) -> A
+    where
+        A: Send,
+        S: Fn(&mut TimeSweep<'_>, &mut A, usize, f64) + Sync,
+        M: Fn(&mut A, A),
+    {
         let n = times.len();
         if n == 0 {
             return make();
@@ -513,8 +503,7 @@ impl StudyContext {
             let mut sweep = TimeSweep::new(self, modes);
             let mut acc = make();
             for (i, &t) in times.iter().enumerate().take(hi).skip(lo) {
-                let (snaps, deltas) = sweep.step_with_deltas(t);
-                step(&mut acc, i, snaps, deltas);
+                advance(&mut sweep, &mut acc, i, t);
             }
             acc
         });

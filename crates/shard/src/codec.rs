@@ -25,6 +25,7 @@
 //! a diagnostic instead of merging garbage into final outputs. Payload
 //! encodings live in [`crate::keepers`]; this module only moves bytes.
 
+use leo_util::buf::{BufError, ByteReader, ByteWriter};
 use leo_util::telemetry::fnv1a_64;
 use std::fmt;
 use std::path::Path;
@@ -109,134 +110,18 @@ impl fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// Little-endian byte sink for payload encoders.
-#[derive(Debug, Default)]
-pub struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    /// An empty sink.
-    pub fn new() -> ByteWriter {
-        ByteWriter::default()
-    }
-
-    /// Append a `u8`.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a `u32`, little-endian.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `u64`, little-endian.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append an `i128`, little-endian (the `FixedSum` accumulator).
-    pub fn i128(&mut self, v: i128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append an `f64` as its IEEE-754 bit pattern — bit-exact, NaNs
-    /// and infinities included.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// The encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-/// Bounds-checked little-endian reader for payload decoders: every read
-/// can fail, so corrupt payloads surface as [`ShardError::Corrupt`]
-/// instead of panics.
-pub struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// Read from the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> ByteReader<'a> {
-        ByteReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ShardError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            // lint: allow(hot-path-alloc) corrupt-file error path, taken at most once per decode; the sweep_fold edge is a bare-call name collision on `take`
-            None => Err(ShardError::Corrupt(format!(
-                "truncated payload: need {n} bytes at offset {} of {}",
-                self.pos,
-                self.buf.len()
-            ))),
-        }
-    }
-
-    /// Next `u8`.
-    pub fn u8(&mut self) -> Result<u8, ShardError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Next little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, ShardError> {
-        // lint: allow(unwrap-in-lib) take(4) returned exactly 4 bytes
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Next little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, ShardError> {
-        // lint: allow(unwrap-in-lib) take(8) returned exactly 8 bytes
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Next little-endian `i128`.
-    pub fn i128(&mut self) -> Result<i128, ShardError> {
-        // lint: allow(unwrap-in-lib) take(16) returned exactly 16 bytes
-        Ok(i128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    /// Next `f64` from its bit pattern.
-    pub fn f64(&mut self) -> Result<f64, ShardError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Next length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, ShardError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ShardError::Corrupt("string field is not UTF-8".into()))
-    }
-
-    /// True when every byte has been consumed — decoders check this so
-    /// trailing garbage is rejected, not ignored.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos == self.buf.len()
+/// A payload or header that ends early or holds a non-UTF-8 string is
+/// corrupt.
+impl From<BufError> for ShardError {
+    fn from(e: BufError) -> ShardError {
+        ShardError::Corrupt(e.to_string())
     }
 }
 
 /// Assemble a complete shard file image (header + checksums + payload).
 pub fn encode_shard(header: &ShardHeader, payload: &[u8]) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.buf.extend_from_slice(MAGIC);
+    w.bytes(MAGIC);
     w.u32(FORMAT_VERSION);
     w.u64(header.config_hash);
     w.u64(header.seed);
@@ -247,10 +132,10 @@ pub fn encode_shard(header: &ShardHeader, payload: &[u8]) -> Vec<u8> {
     w.u8(header.kind.to_u8());
     w.u64(payload.len() as u64);
     w.u64(fnv1a_64(payload));
-    let header_fnv = fnv1a_64(&w.buf);
+    let header_fnv = fnv1a_64(w.as_slice());
     w.u64(header_fnv);
-    debug_assert_eq!(w.buf.len(), HEADER_LEN);
-    w.buf.extend_from_slice(payload);
+    debug_assert_eq!(w.as_slice().len(), HEADER_LEN);
+    w.bytes(payload);
     w.into_bytes()
 }
 
@@ -264,7 +149,7 @@ pub fn decode_shard(bytes: &[u8]) -> Result<(ShardHeader, &[u8]), ShardError> {
         )));
     }
     let mut r = ByteReader::new(&bytes[..HEADER_LEN]);
-    let magic = r.take(8)?;
+    let magic = r.bytes(8)?;
     if magic != MAGIC {
         return Err(ShardError::Corrupt("bad magic (not a shard file)".into()));
     }
@@ -391,18 +276,5 @@ mod tests {
         for cut in [0, 1, HEADER_LEN - 1, HEADER_LEN, bytes.len() - 1] {
             assert!(decode_shard(&bytes[..cut]).is_err(), "truncated to {cut}");
         }
-    }
-
-    #[test]
-    fn reader_rejects_overruns_and_bad_utf8() {
-        let mut r = ByteReader::new(&[1, 2, 3]);
-        assert!(r.u64().is_err());
-        let mut w = ByteWriter::new();
-        w.u32(2);
-        w.u8(0xff);
-        w.u8(0xfe);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert!(r.str().is_err());
     }
 }

@@ -20,11 +20,12 @@
 //! re-verified so a corrupted payload that slips past the checksum still
 //! cannot mis-merge silently.
 
-use crate::codec::{ByteReader, ByteWriter, PayloadKind, ShardError, ShardHeader};
+use crate::codec::{PayloadKind, ShardError, ShardHeader};
 use leo_core::experiments::latency::PairStats;
 use leo_core::Mode;
 use leo_data::traffic::CityPair;
 use leo_graph::EdgeId;
+use leo_util::buf::{ByteReader, ByteWriter};
 use leo_util::sketch::{FixedSum, QuantileSketch};
 
 fn mode_tag(m: Mode) -> u8 {

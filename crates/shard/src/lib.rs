@@ -12,9 +12,8 @@
 //! 2. **Execute** ([`runner`]): each shard builds the *same*
 //!    deterministic [`StudyContext`] and then restricts it to its pair
 //!    range ([`StudyContext::restrict_pair_range`]), so per-shard
-//!    memory for pair-dimension state is `O(n/K)`. Shards run as
-//!    in-process workers (via [`leo_core::par`]) or as separate OS
-//!    processes speaking the `--shard i/K` CLI protocol.
+//!    memory for pair-dimension state is `O(n/K)`. Each shard runs as a
+//!    separate OS process speaking the `--shard i/K` CLI protocol.
 //! 3. **Spill** ([`codec`], [`keepers`]): each worker writes its
 //!    keepers — per-pair min/max RTT, reachability counts, a
 //!    [`QuantileSketch`] + [`FixedSum`] over min RTTs, or routed path

@@ -12,16 +12,11 @@
 //! global pair order, which is why `K`-sharded output is bit-identical
 //! to `K = 1`.
 //!
-//! Two execution styles share this module:
-//!
-//! * **In-process** ([`run_latency_sharded`], [`run_flow_sharded`]):
-//!   workers fan out on [`leo_core::par::parallel_map`], each folding
-//!   its shard single-threaded, spilling, then merging — used by the
-//!   drivers' `--shards K` mode and the equivalence tests.
-//! * **Out-of-core** ([`spill_latency_shard`], [`spill_flow_shard`] +
-//!   [`merge_latency_files`], [`merge_flow_files`]): each worker is its
-//!   own OS process (`--shard i/K --shard-dir D`), holding only
-//!   `O(pairs/K)` pair state; a coordinator merges the spill files.
+//! Sharding exists to bound per-process memory, so every shard runs in
+//! its own OS process: a worker (`--shard i/K --shard-dir D`) builds the
+//! restricted context, holds only `O(pairs/K)` pair state, and spills it
+//! ([`spill_latency_shard`], [`spill_flow_shard`]); the coordinator
+//! merges the spill files ([`merge_latency_files`], [`merge_flow_files`]).
 
 use crate::codec::{read_shard, write_shard, PayloadKind, ShardError, ShardHeader};
 use crate::keepers::{
@@ -30,9 +25,8 @@ use crate::keepers::{
 use crate::partition::ShardSpec;
 use leo_core::experiments::latency::latency_studies;
 use leo_core::experiments::throughput::route_pair_paths;
-use leo_core::par::parallel_map;
 use leo_core::{Mode, StudyConfig, StudyContext};
-use leo_util::telemetry::{fnv1a_64, Heartbeat};
+use leo_util::telemetry::fnv1a_64;
 use std::path::{Path, PathBuf};
 
 /// The run-identity hash stamped into shard headers: FNV-1a 64 of the
@@ -83,8 +77,8 @@ fn header_for(
 }
 
 /// Run one latency shard: fold `modes` over the configured snapshots
-/// for this shard's pairs only. `threads` is the *intra-shard* worker
-/// count (workers fanning out across shards pass 1).
+/// for this shard's pairs only. `threads` is the worker's own thread
+/// count (`0` = one per core, as for an unsharded run).
 pub fn latency_shard(
     cfg: &StudyConfig,
     modes: &[Mode],
@@ -188,54 +182,4 @@ pub fn merge_flow_files(paths: &[PathBuf]) -> Result<(MergedRun, FlowPathsKeeper
         shards.push((header, FlowPathsKeepers::decode(&payload)?));
     }
     merge_flow_shards(shards)
-}
-
-/// In-process sharded latency run: fan `count` single-threaded workers
-/// out on [`parallel_map`], spill each shard to `dir`, then merge the
-/// spill files. Returns the merged keepers plus the spill paths (left
-/// on disk for inspection / the CI byte-identity lane).
-///
-/// Ticks a `shard_latency` [`Heartbeat`] per completed shard.
-pub fn run_latency_sharded(
-    cfg: &StudyConfig,
-    modes: &[Mode],
-    count: usize,
-    dir: &Path,
-    label: &str,
-) -> Result<(MergedRun, LatencyKeepers, Vec<PathBuf>), ShardError> {
-    let specs = ShardSpec::all(count);
-    let hb = Heartbeat::new("shard_latency", count as u64);
-    let spilled = parallel_map(&specs, count, |&spec| {
-        let r = spill_latency_shard(cfg, modes, spec, 1, dir, label);
-        hb.tick(1);
-        r
-    });
-    let mut paths = Vec::with_capacity(count);
-    for r in spilled {
-        paths.push(r?);
-    }
-    let (run, keepers) = merge_latency_files(&paths)?;
-    Ok((run, keepers, paths))
-}
-
-/// In-process sharded throughput routing: shards run sequentially —
-/// [`route_pair_paths`] already parallelizes across pairs inside each
-/// shard, so nesting a worker pool would only oversubscribe. Spills to
-/// `dir` and merges like [`run_latency_sharded`].
-pub fn run_flow_sharded(
-    cfg: &StudyConfig,
-    t_s: f64,
-    combos: &[(Mode, usize)],
-    count: usize,
-    dir: &Path,
-    label: &str,
-) -> Result<(MergedRun, FlowPathsKeepers, Vec<PathBuf>), ShardError> {
-    let hb = Heartbeat::new("shard_flow", count as u64);
-    let mut paths = Vec::with_capacity(count);
-    for spec in ShardSpec::all(count) {
-        paths.push(spill_flow_shard(cfg, t_s, combos, spec, dir, label)?);
-        hb.tick(1);
-    }
-    let (run, keepers) = merge_flow_files(&paths)?;
-    Ok((run, keepers, paths))
 }

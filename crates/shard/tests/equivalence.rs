@@ -1,13 +1,19 @@
-//! The tentpole contract: a `K`-sharded run — restricted contexts,
+//! The sharding contract: a `K`-sharded run — restricted contexts,
 //! spill files, and all — reproduces the single-process study results
 //! **bit-identically**, for both the latency fold and the throughput
-//! routing + global solve.
+//! routing + global solve. Each shard is spilled exactly as an OS worker
+//! spills it, and the files are merged exactly as the coordinator merges
+//! them.
 
 use leo_core::experiments::latency::{latency_studies, PairStats};
 use leo_core::experiments::throughput::{route_pair_paths, throughput_from_path_edges};
 use leo_core::{ExperimentScale, Mode, StudyContext};
 use leo_flow::FlowWorkspace;
-use leo_shard::runner::{combo_tag, config_hash, run_flow_sharded, run_latency_sharded};
+use leo_shard::runner::{
+    combo_tag, config_hash, merge_flow_files, merge_latency_files, spill_flow_shard,
+    spill_latency_shard,
+};
+use leo_shard::ShardSpec;
 
 fn scratch_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("leo_shard_{name}_{}", std::process::id()));
@@ -49,9 +55,11 @@ fn sharded_latency_is_bit_identical_to_single_process() {
 
     for k in [1usize, 3] {
         let dir = scratch_dir(&format!("lat{k}"));
-        let (run, keepers, files) =
-            run_latency_sharded(&cfg, &modes, k, &dir, "equiv").expect("sharded run");
-        assert_eq!(files.len(), k);
+        let files: Vec<_> = ShardSpec::all(k)
+            .into_iter()
+            .map(|spec| spill_latency_shard(&cfg, &modes, spec, 1, &dir, "equiv").expect("spill"))
+            .collect();
+        let (run, keepers) = merge_latency_files(&files).expect("merge");
         assert_eq!(run.shard_count, k as u32);
         assert_eq!(run.n_pairs as usize, ctx.pairs.len());
         assert_eq!(run.config_hash, config_hash(&cfg));
@@ -74,9 +82,12 @@ fn sharded_throughput_is_bit_identical_to_single_process() {
     let snaps = ctx.snapshot_bundle(t_s, &modes);
 
     let dir = scratch_dir("flow");
-    let (run, merged, files) =
-        run_flow_sharded(&cfg, t_s, &combos, 2, &dir, "equiv").expect("sharded run");
-    assert_eq!(files.len(), 2);
+    let files: Vec<_> = ShardSpec::all(2)
+        .into_iter()
+        .map(|spec| spill_flow_shard(&cfg, t_s, &combos, spec, &dir, "equiv").expect("spill"))
+        .collect();
+    let (run, merged) = merge_flow_files(&files).expect("merge");
+    assert_eq!(run.shard_count, 2);
     assert_eq!(run.n_pairs as usize, ctx.pairs.len());
 
     for (ci, &(mode, k)) in combos.iter().enumerate() {

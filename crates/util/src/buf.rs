@@ -1,152 +1,192 @@
-//! Minimal little-endian byte reader/writer (the `bytes` crate's `Buf` /
-//! `BufMut` surface that the snapshot codec actually uses, and nothing
-//! more).
+//! The workspace's one little-endian byte codec.
 //!
-//! * [`ByteBuf`] is a growable write buffer over `Vec<u8>` with
-//!   `put_*_le` methods.
-//! * [`ReadBytes`] is implemented for `&[u8]`, advancing the slice in
-//!   place exactly like `bytes::Buf` does, with the same contract: the
-//!   caller checks [`ReadBytes::remaining`] first, and a short read
-//!   panics (decoders guard with their own truncation checks).
+//! * [`ByteWriter`] appends fixed-width integers, IEEE-754 bit patterns,
+//!   raw bytes, and length-prefixed UTF-8 strings to a growable buffer.
+//! * [`ByteReader`] reads them back from the front of a slice. Every
+//!   read is bounds-checked, so truncated or corrupt bytes surface as a
+//!   [`BufError`] instead of a panic — decoders of untrusted files (the
+//!   `leo-shard` spill format) propagate it with `?`.
+
+use std::fmt;
+
+/// Why a [`ByteReader`] read failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BufError {
+    /// Fewer than `need` bytes remain at `offset` of a `len`-byte buffer.
+    Truncated {
+        /// Bytes the read asked for.
+        need: usize,
+        /// Read position when the read was attempted.
+        offset: usize,
+        /// Total buffer length.
+        len: usize,
+    },
+    /// A length-prefixed string field is not valid UTF-8.
+    NotUtf8,
+}
+
+impl fmt::Display for BufError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BufError::Truncated { need, offset, len } => write!(
+                f,
+                "truncated payload: need {need} bytes at offset {offset} of {len}"
+            ),
+            BufError::NotUtf8 => write!(f, "string field is not UTF-8"),
+        }
+    }
+}
+
+impl std::error::Error for BufError {}
 
 /// Growable little-endian write buffer.
 #[derive(Debug, Clone, Default)]
-pub struct ByteBuf {
-    data: Vec<u8>,
+pub struct ByteWriter {
+    buf: Vec<u8>,
 }
 
-impl ByteBuf {
-    /// New empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// New empty buffer with `cap` bytes pre-allocated.
-    pub fn with_capacity(cap: usize) -> Self {
-        ByteBuf {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Append raw bytes.
-    #[inline]
-    pub fn put_slice(&mut self, s: &[u8]) {
-        self.data.extend_from_slice(s);
-    }
-
-    /// Append one byte.
-    #[inline]
-    pub fn put_u8(&mut self, v: u8) {
-        self.data.push(v);
-    }
-
-    /// Append a little-endian `u16`.
-    #[inline]
-    pub fn put_u16_le(&mut self, v: u16) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u32`.
-    #[inline]
-    pub fn put_u32_le(&mut self, v: u32) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u64`.
-    #[inline]
-    pub fn put_u64_le(&mut self, v: u64) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `f64` (IEEE-754 bit pattern).
-    #[inline]
-    pub fn put_f64_le(&mut self, v: f64) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Finish writing and take the underlying bytes.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.data
+impl ByteWriter {
+    /// An empty buffer.
+    pub fn new() -> ByteWriter {
+        ByteWriter::default()
     }
 
     /// View the bytes written so far.
     pub fn as_slice(&self) -> &[u8] {
-        &self.data
+        &self.buf
+    }
+
+    /// Finish writing and take the bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// Append raw bytes (no length prefix).
+    #[inline]
+    pub fn bytes(&mut self, s: &[u8]) {
+        self.buf.extend_from_slice(s);
+    }
+
+    /// Append a `u8`.
+    #[inline]
+    pub fn u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
+
+    /// Append a little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Append a little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Append a little-endian `i128` (the `FixedSum` accumulator).
+    #[inline]
+    pub fn i128(&mut self, v: i128) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Append an `f64` as its IEEE-754 bit pattern — bit-exact, NaNs
+    /// and infinities included.
+    #[inline]
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// Append a `u32`-length-prefixed UTF-8 string.
+    #[inline]
+    pub fn str(&mut self, s: &str) {
+        self.u32(s.len() as u32);
+        self.bytes(s.as_bytes());
     }
 }
 
-/// In-place reader over a byte slice: each `get_*` consumes from the
-/// front.
-///
-/// # Panics
-/// All `get_*`/`copy_to_slice` methods panic if fewer than the required
-/// bytes remain — check [`ReadBytes::remaining`] first, exactly as with
-/// `bytes::Buf`.
-pub trait ReadBytes {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-    /// Consume `dst.len()` bytes into `dst`.
-    fn copy_to_slice(&mut self, dst: &mut [u8]);
-
-    /// Consume one byte.
-    fn get_u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.copy_to_slice(&mut b);
-        b[0]
-    }
-
-    /// Consume a little-endian `u16`.
-    fn get_u16_le(&mut self) -> u16 {
-        let mut b = [0u8; 2];
-        self.copy_to_slice(&mut b);
-        u16::from_le_bytes(b)
-    }
-
-    /// Consume a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_le_bytes(b)
-    }
-
-    /// Consume a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Consume a little-endian `f64`.
-    fn get_f64_le(&mut self) -> f64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        f64::from_le_bytes(b)
-    }
+/// Bounds-checked little-endian reader over a byte slice; each read
+/// consumes from the front.
+#[derive(Debug, Clone)]
+pub struct ByteReader<'a> {
+    buf: &'a [u8],
+    pos: usize,
 }
 
-impl ReadBytes for &[u8] {
+impl<'a> ByteReader<'a> {
+    /// Read from the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> ByteReader<'a> {
+        ByteReader { buf, pos: 0 }
+    }
+
+    /// True when every byte has been consumed — decoders check this so
+    /// trailing garbage is rejected, not ignored.
+    pub fn is_exhausted(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+
+    /// The next `n` raw bytes.
     #[inline]
-    fn remaining(&self) -> usize {
-        self.len()
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], BufError> {
+        match self.buf.get(self.pos..self.pos.saturating_add(n)) {
+            Some(s) => {
+                self.pos += n;
+                Ok(s)
+            }
+            None => Err(BufError::Truncated {
+                need: n,
+                offset: self.pos,
+                len: self.buf.len(),
+            }),
+        }
     }
 
     #[inline]
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        // lint: allow(panic-reachable) decode underflow means truncated or corrupt snapshot bytes; decoding must stop, not fabricate zeros
-        assert!(self.len() >= dst.len(), "byte slice underflow");
-        let (head, tail) = self.split_at(dst.len());
-        dst.copy_from_slice(head);
-        *self = tail;
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], BufError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.bytes(N)?);
+        Ok(out)
+    }
+
+    /// Next `u8`.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, BufError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// Next little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, BufError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// Next little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, BufError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Next little-endian `i128`.
+    #[inline]
+    pub fn i128(&mut self) -> Result<i128, BufError> {
+        self.array().map(i128::from_le_bytes)
+    }
+
+    /// Next `f64` from its bit pattern.
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, BufError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// Next `u32`-length-prefixed UTF-8 string.
+    #[inline]
+    pub fn str(&mut self) -> Result<String, BufError> {
+        let len = self.u32()? as usize;
+        let bytes = self.bytes(len)?;
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|_| BufError::NotUtf8)
     }
 }
 
@@ -156,59 +196,89 @@ mod tests {
 
     #[test]
     fn roundtrip_all_widths() {
-        let mut w = ByteBuf::with_capacity(32);
-        w.put_u8(0xAB);
-        w.put_u16_le(0x1234);
-        w.put_u32_le(0xDEADBEEF);
-        w.put_u64_le(0x0102030405060708);
-        w.put_f64_le(-1234.5678);
-        w.put_slice(b"xyz");
-        let v = w.into_vec();
-        let mut r: &[u8] = &v;
-        assert_eq!(r.get_u8(), 0xAB);
-        assert_eq!(r.get_u16_le(), 0x1234);
-        assert_eq!(r.get_u32_le(), 0xDEADBEEF);
-        assert_eq!(r.get_u64_le(), 0x0102030405060708);
-        assert_eq!(r.get_f64_le(), -1234.5678);
-        let mut tail = [0u8; 3];
-        r.copy_to_slice(&mut tail);
-        assert_eq!(&tail, b"xyz");
-        assert_eq!(r.remaining(), 0);
+        let mut w = ByteWriter::new();
+        w.u8(0xAB);
+        w.u32(0xDEADBEEF);
+        w.u64(0x0102030405060708);
+        w.i128(-(1i128 << 100));
+        w.f64(-1234.5678);
+        w.str("héllo");
+        w.bytes(b"xyz");
+        let v = w.into_bytes();
+        let mut r = ByteReader::new(&v);
+        assert_eq!(r.u8(), Ok(0xAB));
+        assert_eq!(r.u32(), Ok(0xDEADBEEF));
+        assert_eq!(r.u64(), Ok(0x0102030405060708));
+        assert_eq!(r.i128(), Ok(-(1i128 << 100)));
+        assert_eq!(r.f64(), Ok(-1234.5678));
+        assert_eq!(r.str().as_deref(), Ok("héllo"));
+        assert_eq!(r.bytes(3), Ok(&b"xyz"[..]));
+        assert!(r.is_exhausted());
     }
 
     #[test]
     fn encoding_is_little_endian() {
-        let mut w = ByteBuf::new();
-        w.put_u32_le(1);
+        let mut w = ByteWriter::new();
+        w.u32(1);
         assert_eq!(w.as_slice(), &[1, 0, 0, 0]);
     }
 
     #[test]
-    fn remaining_tracks_reads() {
-        let v = vec![0u8; 10];
-        let mut r: &[u8] = &v;
-        assert_eq!(r.remaining(), 10);
-        r.get_u32_le();
-        assert_eq!(r.remaining(), 6);
-        r.get_u16_le();
-        assert_eq!(r.remaining(), 4);
+    fn short_reads_are_errors_and_consume_nothing() {
+        let mut r = ByteReader::new(&[1, 2, 3]);
+        assert_eq!(
+            r.u64(),
+            Err(BufError::Truncated {
+                need: 8,
+                offset: 0,
+                len: 3
+            })
+        );
+        assert!(r.bytes(usize::MAX).is_err());
+        assert_eq!(r.u8(), Ok(1));
+        assert_eq!(r.bytes(2), Ok(&[2, 3][..]));
+        assert!(r.is_exhausted());
+        assert!(BufError::Truncated {
+            need: 8,
+            offset: 1,
+            len: 3
+        }
+        .to_string()
+        .contains("need 8 bytes at offset 1 of 3"));
     }
 
     #[test]
-    #[should_panic(expected = "underflow")]
-    fn short_read_panics() {
-        let v = vec![0u8; 3];
-        let mut r: &[u8] = &v;
-        r.get_u32_le();
+    fn strings_reject_bad_utf8_and_overlong_prefixes() {
+        let mut w = ByteWriter::new();
+        w.u32(2);
+        w.u8(0xff);
+        w.u8(0xfe);
+        let bytes = w.into_bytes();
+        assert_eq!(ByteReader::new(&bytes).str(), Err(BufError::NotUtf8));
+        let mut w = ByteWriter::new();
+        w.u32(100);
+        w.bytes(b"short");
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            ByteReader::new(&bytes).str(),
+            Err(BufError::Truncated { need: 100, .. })
+        ));
     }
 
     #[test]
     fn f64_bit_exact() {
-        for x in [0.0, -0.0, f64::MIN_POSITIVE, 1.0e300, f64::INFINITY] {
-            let mut w = ByteBuf::new();
-            w.put_f64_le(x);
-            let mut r: &[u8] = w.as_slice();
-            assert_eq!(r.get_f64_le().to_bits(), x.to_bits());
+        for x in [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            1.0e300,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            let mut w = ByteWriter::new();
+            w.f64(x);
+            let mut r = ByteReader::new(w.as_slice());
+            assert_eq!(r.f64().map(f64::to_bits), Ok(x.to_bits()));
         }
     }
 }

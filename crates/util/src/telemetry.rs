@@ -11,7 +11,7 @@
 //!   totals for the final manifest;
 //! * **counters & histograms** — lock-free `static` [`Counter`]s and
 //!   fixed-bucket log₂-scale [`Histogram`]s (Dijkstra calls, max-min
-//!   rounds, packetsim events, codec bytes, …);
+//!   rounds, packetsim events, shard spill bytes, …);
 //! * **a JSON-lines sink** — [`init`] opens `RUN_<label>.jsonl` (in
 //!   `LEO_LOG_DIR`, default cwd) and [`finish_run`] appends counter and
 //!   histogram records plus a final **manifest** record (config hash,
