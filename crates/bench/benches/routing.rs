@@ -16,6 +16,15 @@
 //! * `inner_loop_sweep` — the same inner loop on a warm [`TimeSweep`]
 //!   stepped 15 s per iteration, i.e. what `sweep_map`-based drivers now
 //!   run per instant after the first.
+//! * `k_disjoint_pairs` — fig4's routing step at bench scale: k = 4
+//!   edge-disjoint paths for every pair on one cold Hybrid snapshot, on
+//!   a warm workspace. Every search here has one target, so this is
+//!   where the goal-directed bound shows most directly.
+//! * `many_targets_sources` — the other side of the goal-direction cap:
+//!   one early-exit search per source of a 15,500-pair bench-scale set
+//!   (~62 destinations per source, `ext_million_pairs`' per-shard
+//!   shape) on one Hybrid snapshot. These searches run as plain
+//!   Dijkstra, so this arm should not move with the bound.
 //! * `maxflow_fresh` vs `maxflow_workspace` — one Dinic run with
 //!   per-call scratch vs a warm [`MaxFlowWorkspace`] (both pay the same
 //!   residual-network clone).
@@ -31,8 +40,8 @@ use leo_bench::{finish_run, init_run};
 use leo_core::{ExperimentScale, Mode, StudyContext, TimeSweep};
 use leo_flow::{FlowSim, FlowWorkspace};
 use leo_graph::{
-    dijkstra, k_edge_disjoint_paths, max_flow, max_flow_with, DijkstraWorkspace, FlowNetwork,
-    MaxFlowWorkspace,
+    dijkstra, k_edge_disjoint_paths, k_edge_disjoint_paths_with, max_flow, max_flow_with,
+    DijkstraWorkspace, FlowNetwork, MaxFlowWorkspace,
 };
 use leo_util::bench::Harness;
 
@@ -145,6 +154,47 @@ fn bench_inner_loop(h: &mut Harness, ctx: &StudyContext) {
     });
 }
 
+fn bench_k_disjoint(h: &mut Harness) {
+    let ctx = StudyContext::build(ExperimentScale::Bench.config());
+    let snap = ctx.snapshot(0.0, Mode::Hybrid);
+    let mut ws = DijkstraWorkspace::new();
+    h.bench("k_disjoint_pairs", move || {
+        let mut paths = 0usize;
+        for pair in &ctx.pairs {
+            let s = snap.city_node(pair.src as usize);
+            let d = snap.city_node(pair.dst as usize);
+            paths += k_edge_disjoint_paths_with(&snap.graph, s, d, 4, None, &mut ws).len();
+        }
+        paths
+    });
+}
+
+fn bench_many_targets(h: &mut Harness) {
+    let mut cfg = ExperimentScale::Bench.config();
+    cfg.num_pairs = 15_500;
+    let ctx = StudyContext::build(cfg);
+    let snap = ctx.snapshot(0.0, Mode::Hybrid);
+    let mut ws = DijkstraWorkspace::new();
+    let mut targets = Vec::new();
+    h.bench("many_targets_sources", move || {
+        let mut acc = 0.0f64;
+        for (src, idxs) in ctx.pairs_by_src() {
+            targets.clear();
+            targets.extend(
+                idxs.iter()
+                    .map(|&i| snap.city_node(ctx.pairs[i].dst as usize)),
+            );
+            let view = ws.run_multi(&snap.graph, snap.city_node(*src as usize), None, &targets);
+            acc += targets
+                .iter()
+                .map(|&t| view.dist(t))
+                .filter(|d| d.is_finite())
+                .sum::<f64>();
+        }
+        acc
+    });
+}
+
 fn bench_maxflow(h: &mut Harness, ctx: &StudyContext) {
     // Dinic consumes residual capacities, so both sides pay one network
     // clone per call; the pair isolates the per-call scratch allocation.
@@ -191,6 +241,8 @@ fn main() {
     bench_sssp(&mut h, &ctx);
     bench_snapshot(&mut h, &ctx);
     bench_inner_loop(&mut h, &ctx);
+    bench_k_disjoint(&mut h);
+    bench_many_targets(&mut h);
     bench_maxflow(&mut h, &ctx);
     bench_maxmin(&mut h, &ctx);
     h.finish().expect("write BENCH_routing.json");

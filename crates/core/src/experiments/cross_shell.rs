@@ -80,7 +80,7 @@ pub fn cross_shell_study(
             Some(p) => {
                 let mut shell_set = std::collections::HashSet::new();
                 let mut bounces = 0;
-                for &n in &p.nodes[1..p.nodes.len() - 1] {
+                for &n in p.intermediate_nodes() {
                     match hy_snap.nodes[n as usize] {
                         NodeKind::Satellite(id) => {
                             shell_set.insert(ctx.constellation.shell_of(id).0);
@@ -133,6 +133,21 @@ mod tests {
             if let (Some(h), Some(i)) = (r.hybrid_rtt_ms, r.isl_only_rtt_ms) {
                 assert!(h <= i + 1e-9, "hybrid {h} ms > isl-only {i} ms");
             }
+        }
+    }
+
+    /// Regression: with the same city at both ends the hybrid path is the
+    /// one-node path — no shells, no bounces (slicing `nodes[1..len - 1]`
+    /// used to panic on it).
+    #[test]
+    fn city_to_itself_uses_no_shell_and_no_bounce() {
+        let c = ctx();
+        let rows = cross_shell_study(&c, "Tokyo", "Tokyo", 2);
+        assert_eq!(rows.len(), c.config.snapshot_times_s.len());
+        for r in &rows {
+            assert_eq!(r.isl_only_rtt_ms, Some(0.0));
+            assert_eq!(r.hybrid_rtt_ms, Some(0.0));
+            assert_eq!((r.hybrid_shells_used, r.hybrid_ground_bounces), (0, 0));
         }
     }
 

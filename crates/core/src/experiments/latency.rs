@@ -353,7 +353,7 @@ pub fn pair_timeseries(
             Some(p) => {
                 let mut aircraft = 0;
                 let mut relays = 0;
-                for &n in &p.nodes[1..p.nodes.len() - 1] {
+                for &n in p.intermediate_nodes() {
                     match snap.nodes[n as usize] {
                         NodeKind::Aircraft(_) => aircraft += 1,
                         NodeKind::Relay(_) => relays += 1,
@@ -458,6 +458,23 @@ mod tests {
         for p in &ts {
             if p.rtt_ms.is_some() {
                 assert!(p.hops >= 2);
+            }
+        }
+    }
+
+    /// Regression: a pair whose source and destination are the same city
+    /// routes over the one-node path, which has no intermediate hops
+    /// (slicing `nodes[1..len - 1]` used to panic on it).
+    #[test]
+    fn timeseries_of_a_city_to_itself_is_a_zero_hop_path() {
+        let c = ctx();
+        let name = c.ground.cities[0].name.clone();
+        for mode in [Mode::BpOnly, Mode::Hybrid] {
+            let ts = pair_timeseries(&c, &name, &name, mode, 2);
+            assert_eq!(ts.len(), c.config.snapshot_times_s.len());
+            for p in &ts {
+                assert_eq!(p.rtt_ms, Some(0.0), "{mode:?} at t={}", p.t_s);
+                assert_eq!((p.hops, p.aircraft_hops, p.relay_hops), (0, 0, 0));
             }
         }
     }

@@ -572,6 +572,9 @@ pub struct TimeSweep<'a> {
     /// rad), persisted across steps.
     static_links: Vec<Vec<(u32, f64, f64)>>,
     aircraft: Vec<Aircraft>,
+    /// Surface ECEF position per aircraft, this step (the point its link
+    /// delays are measured from).
+    air_ecef: Vec<Ecef>,
     air_links: Vec<Vec<(u32, f64, f64)>>,
     air_cells: Vec<(u32, u32)>,
     isl_links: Vec<(NodeId, NodeId, f64)>,
@@ -691,6 +694,7 @@ impl<'a> TimeSweep<'a> {
             static_cells,
             static_links,
             aircraft: Vec::new(),
+            air_ecef: Vec::new(),
             air_links: Vec::new(),
             air_cells: Vec::new(),
             isl_links: Vec::new(),
@@ -949,11 +953,13 @@ impl<'a> TimeSweep<'a> {
                 .resize_with(self.aircraft.len(), Vec::new);
         }
         let (xs, ys, zs) = self.sats.xyz();
+        self.air_ecef.clear();
         for (ai, a) in self.aircraft.iter().enumerate() {
             let links = &mut self.air_links[ai];
             links.clear();
             let g = Ecef::from_geo(a.pos, 0.0);
             let g_norm = g.norm();
+            self.air_ecef.push(g);
             self.grid
                 .window_segments(a.pos, self.query_radius_m, &mut self.air_cells);
             let mut emit = |sat: u32, range_m: f64, elev: f64| {
@@ -971,7 +977,10 @@ impl<'a> TimeSweep<'a> {
     }
 
     /// Rebuild snapshot `mi` (graph, node/edge tables, ground positions)
-    /// from the refreshed link sets, recycling all of its buffers.
+    /// from the refreshed link sets, recycling all of its buffers. The
+    /// graph gets one coordinate per node — the exact ECEF points every
+    /// link delay was measured between — so searches on it toward one or
+    /// two targets run goal-directed (see [`Graph::lambda`]).
     // lint: hot-path
     fn assemble_mode(&mut self, mi: usize, t_s: f64) {
         let mode = self.modes[mi];
@@ -1019,6 +1028,17 @@ impl<'a> TimeSweep<'a> {
         }
         self.builder.build_into(&mut snap.graph);
         debug_assert_eq!(snap.graph.num_edges(), snap.edges.len());
+        let (xs, ys, zs) = self.sats.xyz();
+        let num_air = num_ground - num_ground.min(num_static);
+        let ground = self.static_ecef[..num_ground - num_air]
+            .iter()
+            .map(|(e, _)| e)
+            .chain(&self.air_ecef[..num_air]);
+        snap.graph.set_coords(
+            (0..s)
+                .map(|i| [xs[i], ys[i], zs[i]])
+                .chain(ground.map(|e| [e.x, e.y, e.z])),
+        );
 
         snap.ground_positions.clear();
         snap.ground_positions
@@ -1471,6 +1491,45 @@ mod tests {
         assert_eq!(twice[0].graph.num_edges(), twice[1].graph.num_edges());
     }
 
+    /// Every snapshot graph carries one coordinate per node, in node
+    /// order, and its weights are delays along exactly those points: λ
+    /// lands within rounding of 1/c. A mis-ordered fill would not fail a
+    /// search — it would only shrink λ and fall back to Dijkstra speed —
+    /// so this is the test that notices.
+    #[test]
+    fn snapshot_graphs_carry_coordinates_with_lambda_near_one_over_c() {
+        use crate::config::ConstellationKind;
+        let lo = 1.0 - 1.0 / (1u64 << 19) as f64;
+        for kind in [
+            ConstellationKind::Starlink,
+            ConstellationKind::Kuiper,
+            ConstellationKind::StarlinkPlusPolar,
+        ] {
+            let mut cfg = ExperimentScale::Tiny.config();
+            cfg.constellation = kind;
+            let c = StudyContext::build(cfg);
+            let modes = [Mode::BpOnly, Mode::Hybrid, Mode::IslOnly];
+            for snap in c.snapshot_bundle(900.0, &modes) {
+                let what = format!("{kind:?} {:?}", snap.mode);
+                let g = &snap.graph;
+                assert_eq!(
+                    g.coords().len(),
+                    g.num_nodes(),
+                    "{what}: one point per node"
+                );
+                for v in snap.num_satellites..g.num_nodes() {
+                    let e = Ecef::from_geo(snap.ground_position(v as NodeId).unwrap(), 0.0);
+                    assert_eq!(g.coords()[v], [e.x, e.y, e.z], "{what}: ground node {v}");
+                }
+                let scaled = g.lambda() * SPEED_OF_LIGHT_M_S;
+                assert!(
+                    (lo..=1.0).contains(&scaled),
+                    "{what}: λ·c = {scaled} outside [1 − 2⁻¹⁹, 1]"
+                );
+            }
+        }
+    }
+
     #[test]
     fn pairs_by_src_covers_all_pairs_once() {
         let c = ctx();
@@ -1509,6 +1568,18 @@ mod tests {
             assert_eq!(pa.lon().to_bits(), pb.lon().to_bits(), "{what}: ground lon");
         }
         assert_eq!(a.graph.num_edges(), b.graph.num_edges(), "{what}: edges");
+        assert_eq!(
+            a.graph.coords().len(),
+            b.graph.coords().len(),
+            "{what}: coordinates"
+        );
+        for (pa, pb) in a.graph.coords().iter().zip(b.graph.coords()) {
+            assert_eq!(
+                pa.map(f64::to_bits),
+                pb.map(f64::to_bits),
+                "{what}: coordinate"
+            );
+        }
         for e in 0..a.graph.num_edges() as EdgeId {
             let (u1, v1, w1) = a.graph.edge(e);
             let (u2, v2, w2) = b.graph.edge(e);

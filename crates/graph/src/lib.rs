@@ -6,7 +6,9 @@
 //! algorithms the paper's experiments need:
 //!
 //! * [`Graph`] — a compact CSR adjacency structure with stable edge ids,
-//!   built once per snapshot.
+//!   built once per snapshot, with optional per-node coordinates whose
+//!   straight-line bound ([`Graph::lambda`]) makes searches toward one
+//!   or two targets goal-directed without changing any result bit.
 //! * [`dijkstra`] / [`dijkstra_with_mask`] — single-source shortest paths
 //!   (the latency experiments run one SSSP per unique source city), and
 //!   [`DijkstraWorkspace`] — reusable generation-stamped buffers so hot

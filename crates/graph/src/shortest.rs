@@ -9,8 +9,15 @@
 //!   parent, settled, heap) across runs; clearing is generation-stamped,
 //!   so resetting between runs costs O(nodes touched), not O(n). The hot
 //!   experiment loops keep one workspace per worker thread.
+//!
+//! A run with one or two distinct targets on a graph with coordinates is
+//! goal-directed: its heap keys add the straight-line bound
+//! `λ·min_t |p_v − p_t|` (see [`Graph::lambda`]), which settles fewer
+//! nodes and leaves every distance and path bit-identical to plain
+//! Dijkstra. Runs with more targets are plain Dijkstra (see
+//! `GOAL_MAX_TARGETS`).
 
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{dist_sq, EdgeId, Graph, NodeId};
 use leo_util::telemetry::Counter;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -76,8 +83,20 @@ impl Path {
     pub fn num_hops(&self) -> usize {
         self.edges.len()
     }
+
+    /// The nodes strictly between source and destination: empty for
+    /// paths of fewer than 3 nodes (including the one-node path from a
+    /// node to itself).
+    pub fn intermediate_nodes(&self) -> &[NodeId] {
+        match self.nodes.len() {
+            0..=2 => &[],
+            len => &self.nodes[1..len - 1],
+        }
+    }
 }
 
+/// A heap entry: `dist` is the ordering key — the tentative distance,
+/// plus the straight-line bound in a goal-directed run.
 #[derive(Debug, PartialEq)]
 struct HeapItem {
     dist: f64,
@@ -129,6 +148,10 @@ pub struct DijkstraWorkspace {
     parent_edge: Vec<EdgeId>,
     parent_node: Vec<NodeId>,
     settled: Vec<bool>,
+    /// Straight-line bound of each touched node in a goal-directed run.
+    bound: Vec<f64>,
+    /// Coordinates of the current run's distinct targets.
+    target_pts: Vec<[f64; 3]>,
     heap: BinaryHeap<HeapItem>,
     /// Loanable scratch mask, used by the multi-path algorithms.
     mask_buf: Vec<bool>,
@@ -168,6 +191,8 @@ impl DijkstraWorkspace {
             self.parent_node.resize(n, NodeId::MAX);
             // lint: allow(hot-path-alloc) grows once to the peak node count, then the guard above makes every resize a no-op
             self.settled.resize(n, false);
+            // lint: allow(hot-path-alloc) grows once to the peak node count, then the guard above makes every resize a no-op
+            self.bound.resize(n, 0.0);
         }
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
@@ -201,9 +226,15 @@ impl DijkstraWorkspace {
 
     /// Like [`DijkstraWorkspace::run`] with a *set* of early-exit targets:
     /// the run stops once every node in `targets` is settled (duplicates
-    /// are fine). Distances and paths to the targets are exact; other
-    /// nodes follow the usual settled-only contract. An empty `targets`
-    /// slice disables early exit (same as `target: None`).
+    /// are fine). An empty `targets` slice disables early exit (same as
+    /// `target: None`).
+    ///
+    /// Distances and paths to the targets are exact, bit for bit what a
+    /// full Dijkstra run reports. Non-target nodes follow the settled-only
+    /// contract: every node the run settles is exact too, but *which*
+    /// nodes get settled depends on the graph's coordinates — with
+    /// [`Graph::lambda`] > 0 and at most two distinct targets the search
+    /// is goal-directed and settles mostly nodes toward the targets.
     ///
     /// This is the experiment-loop shape: one source city, a handful of
     /// destination cities, and a constellation graph whose far side never
@@ -250,8 +281,10 @@ impl DijkstraWorkspace {
         self.runs += 1;
         self.begin(n);
         let gen = self.gen;
+        let coords = g.coords();
+        self.target_pts.clear();
         // Pending distinct early-exit targets; `None` = run to exhaustion.
-        let mut pending = targets.map(|ts| {
+        let pending = targets.map(|ts| {
             let mut distinct = 0usize;
             for &t in ts {
                 let ti = t as usize;
@@ -259,11 +292,20 @@ impl DijkstraWorkspace {
                 if self.target_stamp[ti] != gen {
                     self.target_stamp[ti] = gen;
                     distinct += 1;
+                    if distinct <= GOAL_MAX_TARGETS && !coords.is_empty() {
+                        self.target_pts.push(coords[ti]);
+                    }
                 }
             }
             distinct
         });
-        let mut settled_count = 0u64;
+        // Goal direction needs a few targets to aim at (see
+        // `GOAL_MAX_TARGETS`); λ = 0 keeps the keys equal to the
+        // distances, i.e. plain (dist, node) Dijkstra.
+        let lambda = match pending {
+            Some(1..=GOAL_MAX_TARGETS) => g.lambda(),
+            _ => 0.0,
+        };
         let si = source as usize;
         self.stamp[si] = gen;
         self.dist[si] = 0.0;
@@ -274,7 +316,33 @@ impl DijkstraWorkspace {
             dist: 0.0,
             node: source,
         });
-        while let Some(HeapItem { dist: d, node: u }) = self.heap.pop() {
+        let settled_count = if lambda > 0.0 {
+            self.settle::<true>(g, disabled, pending, lambda)
+        } else {
+            self.settle::<false>(g, disabled, pending, 0.0)
+        };
+        DIJKSTRA_SETTLED.add(settled_count);
+        self.source = source;
+        self.view()
+    }
+
+    /// The settle loop of a run, compiled twice: `GOAL = false` (λ = 0)
+    /// is plain `(dist, node)` Dijkstra with no per-edge λ test, and
+    /// `GOAL = true` adds `λ` times the straight-line distance to the
+    /// nearest target to every heap key and applies the exact-tie parent
+    /// rule (see [`Graph::lambda`]). Returns the number of nodes settled.
+    // lint: hot-path
+    fn settle<const GOAL: bool>(
+        &mut self,
+        g: &Graph,
+        disabled: Option<&[bool]>,
+        mut pending: Option<usize>,
+        lambda: f64,
+    ) -> u64 {
+        let gen = self.gen;
+        let coords = g.coords();
+        let mut settled_count = 0u64;
+        while let Some(HeapItem { dist: key, node: u }) = self.heap.pop() {
             let ui = u as usize;
             if self.settled[ui] {
                 continue;
@@ -289,6 +357,10 @@ impl DijkstraWorkspace {
                     }
                 }
             }
+            // A plain key is the label itself. A goal-directed node's
+            // first pop carries its smallest key, hence its latest (and
+            // final) label.
+            let d = if GOAL { self.dist[ui] } else { key };
             for h in g.neighbors(u) {
                 if let Some(mask) = disabled {
                     if mask[h.edge as usize] {
@@ -297,27 +369,40 @@ impl DijkstraWorkspace {
                 }
                 let nd = d + h.weight;
                 let vi = h.to as usize;
-                let cur = if self.stamp[vi] == gen {
-                    self.dist[vi]
-                } else {
-                    f64::INFINITY
-                };
+                let fresh = self.stamp[vi] != gen;
+                let cur = if fresh { f64::INFINITY } else { self.dist[vi] };
                 if nd < cur {
                     self.stamp[vi] = gen;
                     self.dist[vi] = nd;
                     self.parent_edge[vi] = h.edge;
                     self.parent_node[vi] = u;
                     self.settled[vi] = false;
+                    let key = if GOAL {
+                        if fresh {
+                            self.bound[vi] = lambda * nearest(&self.target_pts, &coords[vi]);
+                        }
+                        nd + self.bound[vi]
+                    } else {
+                        nd
+                    };
                     self.heap.push(HeapItem {
-                        dist: nd,
+                        dist: key,
                         node: h.to,
                     });
+                } else if GOAL && nd == cur {
+                    // Exact tie: keep the (dist, node)-smallest parent,
+                    // the one plain Dijkstra settles first (see
+                    // `Graph::lambda` for why no candidate comes later).
+                    let p = self.parent_node[vi];
+                    let dp = self.dist[p as usize];
+                    if d < dp || (d == dp && u < p) {
+                        self.parent_edge[vi] = h.edge;
+                        self.parent_node[vi] = u;
+                    }
                 }
             }
         }
-        DIJKSTRA_SETTLED.add(settled_count);
-        self.source = source;
-        self.view()
+        settled_count
     }
 
     /// A view of the most recent run's result (empty before any run).
@@ -361,11 +446,38 @@ impl DijkstraWorkspace {
     }
 }
 
+/// Most distinct targets a run aims the straight-line bound at; runs
+/// with more are plain Dijkstra. The bound is the distance to the
+/// *nearest* target, so it prunes well toward one or two targets but
+/// little once they spread around the globe, while every touched node
+/// pays one distance per target. Timed per search on Starlink BP and
+/// hybrid snapshots over three real pair sets (`leo_benchmark`'s
+/// `latency_day`, paper-scale fig2, `ext_million_pairs`), the bound
+/// changed search time by −66…−27% at one target, −28…+15% at two,
+/// −10…+39% at three to eight and +137…+163% at 64. A cap of two gave
+/// the smallest BP + hybrid total on the first two sets and tied with a
+/// cap of one on the third.
+const GOAL_MAX_TARGETS: usize = 2;
+
+/// Straight-line distance from `p` to the nearest of `targets` (one
+/// square root: `√` is monotone, so the minimum commutes with it).
+#[inline]
+fn nearest(targets: &[[f64; 3]], p: &[f64; 3]) -> f64 {
+    let mut best = f64::INFINITY;
+    for t in targets {
+        best = best.min(dist_sq(p, t));
+    }
+    best.sqrt()
+}
+
 /// Borrowed result of the most recent [`DijkstraWorkspace::run`].
 ///
 /// Same contract as [`ShortestPaths`] without the materialization:
 /// distances are reported only for **settled** nodes, so an early-exited
-/// run never exposes a stale queued-but-unrelaxed upper bound.
+/// run never exposes a stale queued-but-unrelaxed upper bound. Targets
+/// are always exact. Every other settled node is exact as well, but in a
+/// goal-directed run (one or two distinct targets, [`Graph::lambda`] > 0)
+/// *which* non-target nodes get settled depends on the coordinates.
 #[derive(Clone, Copy)]
 pub struct SsspView<'a> {
     ws: &'a DijkstraWorkspace,

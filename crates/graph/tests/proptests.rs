@@ -200,6 +200,164 @@ fn early_exit_distances_are_never_stale() {
     });
 }
 
+/// A graph with coordinates whose weights are at least the straight-line
+/// length over a per-graph speed — the shape of every snapshot graph —
+/// in one of two flavours. Geometric: random points on an integer
+/// lattice (so coincident points occur), random edges with random slack
+/// above the length, some parallel duplicates, occasionally a zero
+/// weight. Grid: unit spacing and unit weights, so λ is as tight as it
+/// gets and equal-length paths tie exactly everywhere. The last node is
+/// always isolated, so some targets are unreachable.
+fn arb_geometric_graph(gen: &mut Gen) -> Graph {
+    let speed = [1.0, 3.0, 299_792_458.0][gen.usize(0..3)];
+    let (points, edges) = if gen.bool() {
+        let (rows, cols) = (gen.u32(1..7), gen.u32(2..7));
+        let id = |r: u32, c: u32| r * cols + c;
+        let mut edges = Vec::new();
+        for r in 0..rows {
+            for c in 0..cols {
+                if c + 1 < cols {
+                    edges.push((id(r, c), id(r, c + 1), 1.0 / speed));
+                }
+                if r + 1 < rows {
+                    edges.push((id(r, c), id(r + 1, c), 1.0 / speed));
+                }
+            }
+        }
+        let points: Vec<[f64; 3]> = (0..rows * cols)
+            .map(|i| [(i / cols) as f64, (i % cols) as f64, 0.0])
+            .collect();
+        (points, edges)
+    } else {
+        let n = gen.usize(2..30);
+        let points: Vec<[f64; 3]> = (0..n)
+            .map(|_| {
+                [
+                    gen.f64(0.0..6.0).floor(),
+                    gen.f64(0.0..6.0).floor(),
+                    gen.f64(0.0..3.0).floor(),
+                ]
+            })
+            .collect();
+        let mut edges = Vec::new();
+        for i in 1..n as u32 {
+            edges.push((gen.u32(0..i), i, 0.0));
+        }
+        for _ in 0..gen.usize(0..3 * n) {
+            let (u, v) = (gen.u32(0..n as u32), gen.u32(0..n as u32));
+            if u != v {
+                edges.push((u, v, 0.0));
+            }
+        }
+        for e in &mut edges {
+            let (a, b) = (points[e.0 as usize], points[e.1 as usize]);
+            let len =
+                ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)).sqrt();
+            // Exact-length edges half the time, so λ meets its tightest
+            // ratio; coincident endpoints still need a positive weight.
+            let slack = if gen.bool() { 0.0 } else { gen.f64(0.0..2.0) };
+            e.2 = (len + slack).max(0.5) / speed;
+        }
+        for _ in 0..gen.usize(0..4) {
+            let dup = edges[gen.usize(0..edges.len())];
+            edges.push(dup);
+        }
+        if gen.u32(0..8) == 0 {
+            let i = gen.usize(0..edges.len());
+            edges[i].2 = 0.0;
+        }
+        (points, edges)
+    };
+    let n = points.len() + 1;
+    let mut b = GraphBuilder::new(n);
+    for &(u, v, w) in &edges {
+        b.add_edge(u, v, w);
+    }
+    let mut g = b.build();
+    g.set_coords(points.into_iter().chain([[50.0, 50.0, 50.0]]));
+    g
+}
+
+/// Goal direction is invisible in the results: on random geometric
+/// graphs (grids with exact ties, parallel edges, coincident points,
+/// random masks), a run with 1–4 targets (duplicates and unreachable
+/// ones included) reports, for every target, the same distance bits and
+/// the same path nodes and edges as the same run on the graph without
+/// coordinates (λ = 0, plain Dijkstra); every other node it settles is
+/// exact too; and k-edge-disjoint path sets match. Runs with three or
+/// four distinct targets are past the goal-direction cap, so both sides
+/// of it are covered.
+#[test]
+fn goal_directed_search_is_bit_identical_to_dijkstra() {
+    let (mut ws, mut plain_ws) = (DijkstraWorkspace::new(), DijkstraWorkspace::new());
+    let mut guided_runs = 0;
+    check("goal_directed_search_is_bit_identical_to_dijkstra", |gen| {
+        let g = arb_geometric_graph(gen);
+        let mut plain = g.clone();
+        plain.set_coords([]);
+        check_assert_eq!(plain.lambda(), 0.0);
+        let n = g.num_nodes() as u32;
+        let source = gen.u32(0..n);
+        let masked = gen.bool();
+        let mask: Vec<bool> = (0..g.num_edges())
+            .map(|_| masked && gen.u32(0..4) == 0)
+            .collect();
+        let mut targets = gen.vec(1..5, |gen| gen.u32(0..n));
+        if gen.bool() {
+            targets.push(targets[0]);
+        }
+        let mut distinct = targets.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        if g.lambda() > 0.0 && distinct.len() <= 2 {
+            guided_runs += 1;
+        }
+        let full = plain_ws
+            .run(&plain, source, Some(&mask), None)
+            .to_shortest_paths();
+        let reference = plain_ws
+            .run_multi(&plain, source, Some(&mask), &targets)
+            .to_shortest_paths();
+        let view = ws.run_multi(&g, source, Some(&mask), &targets);
+        for &t in &targets {
+            check_assert_eq!(
+                view.dist(t).to_bits(),
+                reference.dist[t as usize].to_bits(),
+                "target {t}"
+            );
+            check_assert_eq!(
+                view.extract_path(t).map(|p| (p.nodes, p.edges)),
+                extract_path(&reference, t).map(|p| (p.nodes, p.edges)),
+                "target {t}"
+            );
+        }
+        for v in (0..n).filter(|&v| view.reached(v)) {
+            check_assert_eq!(
+                view.dist(v).to_bits(),
+                full.dist[v as usize].to_bits(),
+                "node {v}"
+            );
+            check_assert_eq!(
+                view.extract_path(v).map(|p| (p.nodes, p.edges)),
+                extract_path(&full, v).map(|p| (p.nodes, p.edges)),
+                "node {v}"
+            );
+        }
+        let k = gen.usize(1..5);
+        for &t in &targets {
+            let guided = k_edge_disjoint_paths_with(&g, source, t, k, Some(&mask), &mut ws);
+            let reference =
+                k_edge_disjoint_paths_with(&plain, source, t, k, Some(&mask), &mut plain_ws);
+            check_assert_eq!(guided, reference, "k = {k}, target {t}");
+        }
+        Ok(())
+    });
+    assert!(
+        guided_runs > 64,
+        "only {guided_runs} of 256 cases ran goal-directed (λ > 0, ≤ 2 distinct targets)"
+    );
+}
+
 /// An edge list in insertion order (ids = positions), the form
 /// [`mutate_edges`] steps to produce `SptWorkspace::apply` deltas.
 fn arb_edge_list(gen: &mut Gen, n: usize) -> Vec<(u32, u32, f64)> {

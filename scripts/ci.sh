@@ -54,16 +54,23 @@
 #    consecutive-instant TimeSweep step to beat the per-instant
 #    snapshot_bundle rebuild by >= 1.5x (committed BENCH_snapshot.json
 #    shows ~2.2x; same loose-floor rationale as the routing gate).
-# 11. Shard identity lane: bench-scale fig2 run unsharded and as 4
-#    spawned OS shard workers (spill + merge); stdout and the CSV must
-#    be byte-identical. This is the out-of-core contract — sharding is
-#    an execution strategy, never a result change.
-# 12. Shard-bench smoke: run benches/shard.rs and require the 4-shard
+# 11. Golden results: run EXPERIMENTS.md's bench-scale regeneration loop
+#    (all 15 figure/extension binaries) in a temp dir and `cmp` every
+#    results/*.csv, and the loop's combined output against
+#    results/bench_scale_run.log. The tracked results are the
+#    behavioural contract; this makes "byte-reproducible" a gate
+#    instead of a manual check (~30 s on 2 cores).
+# 12. Shard identity lane: bench-scale fig2 run as 4 spawned OS shard
+#    workers (spill + merge); its stdout+stderr must be byte-identical
+#    to the unsharded fig2 run of lane 11, and its CSV to the tracked
+#    results/fig2_latency.csv. This is the out-of-core contract —
+#    sharding is an execution strategy, never a result change.
+# 13. Shard-bench smoke: run benches/shard.rs and require the 4-shard
 #    merge (decode + validate + concatenate + sketch merges) to cost
 #    <= 5% of one unsharded latency fold (committed BENCH_shard.json
 #    shows ~0.3%; the loose ceiling is loud if the merge ever turns
 #    into a per-pair recompute).
-# 13. Million-pair smoke (opt-in: LEO_CI_MILLION_PAIRS=1, ~1 min):
+# 14. Million-pair smoke (opt-in: LEO_CI_MILLION_PAIRS=1, ~1 min):
 #    ext_million_pairs at full scale — 1,000,000 pairs over 4 workers,
 #    each asserted under a 512 MiB peak-RSS budget via its manifest.
 #
@@ -71,6 +78,7 @@
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+repo_root=$(pwd)
 
 echo "== hermeticity guard: [workspace.dependencies] must be path-only =="
 violations=$(
@@ -138,17 +146,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline
 
 echo "== telemetry schema: Tiny fig2 run under LEO_LOG=info =="
 log_dir=$(mktemp -d)
-trap 'rm -rf "$log_dir" "${paper_dir:-}" "${shard_a:-}" "${shard_b:-}" "${million_dir:-}"' EXIT
-LEO_LOG=info LEO_LOG_DIR="$log_dir" \
-    cargo run -q --release --offline -p leo-bench --bin fig2_latency -- --scale tiny \
-    > /dev/null
+trap 'rm -rf "$log_dir" "${paper_dir:-}" "${golden_dir:-}" "${shard_dir:-}" "${million_dir:-}"' EXIT
+# Figure binaries write results/ into their cwd, so every figure run
+# below happens inside a temp dir: the tracked results/ goldens must
+# stay untouched for the golden-results lane.
+(cd "$log_dir" && LEO_LOG=info LEO_LOG_DIR="$log_dir" \
+    "$repo_root"/target/release/fig2_latency --scale tiny > /dev/null)
 cargo run -q --release --offline -p leo-bench --bin validate_run -- \
     --require-lint-clean "$log_dir/RUN_fig2_latency.jsonl"
 
 echo "== leo-report: second Tiny fig2 run, collision suffix, empty self-diff =="
-LEO_LOG=info LEO_LOG_DIR="$log_dir" \
-    cargo run -q --release --offline -p leo-bench --bin fig2_latency -- --scale tiny \
-    > /dev/null
+(cd "$log_dir" && LEO_LOG=info LEO_LOG_DIR="$log_dir" \
+    "$repo_root"/target/release/fig2_latency --scale tiny > /dev/null)
 if [ ! -f "$log_dir/RUN_fig2_latency-01.jsonl" ]; then
     echo "ERROR: second run did not land in RUN_fig2_latency-01.jsonl" >&2
     ls "$log_dir" >&2
@@ -161,9 +170,8 @@ cargo run -q --release --offline -p leo-bench --bin leo-report -- \
 if [ "${LEO_CI_PAPER_SMOKE:-0}" = "1" ]; then
     echo "== paper-scale fig2 RSS smoke: peak RSS must stay under 512 MiB =="
     paper_dir=$(mktemp -d)
-    LEO_LOG=info LEO_LOG_HEARTBEAT=30 LEO_LOG_DIR="$paper_dir" \
-        cargo run -q --release --offline -p leo-bench --bin fig2_latency -- --scale paper \
-        > /dev/null
+    (cd "$paper_dir" && LEO_LOG=info LEO_LOG_HEARTBEAT=30 LEO_LOG_DIR="$paper_dir" \
+        "$repo_root"/target/release/fig2_latency --scale paper > /dev/null)
     cargo run -q --release --offline -p leo-bench --bin leo-report -- \
         --assert-peak-rss-mb 512 "$paper_dir/RUN_fig2_latency.jsonl"
     rm -rf "$paper_dir"
@@ -233,21 +241,52 @@ awk -F'"median_ns":' '
     }
 ' "$log_dir/BENCH_snapshot.json"
 
-echo "== shard identity: bench-scale fig2, unsharded vs 4 spawned shards =="
-repo_root=$(pwd)
-shard_a=$(mktemp -d)
-shard_b=$(mktemp -d)
-(cd "$shard_a" && "$repo_root/target/release/fig2_latency" --scale bench > stdout.txt)
-(cd "$shard_b" && "$repo_root/target/release/fig2_latency" --scale bench \
-    --shards 4 > stdout.txt)
-if ! diff -q "$shard_a/stdout.txt" "$shard_b/stdout.txt" ||
-    ! diff -q "$shard_a/results/fig2_latency.csv" "$shard_b/results/fig2_latency.csv"; then
-    echo "ERROR: sharded fig2 output differs from the unsharded run" >&2
-    diff "$shard_a/stdout.txt" "$shard_b/stdout.txt" >&2 || true
+echo "== golden results: bench-scale regeneration loop vs tracked results/ =="
+golden_dir=$(mktemp -d)
+(
+    cd "$golden_dir"
+    {
+        # fig2's output is kept on its own for the shard identity lane.
+        LEO_LOG=off "$repo_root"/target/release/fig2_latency > fig2_latency.out 2>&1
+        cat fig2_latency.out
+        for bin in fig3_path_variability "fig4_throughput --disconnected" \
+                   fig5_isl_sweep fig6_attenuation fig7_delhi_sydney fig8_exceedance \
+                   fig9_gso_arc fig10_cross_shell fig11_fiber ablation_lax_maxflow \
+                   ext_routing_ablation ext_path_churn ext_weather_throughput \
+                   ext_packet_delay; do
+            # shellcheck disable=SC2086 # "$bin" may carry a flag
+            LEO_LOG=off "$repo_root"/target/release/$bin
+        done
+    } > bench_scale_run.log 2>&1
+)
+golden_bad=0
+for f in results/*.csv; do
+    if ! cmp "$f" "$golden_dir/$f"; then
+        golden_bad=1
+    fi
+done
+if ! cmp results/bench_scale_run.log "$golden_dir/bench_scale_run.log"; then
+    golden_bad=1
+fi
+csv_count=$(find results -maxdepth 1 -name '*.csv' | wc -l)
+if [ "$golden_bad" != 0 ] || [ "$csv_count" != 15 ]; then
+    echo "ERROR: regenerated results differ from the tracked ones ($csv_count tracked CSVs)" >&2
     exit 1
 fi
-echo "ok: stdout and CSV byte-identical with and without sharding"
-rm -rf "$shard_a" "$shard_b"
+echo "ok: all $csv_count results/*.csv and the run log reproduced byte for byte"
+
+echo "== shard identity: bench-scale fig2, 4 spawned shards vs the unsharded run =="
+shard_dir=$(mktemp -d)
+(cd "$shard_dir" && LEO_LOG=off "$repo_root/target/release/fig2_latency" --scale bench \
+    --shards 4 > fig2_latency.out 2>&1)
+if ! cmp "$golden_dir/fig2_latency.out" "$shard_dir/fig2_latency.out" ||
+    ! cmp results/fig2_latency.csv "$shard_dir/results/fig2_latency.csv"; then
+    echo "ERROR: sharded fig2 output differs from the unsharded run" >&2
+    diff "$golden_dir/fig2_latency.out" "$shard_dir/fig2_latency.out" >&2 || true
+    exit 1
+fi
+echo "ok: output and CSV byte-identical with and without sharding"
+rm -rf "$golden_dir" "$shard_dir"
 
 echo "== shard bench smoke: merge must stay a tiny fraction of the fold =="
 LEO_LOG=off LEO_BENCH_DIR="$log_dir" \

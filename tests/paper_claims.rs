@@ -9,6 +9,8 @@ use leo_core::experiments::throughput::{
 };
 use leo_core::experiments::weather::{exceedance_curve, weather_study};
 use leo_core::{ExperimentScale, Mode, StudyConfig, StudyContext};
+use leo_geo::{great_circle_distance_m, SPEED_OF_LIGHT_M_S};
+use leo_graph::DijkstraWorkspace;
 
 fn small() -> StudyContext {
     // Slightly larger than Tiny so distributions are meaningful, but
@@ -133,4 +135,48 @@ fn claim_gso_equator_pain() {
     let ctx = small();
     let rows = leo_core::experiments::gso_arc::gso_sweep(&ctx, &[0.0, 45.0], 40.0, 22.0, 0.0);
     assert!(rows[0].usable_sky_fraction + 0.2 < rows[1].usable_sky_fraction);
+}
+
+/// Physical invariant: every link is a straight segment that stays above
+/// the surface (elevation masks on up/down links, line-of-sight clearance
+/// on ISLs), so no route between two cities beats light along the great
+/// circle — for BP and hybrid, at every snapshot, every reachable RTT is
+/// ≥ 2 × great-circle(src, dst) / c. Distances come from full
+/// single-source Dijkstra runs without targets, so the straight-line
+/// bound the targeted searches prune with plays no part: this guards the
+/// physics that bound rests on, independently.
+#[test]
+fn invariant_no_rtt_beats_great_circle_light() {
+    let ctx = small();
+    let mut ws = DijkstraWorkspace::new();
+    let mut checked = 0usize;
+    for mode in [Mode::BpOnly, Mode::Hybrid] {
+        for &t in &ctx.config.snapshot_times_s {
+            let snap = ctx.snapshot(t, mode);
+            for (src, pair_idxs) in ctx.pairs_by_src() {
+                let s = snap.city_node(*src as usize);
+                let view = ws.run(&snap.graph, s, None, None);
+                for &i in pair_idxs {
+                    let d = snap.city_node(ctx.pairs[i].dst as usize);
+                    let delay = view.dist(d);
+                    if !delay.is_finite() {
+                        continue;
+                    }
+                    let gc = great_circle_distance_m(
+                        snap.ground_position(s).unwrap(),
+                        snap.ground_position(d).unwrap(),
+                    );
+                    let floor_ms = leo_core::rtt_ms(gc / SPEED_OF_LIGHT_M_S);
+                    let rtt_ms = leo_core::rtt_ms(delay);
+                    assert!(
+                        rtt_ms >= floor_ms * (1.0 - 1e-12),
+                        "{mode:?} t={t}: pair {i} RTT {rtt_ms} ms beats light along the \
+                         great circle ({floor_ms} ms)"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "no reachable pair was checked");
 }
