@@ -33,10 +33,16 @@ pub struct SourceSptPool {
 }
 
 impl SourceSptPool {
-    /// Node-entry budget per chunk accumulator (~17 bytes/entry of
-    /// resident tree state, so ~25 MiB per sweep chunk). Tiny and Bench
-    /// fig2 studies pool comfortably; Paper scale (≈1000 sources ×
-    /// thousands of nodes × 2 modes) exceeds it and falls back.
+    /// Node-entry budget per chunk accumulator. An entry costs about
+    /// 94 bytes, not just the 17 of a tree's labels and parents: each
+    /// tree also keeps an edge-sized `old_to_new` map, its repair stack,
+    /// heap and Dial buckets at their peak capacity. Measured on
+    /// `leo_benchmark`'s `latency_burst` (356 trees of a 6,084-node
+    /// graph), the pool raised peak RSS from 28 to 221 MiB, about
+    /// 556 KiB per tree, so a full budget is ~135 MiB per sweep chunk
+    /// (one chunk per worker thread). Tiny studies and `latency_burst`'s
+    /// 100 pairs pool; fig2 at Bench scale (500 pairs, ~6k nodes, 2
+    /// modes) and at Paper scale exceeds it and falls back.
     pub const ENTRY_BUDGET: usize = 1_500_000;
 
     /// Whether a `num_modes`-mode study over `ctx`'s pair set fits the

@@ -10,6 +10,10 @@
 //!   so resetting between runs costs O(nodes touched), not O(n). The hot
 //!   experiment loops keep one workspace per worker thread.
 //!
+//! The queue is an indexed 4-ary min-heap with one entry per open node:
+//! an improved label lowers the node's key in place, and every pop
+//! settles a node, in `(key, node)` order.
+//!
 //! A run with one or two distinct targets on a graph with coordinates is
 //! goal-directed: its heap keys add the straight-line bound
 //! `λ·min_t |p_v − p_t|` (see [`Graph::lambda`]), which settles fewer
@@ -95,8 +99,7 @@ impl Path {
     }
 }
 
-/// A heap entry: `dist` is the ordering key — the tentative distance,
-/// plus the straight-line bound in a goal-directed run.
+/// An [`SptWorkspace`] heap entry, min-ordered by `(dist, node)`.
 #[derive(Debug, PartialEq)]
 struct HeapItem {
     dist: f64,
@@ -123,14 +126,124 @@ impl PartialOrd for HeapItem {
     }
 }
 
+/// Children per [`NodeHeap`] slot: a shallower tree than a binary heap,
+/// so a pop's sift-down takes half the levels.
+const HEAP_ARITY: usize = 4;
+
+/// The open nodes of a [`DijkstraWorkspace`] run: an indexed 4-ary
+/// min-heap with one entry per node, ordered by `(key, node)`.
+///
+/// A node enters with [`NodeHeap::push`], moves up in place when its key
+/// improves ([`NodeHeap::decrease`]) and leaves with [`NodeHeap::pop`].
+/// `pos[v]` is the slot of `v`, meaningful only while `v` is in the
+/// heap; the workspace knows that from its generation stamp and settled
+/// flag, so clearing the heap never touches `pos`. Keys are finite and
+/// never NaN.
+#[derive(Debug, Default)]
+struct NodeHeap {
+    slots: Vec<(f64, NodeId)>,
+    pos: Vec<u32>,
+}
+
+/// The heap order: by key, then by node.
+#[inline]
+fn heap_less(a: (f64, NodeId), b: (f64, NodeId)) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+}
+
+impl NodeHeap {
+    fn clear(&mut self) {
+        self.slots.clear();
+    }
+
+    /// Insert `node`, which must not be in the heap.
+    #[inline]
+    fn push(&mut self, key: f64, node: NodeId) {
+        let i = self.slots.len();
+        self.slots.push((key, node));
+        self.sift_up(i, (key, node));
+    }
+
+    /// Lower the key of `node`, which must be in the heap, to `key`.
+    #[inline]
+    fn decrease(&mut self, key: f64, node: NodeId) {
+        let i = self.pos[node as usize] as usize;
+        debug_assert!(self.slots[i].1 == node && key <= self.slots[i].0);
+        self.sift_up(i, (key, node));
+    }
+
+    /// Remove and return the `(key, node)`-smallest entry.
+    #[inline]
+    fn pop(&mut self) -> Option<(f64, NodeId)> {
+        let last = self.slots.pop()?;
+        match self.slots.first() {
+            Some(&top) => {
+                self.sift_down(0, last);
+                Some(top)
+            }
+            None => Some(last),
+        }
+    }
+
+    /// Put `item` at slot `i` or above, moving larger ancestors down.
+    #[inline]
+    fn sift_up(&mut self, mut i: usize, item: (f64, NodeId)) {
+        while i > 0 {
+            let parent = (i - 1) / HEAP_ARITY;
+            let p = self.slots[parent];
+            if !heap_less(item, p) {
+                break;
+            }
+            self.slots[i] = p;
+            self.pos[p.1 as usize] = i as u32;
+            i = parent;
+        }
+        self.slots[i] = item;
+        self.pos[item.1 as usize] = i as u32;
+    }
+
+    /// Put `item` at slot `i` or below, moving smaller children up.
+    #[inline]
+    fn sift_down(&mut self, mut i: usize, item: (f64, NodeId)) {
+        let len = self.slots.len();
+        loop {
+            let first = HEAP_ARITY * i + 1;
+            if first >= len {
+                break;
+            }
+            let kids = &self.slots[first..len.min(first + HEAP_ARITY)];
+            let (mut best, mut best_item) = (0, kids[0]);
+            for (c, &kid) in kids.iter().enumerate().skip(1) {
+                if heap_less(kid, best_item) {
+                    (best, best_item) = (c, kid);
+                }
+            }
+            if !heap_less(best_item, item) {
+                break;
+            }
+            self.slots[i] = best_item;
+            self.pos[best_item.1 as usize] = i as u32;
+            i = first + best;
+        }
+        self.slots[i] = item;
+        self.pos[item.1 as usize] = i as u32;
+    }
+}
+
 /// Reusable buffers for repeated Dijkstra runs.
 ///
 /// Entries are validated with a per-run generation stamp: `dist[v]`,
-/// `parent_edge[v]`, `parent_node[v]`, and `settled[v]` are meaningful
-/// only where `stamp[v]` equals the current generation, so starting a new
-/// run is a counter bump plus a heap clear — no O(n) refill. The arrays
-/// grow monotonically to the largest graph seen and are reused across
-/// graphs of different sizes.
+/// `parent_edge[v]`, `parent_node[v]`, `settled[v]` and the heap slot of
+/// `v` are meaningful only where `stamp[v]` equals the current
+/// generation, so starting a new run is a counter bump plus a heap clear
+/// — no O(n) refill. The arrays grow monotonically to the largest graph
+/// seen and are reused across graphs of different sizes.
+///
+/// The queue holds one entry per open node (touched, not yet settled):
+/// a node's first improvement pushes it, every later one lowers its key
+/// in place, and every pop settles a node. A node's key only decreases
+/// while it is open, so its entry always holds the smallest key any of
+/// its labels produced, and nodes settle in `(key, node)` order.
 ///
 /// A workspace is plain mutable state: keep one per thread (the
 /// experiment fan-outs create one per `parallel_map` worker) and the hot
@@ -152,7 +265,7 @@ pub struct DijkstraWorkspace {
     bound: Vec<f64>,
     /// Coordinates of the current run's distinct targets.
     target_pts: Vec<[f64; 3]>,
-    heap: BinaryHeap<HeapItem>,
+    heap: NodeHeap,
     /// Loanable scratch mask, used by the multi-path algorithms.
     mask_buf: Vec<bool>,
     /// Loanable scratch distances (Suurballe potentials).
@@ -193,6 +306,8 @@ impl DijkstraWorkspace {
             self.settled.resize(n, false);
             // lint: allow(hot-path-alloc) grows once to the peak node count, then the guard above makes every resize a no-op
             self.bound.resize(n, 0.0);
+            // lint: allow(hot-path-alloc) grows once to the peak node count, then the guard above makes every resize a no-op
+            self.heap.pos.resize(n, 0);
         }
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
@@ -312,10 +427,7 @@ impl DijkstraWorkspace {
         self.parent_edge[si] = EdgeId::MAX;
         self.parent_node[si] = NodeId::MAX;
         self.settled[si] = false;
-        self.heap.push(HeapItem {
-            dist: 0.0,
-            node: source,
-        });
+        self.heap.push(0.0, source);
         let settled_count = if lambda > 0.0 {
             self.settle::<true>(g, disabled, pending, lambda)
         } else {
@@ -342,11 +454,9 @@ impl DijkstraWorkspace {
         let gen = self.gen;
         let coords = g.coords();
         let mut settled_count = 0u64;
-        while let Some(HeapItem { dist: key, node: u }) = self.heap.pop() {
+        while let Some((key, u)) = self.heap.pop() {
             let ui = u as usize;
-            if self.settled[ui] {
-                continue;
-            }
+            debug_assert!(!self.settled[ui], "a node is in the heap at most once");
             self.settled[ui] = true;
             settled_count += 1;
             if let Some(p) = pending.as_mut() {
@@ -357,9 +467,8 @@ impl DijkstraWorkspace {
                     }
                 }
             }
-            // A plain key is the label itself. A goal-directed node's
-            // first pop carries its smallest key, hence its latest (and
-            // final) label.
+            // A plain key is the label itself; a goal-directed key adds
+            // the node's bound to it.
             let d = if GOAL { self.dist[ui] } else { key };
             for h in g.neighbors(u) {
                 if let Some(mask) = disabled {
@@ -376,19 +485,19 @@ impl DijkstraWorkspace {
                     self.dist[vi] = nd;
                     self.parent_edge[vi] = h.edge;
                     self.parent_node[vi] = u;
-                    self.settled[vi] = false;
-                    let key = if GOAL {
-                        if fresh {
-                            self.bound[vi] = lambda * nearest(&self.target_pts, &coords[vi]);
-                        }
-                        nd + self.bound[vi]
+                    if GOAL && fresh {
+                        self.bound[vi] = lambda * nearest(&self.target_pts, &coords[vi]);
+                    }
+                    let key = if GOAL { nd + self.bound[vi] } else { nd };
+                    if fresh {
+                        self.settled[vi] = false;
+                        self.heap.push(key, h.to);
                     } else {
-                        nd
-                    };
-                    self.heap.push(HeapItem {
-                        dist: key,
-                        node: h.to,
-                    });
+                        // Touched and improved, so still open: settled
+                        // labels are final (see `Graph::lambda`).
+                        debug_assert!(!self.settled[vi]);
+                        self.heap.decrease(key, h.to);
+                    }
                 } else if GOAL && nd == cur {
                     // Exact tie: keep the (dist, node)-smallest parent,
                     // the one plain Dijkstra settles first (see
@@ -1377,6 +1486,44 @@ mod tests {
                 assert_eq!(view.dist(t), fresh.dist[t as usize], "src {s} target {t}");
             }
         }
+    }
+
+    /// `NodeHeap` against a sorted `(key, node)` list: random pushes,
+    /// in-place decreases and pops over a few distinct keys (so most
+    /// comparisons tie on the key and fall to the node) always pop the
+    /// list's first entry. Popped nodes may be pushed again.
+    #[test]
+    fn node_heap_pops_in_key_node_order() {
+        use leo_util::check::{check, Gen};
+        use leo_util::check_assert_eq;
+        check("node_heap_pops_in_key_node_order", |gen| {
+            let n = gen.usize(1..80);
+            let mut heap = NodeHeap::default();
+            heap.pos.resize(n, 0);
+            let mut open: Vec<(f64, NodeId)> = Vec::new();
+            let key = |gen: &mut Gen| f64::from(gen.u32(0..4)) * 0.25;
+            for _ in 0..gen.usize(0..300) {
+                let v = gen.u32(0..n as u32);
+                if gen.u32(0..3) == 0 {
+                    open.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                    let expected = (!open.is_empty()).then(|| open.remove(0));
+                    check_assert_eq!(heap.pop(), expected);
+                } else if let Some(slot) = open.iter_mut().find(|e| e.1 == v) {
+                    slot.0 = slot.0.min(key(gen));
+                    heap.decrease(slot.0, v);
+                } else {
+                    let k = key(gen);
+                    heap.push(k, v);
+                    open.push((k, v));
+                }
+            }
+            open.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for &entry in &open {
+                check_assert_eq!(heap.pop(), Some(entry));
+            }
+            check_assert_eq!(heap.pop(), None);
+            Ok(())
+        });
     }
 
     #[test]

@@ -358,6 +358,197 @@ fn goal_directed_search_is_bit_identical_to_dijkstra() {
     );
 }
 
+/// A lazy-deletion queue entry of [`lazy_reference_run`], min-ordered by
+/// `(key, node)`.
+#[derive(PartialEq)]
+struct LazyEntry(f64, NodeId);
+
+impl Eq for LazyEntry {}
+
+impl Ord for LazyEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .0
+            .partial_cmp(&self.0)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| other.1.cmp(&self.1))
+    }
+}
+
+impl PartialOrd for LazyEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// What a [`lazy_reference_run`] settled: the label and parent of each
+/// settled node, `None` elsewhere, and the count of settling pops.
+struct LazyRun {
+    source: NodeId,
+    settled: Vec<Option<(f64, EdgeId, NodeId)>>,
+    settled_count: usize,
+}
+
+impl LazyRun {
+    /// Nodes and edges of the parent chain from the source to settled
+    /// `v`, or `None` if it does not reach the source.
+    fn path(&self, v: NodeId) -> Option<(Vec<NodeId>, Vec<EdgeId>)> {
+        let (mut nodes, mut edges) = (vec![v], Vec::new());
+        while nodes.len() <= self.settled.len() {
+            let w = nodes[nodes.len() - 1];
+            if w == self.source {
+                nodes.reverse();
+                edges.reverse();
+                return Some((nodes, edges));
+            }
+            let (_, e, p) = self.settled[w as usize]?;
+            edges.push(e);
+            nodes.push(p);
+        }
+        None
+    }
+}
+
+/// The workspace's search as it ran on a lazy-deletion `BinaryHeap`:
+/// every improvement pushes a fresh `(key, node)` entry and pops of
+/// settled nodes are skipped. Same key formula in the same operation
+/// order (`d + w`, plus `λ·nearest` for at most two distinct targets),
+/// same early exit and same exact-tie parent rule.
+fn lazy_reference_run(g: &Graph, source: NodeId, mask: &[bool], targets: &[NodeId]) -> LazyRun {
+    let n = g.num_nodes();
+    let mut is_target = vec![false; n];
+    let mut target_pts = Vec::new();
+    let mut pending = 0usize;
+    for &t in targets {
+        if !is_target[t as usize] {
+            is_target[t as usize] = true;
+            pending += 1;
+            if pending <= 2 && !g.coords().is_empty() {
+                target_pts.push(g.coords()[t as usize]);
+            }
+        }
+    }
+    let lambda = if (1..=2).contains(&pending) {
+        g.lambda()
+    } else {
+        0.0
+    };
+    let nearest = |p: &[f64; 3]| {
+        let mut best = f64::INFINITY;
+        for t in &target_pts {
+            let (dx, dy, dz) = (p[0] - t[0], p[1] - t[1], p[2] - t[2]);
+            best = best.min(dx * dx + dy * dy + dz * dz);
+        }
+        best.sqrt()
+    };
+    let (mut dist, mut bound) = (vec![f64::INFINITY; n], vec![0.0; n]);
+    let (mut parent_edge, mut parent_node) = (vec![EdgeId::MAX; n], vec![NodeId::MAX; n]);
+    let (mut touched, mut settled) = (vec![false; n], vec![false; n]);
+    let mut settled_count = 0;
+    dist[source as usize] = 0.0;
+    touched[source as usize] = true;
+    let mut heap = std::collections::BinaryHeap::new();
+    heap.push(LazyEntry(0.0, source));
+    while let Some(LazyEntry(key, u)) = heap.pop() {
+        let ui = u as usize;
+        if settled[ui] {
+            continue;
+        }
+        settled[ui] = true;
+        settled_count += 1;
+        if is_target[ui] {
+            pending -= 1;
+            if pending == 0 {
+                break;
+            }
+        }
+        let d = if lambda > 0.0 { dist[ui] } else { key };
+        for h in g.neighbors(u) {
+            if mask[h.edge as usize] {
+                continue;
+            }
+            let nd = d + h.weight;
+            let vi = h.to as usize;
+            if nd < dist[vi] {
+                dist[vi] = nd;
+                parent_edge[vi] = h.edge;
+                parent_node[vi] = u;
+                settled[vi] = false;
+                if lambda > 0.0 && !touched[vi] {
+                    bound[vi] = lambda * nearest(&g.coords()[vi]);
+                }
+                touched[vi] = true;
+                let key = if lambda > 0.0 { nd + bound[vi] } else { nd };
+                heap.push(LazyEntry(key, h.to));
+            } else if lambda > 0.0 && nd == dist[vi] {
+                let p = parent_node[vi];
+                let dp = dist[p as usize];
+                if d < dp || (d == dp && u < p) {
+                    parent_edge[vi] = h.edge;
+                    parent_node[vi] = u;
+                }
+            }
+        }
+    }
+    let settled = (0..n)
+        .map(|v| settled[v].then(|| (dist[v], parent_edge[v], parent_node[v])))
+        .collect();
+    LazyRun {
+        source,
+        settled,
+        settled_count,
+    }
+}
+
+/// The indexed heap settles what the lazy-deletion queue did: on the
+/// geometric graphs above, with and without coordinates (so both with
+/// λ > 0 and λ = 0), random masks and 0–4 targets (duplicates and
+/// unreachable ones included), one warm workspace reaches exactly the
+/// nodes [`lazy_reference_run`] settles, with the same distance bits and
+/// the same extracted paths. Every pop of the indexed heap settles a
+/// node, so its settled count (what `dijkstra_nodes_settled` adds up) is
+/// the number of reached nodes, and it must equal the reference's count
+/// of settling pops.
+#[test]
+fn indexed_heap_settles_like_the_lazy_deletion_queue() {
+    let mut ws = DijkstraWorkspace::new();
+    check("indexed_heap_settles_like_the_lazy_deletion_queue", |gen| {
+        let mut g = arb_geometric_graph(gen);
+        if gen.u32(0..4) == 0 {
+            g.set_coords([]);
+        }
+        let n = g.num_nodes() as u32;
+        let source = gen.u32(0..n);
+        let masked = gen.bool();
+        let mask: Vec<bool> = (0..g.num_edges())
+            .map(|_| masked && gen.u32(0..4) == 0)
+            .collect();
+        let mut targets = gen.vec(0..5, |gen| gen.u32(0..n));
+        if !targets.is_empty() && gen.bool() {
+            targets.push(targets[0]);
+        }
+        let reference = lazy_reference_run(&g, source, &mask, &targets);
+        let view = ws.run_multi(&g, source, Some(&mask), &targets);
+        let mut reached = 0;
+        for v in 0..n {
+            let Some((d, _, _)) = reference.settled[v as usize] else {
+                check_assert!(!view.reached(v), "node {v} settled, reference did not");
+                continue;
+            };
+            check_assert!(view.reached(v), "node {v} not settled, reference did");
+            reached += 1;
+            check_assert_eq!(view.dist(v).to_bits(), d.to_bits(), "node {v}");
+            check_assert_eq!(
+                view.extract_path(v).map(|p| (p.nodes, p.edges)),
+                reference.path(v),
+                "node {v}"
+            );
+        }
+        check_assert_eq!(reached, reference.settled_count);
+        Ok(())
+    });
+}
+
 /// An edge list in insertion order (ids = positions), the form
 /// [`mutate_edges`] steps to produce `SptWorkspace::apply` deltas.
 fn arb_edge_list(gen: &mut Gen, n: usize) -> Vec<(u32, u32, f64)> {

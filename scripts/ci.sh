@@ -5,7 +5,10 @@
 #    path crates. Any crates-io (version) dependency fails the build
 #    before cargo even runs, so a registry dep can't sneak back in.
 # 2. Offline release build + full test suite (`--offline` makes cargo
-#    error out instead of touching the network).
+#    error out instead of touching the network). leo-graph's tests also
+#    run optimized, right after the release build: the benchmark runs
+#    its heap index arithmetic only in release builds, where
+#    `debug_assert!` is compiled out and integer overflow wraps.
 # 3. Style gates: rustfmt (check mode) and clippy with -D warnings —
 #    the tree must be lint-clean, not just compiling.
 # 4. Static invariants: `leo-lint --deny` must pass — the source-level
@@ -47,7 +50,7 @@
 #    per-sample Vec accumulation.
 # 9. Routing-bench smoke: run benches/routing.rs and require the
 #    workspace+bundle inner loop to beat the seed path by >= 1.1x
-#    (the committed BENCH_routing.json shows ~1.7x; the smoke threshold
+#    (the committed BENCH_routing.json shows ~2.4x; the smoke threshold
 #    is loose to tolerate CI noise but loud when the optimisation
 #    regresses to parity).
 # 10. Snapshot-bench smoke: run benches/snapshot.rs and require a
@@ -98,6 +101,9 @@ echo "ok: all workspace dependencies are path deps"
 
 echo "== cargo build --release --offline =="
 cargo build --release --offline
+
+echo "== cargo test --release -q --offline -p leo-graph =="
+cargo test --release -q --offline -p leo-graph
 
 echo "== cargo test -q --offline =="
 cargo test -q --offline
