@@ -11,8 +11,7 @@ use crate::par::parallel_map;
 use crate::snapshot::{EdgeKind, Mode, NetworkSnapshot, StudyContext};
 use leo_flow::{FlowSim, FlowWorkspace};
 use leo_graph::{
-    component_sizes, connected_components, k_edge_disjoint_paths_with, max_flow,
-    with_thread_workspace, EdgeId, FlowNetwork, Path,
+    k_edge_disjoint_paths_with, max_flow, with_thread_workspace, EdgeId, FlowNetwork, NodeId, Path,
 };
 use leo_util::span;
 use leo_util::telemetry::{Heartbeat, MetricSeries};
@@ -254,19 +253,56 @@ pub fn disconnected_satellite_fraction(ctx: &StudyContext, mode: Mode, threads: 
 }
 
 /// Fraction of satellites in components containing no ground node.
+///
+/// A satellite reaches ground iff some satellite in its ISL-only
+/// component has a ground link: on any path from it, the first ground
+/// node is entered from a satellite the path reached over ISLs alone. So
+/// no traversal of the whole graph is needed. Each satellite's neighbor
+/// list is read up to its first ground neighbor, joining the satellites
+/// met on the way (union-find), and a component is grounded iff one of
+/// its satellites has a ground link.
+///
+/// Stopping at the first ground neighbor is exact for any neighbor
+/// order: it skips ISLs only of satellites that are grounded themselves,
+/// and the ISL path from an ungrounded satellite to the nearest grounded
+/// one leaves every hop from an ungrounded satellite, whose list is read
+/// in full. Snapshots list each satellite's ISLs before its ground links,
+/// so the scan reads O(satellites + ISLs) half-edges; on BP snapshots,
+/// which have no ISLs, it is a degree test.
 pub fn disconnected_fraction_of(snap: &NetworkSnapshot) -> f64 {
-    let labels = connected_components(&snap.graph, None);
-    let n_comp = component_sizes(&labels).len();
-    let mut has_ground = vec![false; n_comp];
-    for (node, kind) in snap.nodes.iter().enumerate() {
-        if kind.is_ground() {
-            has_ground[labels[node] as usize] = true;
+    let s = snap.num_satellites;
+    let mut root: Vec<u32> = (0..s as u32).collect();
+    let mut grounded = vec![false; s];
+    for (u, has_ground_link) in grounded.iter_mut().enumerate() {
+        for h in snap.graph.neighbors(u as NodeId) {
+            if h.to as usize >= s {
+                *has_ground_link = true;
+                break;
+            }
+            let (a, b) = (find_root(&mut root, u as u32), find_root(&mut root, h.to));
+            root[a.max(b) as usize] = a.min(b);
         }
     }
-    let disconnected = (0..snap.num_satellites)
-        .filter(|&s| !has_ground[labels[s] as usize])
+    for u in 0..s as u32 {
+        if grounded[u as usize] {
+            let r = find_root(&mut root, u);
+            grounded[r as usize] = true;
+        }
+    }
+    let disconnected = (0..s as u32)
+        .filter(|&u| !grounded[find_root(&mut root, u) as usize])
         .count();
-    disconnected as f64 / snap.num_satellites as f64
+    disconnected as f64 / s as f64
+}
+
+/// Union-find root of `u`, halving the path on the way.
+fn find_root(root: &mut [u32], mut u: u32) -> u32 {
+    while root[u as usize] != u {
+        let up = root[root[u as usize] as usize];
+        root[u as usize] = up;
+        u = up;
+    }
+    u
 }
 
 /// The "lax" throughput model of del Portillo et al. that the paper
@@ -317,6 +353,7 @@ pub fn lax_maxflow_gbps(ctx: &StudyContext, t_s: f64, mode: Mode) -> f64 {
 mod tests {
     use super::*;
     use crate::config::ExperimentScale;
+    use crate::snapshot::NodeKind;
 
     fn ctx() -> StudyContext {
         StudyContext::build(ExperimentScale::Tiny.config())
@@ -403,6 +440,164 @@ mod tests {
         let fr = disconnected_satellite_fraction(&c, Mode::Hybrid, 2);
         for f in &fr {
             assert_eq!(*f, 0.0, "+Grid keeps the constellation connected");
+        }
+    }
+
+    /// The definition [`disconnected_fraction_of`] must reproduce: label
+    /// every node's component, flag the components holding a ground
+    /// node, and count the satellites in unflagged ones.
+    fn disconnected_by_components(snap: &NetworkSnapshot) -> f64 {
+        let labels = leo_graph::connected_components(&snap.graph, None);
+        let mut has_ground = vec![false; leo_graph::component_sizes(&labels).len()];
+        for (node, kind) in snap.nodes.iter().enumerate() {
+            if kind.is_ground() {
+                has_ground[labels[node] as usize] = true;
+            }
+        }
+        let disconnected = (0..snap.num_satellites)
+            .filter(|&s| !has_ground[labels[s] as usize])
+            .count();
+        disconnected as f64 / snap.num_satellites as f64
+    }
+
+    /// `snap` with only the edges whose ids `order` lists, written in
+    /// that order (metadata follows the edges).
+    fn with_edges(snap: &NetworkSnapshot, order: &[EdgeId]) -> NetworkSnapshot {
+        let mut b = leo_graph::GraphBuilder::new(snap.graph.num_nodes());
+        let mut edges = Vec::new();
+        for &e in order {
+            let (u, v, w) = snap.graph.edge(e);
+            b.add_edge(u, v, w);
+            edges.push(snap.edges[e as usize]);
+        }
+        NetworkSnapshot {
+            graph: b.build(),
+            edges,
+            nodes: snap.nodes.clone(),
+            ground_positions: snap.ground_positions.clone(),
+            ..*snap
+        }
+    }
+
+    fn assert_matches_components(
+        snap: &NetworkSnapshot,
+        what: &str,
+    ) -> leo_util::check::CaseResult {
+        let (got, want) = (
+            disconnected_fraction_of(snap),
+            disconnected_by_components(snap),
+        );
+        leo_util::check_assert_eq!(got.to_bits(), want.to_bits(), "{what}: {got} vs {want}");
+        Ok(())
+    }
+
+    #[test]
+    fn disconnection_matches_the_components_definition_on_sweeps() {
+        use crate::snapshot::TimeSweep;
+        let c = ctx();
+        let modes = [Mode::BpOnly, Mode::Hybrid, Mode::IslOnly];
+        let mut thinned_fractions = Vec::new();
+        leo_util::check::check_with("disconnection_matches_components", 10, |g| {
+            let mut sweep = TimeSweep::new(&c, &modes);
+            let mut t = g.f64(0.0..86_400.0);
+            for _ in 0..3 {
+                for snap in sweep.step(t) {
+                    let what = format!("t={t} {:?}", snap.mode);
+                    assert_matches_components(snap, &what)?;
+                    // Thin the links at random, so ISL components split
+                    // and only some of them keep a ground link, and write
+                    // what is left with ISLs first and with ISLs last.
+                    let (keep_isl, keep_gt) = (g.f64(0.2..0.95), g.f64(0.01..0.3));
+                    let mut kept: Vec<EdgeId> = (0..snap.edges.len() as EdgeId)
+                        .filter(|&e| {
+                            let keep = match snap.edges[e as usize] {
+                                EdgeKind::Isl => keep_isl,
+                                EdgeKind::UpDown { .. } => keep_gt,
+                            };
+                            g.f64(0.0..1.0) < keep
+                        })
+                        .collect();
+                    let thinned = with_edges(snap, &kept);
+                    thinned_fractions.push(disconnected_fraction_of(&thinned));
+                    assert_matches_components(&thinned, &format!("{what} thinned"))?;
+                    kept.sort_by_key(|&e| matches!(snap.edges[e as usize], EdgeKind::Isl));
+                    assert_matches_components(
+                        &with_edges(snap, &kept),
+                        &format!("{what} ISLs last"),
+                    )?;
+                }
+                t += g.f64(1.0..5_000.0);
+            }
+            Ok(())
+        });
+        assert!(
+            thinned_fractions.iter().any(|&f| 0.0 < f && f < 1.0),
+            "thinning must leave some satellites grounded and some not"
+        );
+    }
+
+    /// A hand-built snapshot: `s` satellites, then `ground` ground nodes,
+    /// with `edges` written in the order given.
+    fn hand_built(s: usize, ground: &[NodeKind], edges: &[(NodeId, NodeId)]) -> NetworkSnapshot {
+        let mut b = leo_graph::GraphBuilder::new(s + ground.len());
+        let kinds = edges
+            .iter()
+            .map(|&(u, v)| {
+                b.add_edge(u, v, 1e-3);
+                if (v as usize) < s {
+                    EdgeKind::Isl
+                } else {
+                    EdgeKind::UpDown {
+                        ground: v,
+                        sat: u,
+                        elevation_rad: 0.5,
+                    }
+                }
+            })
+            .collect();
+        NetworkSnapshot {
+            t_s: 0.0,
+            mode: Mode::Hybrid,
+            graph: b.build(),
+            nodes: (0..s as u32)
+                .map(NodeKind::Satellite)
+                .chain(ground.iter().copied())
+                .collect(),
+            edges: kinds,
+            ground_positions: vec![leo_geo::GeoPoint::from_degrees(0.0, 0.0); ground.len()],
+            num_satellites: s,
+            num_aircraft: 0,
+        }
+    }
+
+    #[test]
+    fn disconnection_of_hand_built_snapshots() {
+        let city = [NodeKind::City(0)];
+        // An ISL chain 0–1–2–3 grounded through satellite 3 only, whose
+        // ground link comes before its ISL; 4 and 5 are isolated.
+        let chain = hand_built(6, &city, &[(3, 6), (0, 1), (1, 2), (2, 3)]);
+        assert_eq!(disconnected_fraction_of(&chain), 2.0 / 6.0);
+        // The same chain without the ground link is all disconnected.
+        let ungrounded = hand_built(6, &city, &[(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(disconnected_fraction_of(&ungrounded), 1.0);
+        // Isolated satellites beside unused ground nodes.
+        let isolated = hand_built(3, &[NodeKind::City(0), NodeKind::Relay(0)], &[]);
+        assert_eq!(disconnected_fraction_of(&isolated), 1.0);
+        // Satellite 0's only ground link is an aircraft; satellite 1
+        // reaches it over an ISL, satellite 2 has nothing.
+        let aircraft = hand_built(3, &[NodeKind::Aircraft(77)], &[(0, 3), (0, 1)]);
+        assert_eq!(disconnected_fraction_of(&aircraft), 1.0 / 3.0);
+        for (snap, what) in [
+            (&chain, "chain"),
+            (&ungrounded, "ungrounded chain"),
+            (&isolated, "isolated"),
+            (&aircraft, "aircraft"),
+        ] {
+            assert_eq!(
+                disconnected_fraction_of(snap).to_bits(),
+                disconnected_by_components(snap).to_bits(),
+                "{what}"
+            );
         }
     }
 

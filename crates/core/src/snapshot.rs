@@ -8,9 +8,9 @@
 //! * [`TimeSweep`] (via [`StudyContext::sweep`],
 //!   [`StudyContext::sweep_times`], or the parallel
 //!   [`StudyContext::sweep_map`]) — walk a whole time series keeping the
-//!   satellite state, the sub-point cell index, and every per-ground-point
-//!   visibility set alive between instants, so consecutive snapshots cost
-//!   an incremental update instead of a full rebuild.
+//!   satellite state, the sub-point cell index, the previous step's links
+//!   and every output buffer alive between instants, so consecutive
+//!   snapshots cost an incremental update instead of a full rebuild.
 //!
 //! Both paths are **bit-identical**: a sweep step performs the same
 //! floating-point operations in the same order as a fresh
@@ -22,8 +22,8 @@ use crate::config::{NetworkConfig, StudyConfig};
 use crate::ground::GroundSegment;
 use leo_data::flights::{Aircraft, FlightSchedule};
 use leo_data::traffic::{sample_city_pairs, CityPair};
-use leo_geo::{CellGrid, Ecef, GeoPoint, VisibilityScan, SPEED_OF_LIGHT_M_S};
-use leo_graph::{EdgeId, Graph, GraphBuilder, NodeId};
+use leo_geo::{CellGrid, CellOrder, Ecef, GeoPoint, VisibilityScan, SPEED_OF_LIGHT_M_S};
+use leo_graph::{EdgeId, Graph, NodeId};
 use leo_orbit::{
     isl_line_of_sight, plus_grid_isls, CellTransition, Constellation, ConstellationSnapshot,
     IslLink, VisibilityParams, SUBPOINT_BIN_DEG,
@@ -58,9 +58,9 @@ static SWEEP_EDGES_RECOMPUTED: Counter = Counter::new("sweep_edges_recomputed");
 /// How one mode's edge set changed between two consecutive
 /// [`TimeSweep`] steps.
 ///
-/// Edge ids are **positional** (insertion order into the
-/// [`GraphBuilder`]), so a persisted link generally changes id between
-/// steps; the delta carries the mapping:
+/// Edge ids are **positional** (the order a step writes the edges: ISLs,
+/// then each ground node's links), so a persisted link generally changes
+/// id between steps; the delta carries the mapping:
 ///
 /// * `reweighted` — links whose endpoints persisted, as
 ///   `(old id, new id)` pairs. Their weight is always refreshed
@@ -518,8 +518,8 @@ impl StudyContext {
 }
 
 /// Incremental snapshot engine: walks a time series keeping satellite
-/// state, the sub-point [`CellGrid`], per-ground-point visibility sets,
-/// and all output buffers alive between instants.
+/// state, the sub-point [`CellGrid`], the previous step's links, and all
+/// output buffers alive between instants.
 ///
 /// Created by [`TimeSweep::new`]; each [`TimeSweep::step`] produces one
 /// [`NetworkSnapshot`] per requested mode. The first step propagates every
@@ -528,6 +528,13 @@ impl StudyContext {
 /// cells only when their sub-point crosses a cell boundary (reported by
 /// [`ConstellationSnapshot::advance_to`]), ground-point cell windows are
 /// precomputed once, and link/edge/node vectors are recycled.
+///
+/// A step writes every GT–satellite link into one flat **link arena**
+/// (ground point by ground point, in node order), counting each
+/// satellite's degree as the visibility scan emits, and then writes each
+/// mode's graph from the arena in a single pass ([`Graph::fill`]). The
+/// arena is double-buffered: the previous step's copy is what
+/// [`EdgeDelta`] matching and the reused/recomputed link counters read.
 ///
 /// **Delta invariant**: the snapshots returned by step `k` of a sweep are
 /// node-for-node, edge-for-edge, and weight-bit identical to
@@ -548,11 +555,10 @@ pub struct TimeSweep<'a> {
     sats: ConstellationSnapshot,
     /// Sub-point cell index maintained incrementally alongside `sats`.
     grid: CellGrid,
-    /// CSR copy of `grid` (`cell_ids[cell_off[c]..cell_off[c+1]]`),
-    /// re-flattened each step so the visibility loops stream two
-    /// contiguous arrays instead of one heap bucket per cell.
-    cell_off: Vec<u32>,
-    cell_ids: Vec<u32>,
+    /// `grid` flattened each step, with the satellites' x/y/z gathered
+    /// into cell order, so the visibility scans stream contiguous arrays
+    /// instead of one heap bucket per cell and one lookup per satellite.
+    cells: CellOrder,
     /// Batched elevation test with the threshold trig precomputed once
     /// per sweep.
     vis: VisibilityScan,
@@ -566,67 +572,87 @@ pub struct TimeSweep<'a> {
     static_ecef: Vec<(Ecef, f64)>,
     /// Cell window per static ground point as consecutive-cell segments
     /// (see [`CellGrid::window_segments`]), precomputed once — window
-    /// geometry depends only on the grid shape, not its contents.
-    static_cells: Vec<Vec<(u32, u32)>>,
-    /// Per static ground point: (satellite, one-way delay s, elevation
-    /// rad), persisted across steps.
-    static_links: Vec<Vec<(u32, f64, f64)>>,
+    /// geometry depends only on the grid shape, not its contents. Point
+    /// `gi`'s segments are `static_segments[static_seg_off[gi]..static_seg_off[gi + 1]]`.
+    static_segments: Vec<(u32, u32)>,
+    static_seg_off: Vec<u32>,
     aircraft: Vec<Aircraft>,
     /// Surface ECEF position per aircraft, this step (the point its link
     /// delays are measured from).
     air_ecef: Vec<Ecef>,
-    air_links: Vec<Vec<(u32, f64, f64)>>,
     air_cells: Vec<(u32, u32)>,
     isl_links: Vec<(NodeId, NodeId, f64)>,
-    /// Previous step's visible-satellite ids for one ground point
-    /// (sorted), used for the reused/recomputed telemetry split.
+    /// The link arena: ground point `gp`'s links (static points, then
+    /// aircraft) are `links[link_off[gp]..link_off[gp + 1]]`, in the
+    /// order the scan emitted them, which is the order they become edges.
+    links: Vec<Link>,
+    link_off: Vec<u32>,
+    /// The previous step's arena, swapped in at the start of each step
+    /// that reads it (delta tracking or the link counters).
+    prev_links: Vec<Link>,
+    prev_link_off: Vec<u32>,
+    /// Per-satellite degree this step: ISLs with line of sight, links to
+    /// cities, and links to relays and aircraft.
+    deg_isl: Vec<u32>,
+    deg_city: Vec<u32>,
+    deg_rest: Vec<u32>,
+    /// One mode's satellite degrees, handed to [`Graph::fill`] (which
+    /// counts them down).
+    fill_degree: Vec<u32>,
+    /// One ground point's previous visible-satellite ids, sorted, for the
+    /// reused/recomputed link counters.
     prev_ids: Vec<u32>,
-    builder: GraphBuilder,
     snapshots: Vec<NetworkSnapshot>,
     /// Delta tracking (opt-in via [`TimeSweep::step_with_deltas`]).
     track_deltas: bool,
-    /// True once one tracked step completed — i.e. the `prev_*`
-    /// bookkeeping below describes a real previous step.
+    /// True once one tracked step completed — i.e. the previous arena and
+    /// the `prev_*` bookkeeping below describe a real previous step.
     delta_ready: bool,
     deltas: Vec<EdgeDelta>,
     /// Line-of-sight flag per [`StudyContext::isls`] entry, this step /
     /// previous step (swapped before each recompute).
     isl_present: Vec<bool>,
     prev_isl_present: Vec<bool>,
-    /// Previous step's visible-satellite ids per static ground point, in
-    /// emission order (the order `assemble_mode` assigned edge ids).
-    prev_static_ids: Vec<Vec<u32>>,
-    /// Previous step's total aircraft link count (the wholesale-diff
-    /// fallback when the census changed).
-    prev_air_total: usize,
-    /// Previous step's aircraft census (schedule ids, census order) and
-    /// per-aircraft visible-satellite ids in emission order. When the
-    /// census survives a step unchanged, aircraft node ids are stable
+    /// Previous step's aircraft census (schedule ids, census order). When
+    /// the census survives a step unchanged, aircraft node ids are stable
     /// and links pair by satellite id exactly like static ground.
     prev_air_ids: Vec<u64>,
-    prev_air_sat_ids: Vec<Vec<u32>>,
-    /// Whether the census matched (same flights, same order) — gates
-    /// per-link aircraft matching vs the wholesale fallback.
-    air_census_stable: bool,
-    /// Per-aircraft block-local matches, valid when the census is stable.
-    air_matched: Vec<Vec<(u32, u32)>>,
-    air_removed: Vec<Vec<u32>>,
-    air_added: Vec<Vec<u32>>,
     /// Block-local (old, new) id pairs for ISLs with line of sight in
     /// both steps, plus old-only / new-only positions.
     isl_matched: Vec<(u32, u32)>,
     isl_removed: Vec<u32>,
     isl_added: Vec<u32>,
     prev_isl_count: u32,
-    /// Per static ground point: (old position, new position) matches in
-    /// new-emission order, plus old-only / new-only positions.
-    gi_matched: Vec<Vec<(u32, u32)>>,
-    gi_removed: Vec<Vec<u32>>,
-    gi_added: Vec<Vec<u32>>,
+    /// Ground links matched across the step, as arena positions: (old,
+    /// new) pairs, old-only and new-only positions, each in ground-point
+    /// order (so each list ascends in the positions it holds).
+    link_matched: Vec<(u32, u32)>,
+    link_removed: Vec<u32>,
+    link_added: Vec<u32>,
     /// Matching scratch: (sat id, old position) sorted by sat id, and a
     /// consumed flag per entry.
     match_sorted: Vec<(u32, u32)>,
     match_consumed: Vec<bool>,
+}
+
+/// One GT–satellite link as the visibility scan emitted it.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    sat: u32,
+    /// One-way propagation delay, s.
+    delay_s: f64,
+    /// Elevation of the satellite seen from the ground point, rad.
+    elevation_rad: f64,
+}
+
+/// Ground point `gp`'s links in an arena (empty when the arena has no
+/// such point, e.g. before the first step).
+#[inline]
+fn arena_block<'l>(links: &'l [Link], off: &[u32], gp: usize) -> &'l [Link] {
+    match off.get(gp..gp + 2) {
+        Some(&[lo, hi]) => &links[lo as usize..hi as usize],
+        _ => &[],
+    }
 }
 
 impl<'a> TimeSweep<'a> {
@@ -654,15 +680,14 @@ impl<'a> TimeSweep<'a> {
                 (e, norm)
             })
             .collect();
-        let static_cells: Vec<Vec<(u32, u32)>> = static_ground
-            .iter()
-            .map(|&g| {
-                let mut segments = Vec::new();
-                grid.window_segments(g, query_radius_m, &mut segments);
-                segments
-            })
-            .collect();
-        let static_links = vec![Vec::new(); static_ground.len()];
+        let (mut static_segments, mut static_seg_off) = (Vec::new(), vec![0u32]);
+        let mut segments = Vec::new();
+        for &g in &static_ground {
+            grid.window_segments(g, query_radius_m, &mut segments);
+            static_segments.extend_from_slice(&segments);
+            static_seg_off.push(static_segments.len() as u32);
+        }
+        let s = ctx.num_satellites();
         let snapshots = modes
             .iter()
             .map(|&mode| NetworkSnapshot {
@@ -672,7 +697,7 @@ impl<'a> TimeSweep<'a> {
                 nodes: Vec::new(),
                 edges: Vec::new(),
                 ground_positions: Vec::new(),
-                num_satellites: ctx.num_satellites(),
+                num_satellites: s,
                 num_aircraft: 0,
             })
             .collect();
@@ -684,43 +709,41 @@ impl<'a> TimeSweep<'a> {
             query_radius_m,
             sats: ConstellationSnapshot::default(),
             grid,
-            cell_off: Vec::new(),
-            cell_ids: Vec::new(),
+            cells: CellOrder::default(),
             vis: VisibilityScan::new(params.min_elevation_rad),
             transitions: Vec::new(),
             started: false,
             static_ground,
             static_ecef,
-            static_cells,
-            static_links,
+            static_segments,
+            static_seg_off,
             aircraft: Vec::new(),
             air_ecef: Vec::new(),
-            air_links: Vec::new(),
             air_cells: Vec::new(),
             isl_links: Vec::new(),
+            links: Vec::new(),
+            link_off: Vec::new(),
+            prev_links: Vec::new(),
+            prev_link_off: Vec::new(),
+            deg_isl: vec![0; s],
+            deg_city: vec![0; s],
+            deg_rest: vec![0; s],
+            fill_degree: vec![0; s],
             prev_ids: Vec::new(),
-            builder: GraphBuilder::new(0),
             snapshots,
             track_deltas: false,
             delta_ready: false,
             deltas: Vec::new(),
             isl_present: Vec::new(),
             prev_isl_present: Vec::new(),
-            prev_static_ids: Vec::new(),
-            prev_air_total: 0,
             prev_air_ids: Vec::new(),
-            prev_air_sat_ids: Vec::new(),
-            air_census_stable: false,
-            air_matched: Vec::new(),
-            air_removed: Vec::new(),
-            air_added: Vec::new(),
             isl_matched: Vec::new(),
             isl_removed: Vec::new(),
             isl_added: Vec::new(),
             prev_isl_count: 0,
-            gi_matched: Vec::new(),
-            gi_removed: Vec::new(),
-            gi_added: Vec::new(),
+            link_matched: Vec::new(),
+            link_removed: Vec::new(),
+            link_added: Vec::new(),
             match_sorted: Vec::new(),
             match_consumed: Vec::new(),
         }
@@ -740,10 +763,10 @@ impl<'a> TimeSweep<'a> {
 
     /// Like [`TimeSweep::step`], additionally returning one [`EdgeDelta`]
     /// per mode describing how each edge set changed since the previous
-    /// step. The first call (on this sweep, or after plain-`step`-only
-    /// use since construction… tracking starts on first request and the
-    /// first tracked-after-untracked step has no bookkeeping to diff
-    /// against) yields `full = true` deltas.
+    /// step. Tracking starts with the first call, so the first call's
+    /// deltas are `full = true` — whether or not plain
+    /// [`TimeSweep::step`]s came before it — and every later step,
+    /// through either method, is diffed against the one before it.
     ///
     /// Both returned slices borrow the sweep and are overwritten by the
     /// next step.
@@ -765,10 +788,6 @@ impl<'a> TimeSweep<'a> {
         self.deltas = self.modes.iter().map(|_| EdgeDelta::default()).collect();
         self.isl_present = vec![false; self.ctx.isls.len()];
         self.prev_isl_present = vec![false; self.ctx.isls.len()];
-        self.prev_static_ids = vec![Vec::new(); self.static_ground.len()];
-        self.gi_matched = vec![Vec::new(); self.static_ground.len()];
-        self.gi_removed = vec![Vec::new(); self.static_ground.len()];
-        self.gi_added = vec![Vec::new(); self.static_ground.len()];
     }
 
     /// The deltas produced by the most recent step (empty unless
@@ -798,31 +817,26 @@ impl<'a> TimeSweep<'a> {
             SWEEP_FULL_REBUILDS.add(1);
             self.started = true;
         }
+        let count = enabled(Level::Info);
         if self.track_deltas {
-            // Stash the outgoing step's bookkeeping before the recompute
-            // passes overwrite it. Aircraft census and links are copied
-            // here because `aircraft_into` below replaces the census.
-            self.prev_air_total = (0..self.aircraft.len())
-                .map(|ai| self.air_links[ai].len())
-                .sum();
+            // Stash the outgoing census before `aircraft_into` below
+            // replaces it.
             self.prev_air_ids.clear();
             // lint: allow(hot-path-alloc) refills a recycled buffer after clear; allocates only on a new peak aircraft count
             self.prev_air_ids.extend(self.aircraft.iter().map(|a| a.id));
-            if self.prev_air_sat_ids.len() < self.aircraft.len() {
-                self.prev_air_sat_ids
-                    // lint: allow(hot-path-alloc) grows once per new peak aircraft count, then the guard above makes it a no-op
-                    .resize_with(self.aircraft.len(), Vec::new);
-            }
-            for ai in 0..self.aircraft.len() {
-                let prev = &mut self.prev_air_sat_ids[ai];
-                prev.clear();
-                // lint: allow(hot-path-alloc) refills a recycled per-aircraft buffer after clear; steady state is a memcpy
-                prev.extend(self.air_links[ai].iter().map(|l| l.0));
-            }
             std::mem::swap(&mut self.prev_isl_present, &mut self.isl_present);
         }
-        self.grid
-            .flatten_into(&mut self.cell_off, &mut self.cell_ids);
+        // `links` holds the outgoing step's arena whether or not that step
+        // swapped, so swapping here always makes `prev_links` the step
+        // before this one.
+        if count || self.track_deltas {
+            std::mem::swap(&mut self.links, &mut self.prev_links);
+            std::mem::swap(&mut self.link_off, &mut self.prev_link_off);
+        }
+        self.links.clear();
+        self.link_off.clear();
+        self.link_off.push(0);
+        self.grid.flatten_into(self.sats.xyz(), &mut self.cells);
         if self.needs_full_ground {
             self.ctx
                 .flights
@@ -831,7 +845,7 @@ impl<'a> TimeSweep<'a> {
             self.aircraft.clear();
         }
         self.recompute_isls();
-        self.recompute_static_links();
+        self.recompute_static_links(count);
         self.recompute_aircraft_links();
         if self.track_deltas && self.delta_ready {
             self.compute_link_matches();
@@ -859,10 +873,11 @@ impl<'a> TimeSweep<'a> {
     }
 
     /// Refresh ISL line-of-sight and delays against the current
-    /// satellite positions.
+    /// satellite positions, counting each satellite's ISL degree.
     // lint: hot-path
     fn recompute_isls(&mut self) {
         self.isl_links.clear();
+        self.deg_isl.fill(0);
         if !self.needs_isls {
             return;
         }
@@ -877,13 +892,16 @@ impl<'a> TimeSweep<'a> {
             if visible {
                 self.isl_links
                     .push((l.a, l.b, pa.distance(&pb) / SPEED_OF_LIGHT_M_S));
+                self.deg_isl[l.a as usize] += 1;
+                self.deg_isl[l.b as usize] += 1;
             }
         }
     }
 
-    /// Refresh the visibility set of every static ground point (cities +
-    /// relays) via the batched SoA elevation test over its precomputed
-    /// cell window.
+    /// Scan every static ground point (cities + relays) into the link
+    /// arena via the batched SoA elevation test over its precomputed
+    /// cell window; with `count`, also tally which links persisted from
+    /// the previous step.
     ///
     /// Enumerating window cells in canonical grid order with id-sorted
     /// buckets reproduces the satellite order of a fresh
@@ -892,43 +910,39 @@ impl<'a> TimeSweep<'a> {
     /// is below the minimum elevation by construction, so no great-circle
     /// prefilter is needed.
     // lint: hot-path
-    fn recompute_static_links(&mut self) {
-        let (xs, ys, zs) = self.sats.xyz();
-        let count = enabled(Level::Info);
-        let track = self.track_deltas;
+    fn recompute_static_links(&mut self, count: bool) {
+        let num_cities = self.ctx.city_positions.len();
+        self.deg_city.fill(0);
+        self.deg_rest.fill(0);
         let (mut reused, mut recomputed) = (0u64, 0u64);
-        let prev_ids = &mut self.prev_ids;
-        let prev_static_ids = &mut self.prev_static_ids;
-        for (gi, links) in self.static_links.iter_mut().enumerate() {
+        let links = &mut self.links;
+        for (gi, &(g, g_norm)) in self.static_ecef.iter().enumerate() {
             if count {
-                prev_ids.clear();
-                prev_ids.extend(links.iter().map(|l| l.0));
-                prev_ids.sort_unstable();
+                self.prev_ids.clear();
+                for l in arena_block(&self.prev_links, &self.prev_link_off, gi) {
+                    self.prev_ids.push(l.sat);
+                }
+                self.prev_ids.sort_unstable();
             }
-            if track {
-                // Delta bookkeeping: the outgoing visibility set in
-                // emission order — exactly the positions `assemble_mode`
-                // turned into edge ids last step.
-                let prev = &mut prev_static_ids[gi];
-                prev.clear();
-                prev.extend(links.iter().map(|l| l.0));
-            }
-            links.clear();
-            let (g, g_norm) = self.static_ecef[gi];
-            let mut emit = |sat: u32, range_m: f64, elev: f64| {
-                links.push((sat, range_m / SPEED_OF_LIGHT_M_S, elev));
+            let start = links.len();
+            let degree = if gi < num_cities {
+                &mut self.deg_city
+            } else {
+                &mut self.deg_rest
             };
-            for &(a, b) in &self.static_cells[gi] {
-                let (lo, hi) = (
-                    self.cell_off[a as usize] as usize,
-                    self.cell_off[b as usize] as usize,
-                );
-                self.vis
-                    .scan(&g, g_norm, (xs, ys, zs), &self.cell_ids[lo..hi], &mut emit);
-            }
+            let segments = &self.static_segments
+                [self.static_seg_off[gi] as usize..self.static_seg_off[gi + 1] as usize];
+            scan_into_arena(
+                &self.vis,
+                (&g, g_norm),
+                &self.cells,
+                segments,
+                degree,
+                (links, &mut self.link_off),
+            );
             if count {
-                for l in links.iter() {
-                    if prev_ids.binary_search(&l.0).is_ok() {
+                for l in &links[start..] {
+                    if self.prev_ids.binary_search(&l.sat).is_ok() {
                         reused += 1;
                     } else {
                         recomputed += 1;
@@ -942,45 +956,41 @@ impl<'a> TimeSweep<'a> {
         }
     }
 
-    /// Refresh aircraft visibility. Aircraft move between steps, so their
-    /// cell windows are recomputed per step (against the current grid
-    /// shape — contents-independent) and their links rebuilt wholesale.
+    /// Scan every aircraft into the link arena, after the static points.
+    /// Aircraft move between steps, so their cell windows are recomputed
+    /// per step (against the current grid shape — contents-independent).
     // lint: hot-path
     fn recompute_aircraft_links(&mut self) {
-        if self.air_links.len() < self.aircraft.len() {
-            self.air_links
-                // lint: allow(hot-path-alloc) grows once per new peak aircraft count, then recycled
-                .resize_with(self.aircraft.len(), Vec::new);
-        }
-        let (xs, ys, zs) = self.sats.xyz();
         self.air_ecef.clear();
-        for (ai, a) in self.aircraft.iter().enumerate() {
-            let links = &mut self.air_links[ai];
-            links.clear();
+        for a in &self.aircraft {
             let g = Ecef::from_geo(a.pos, 0.0);
             let g_norm = g.norm();
             self.air_ecef.push(g);
             self.grid
                 .window_segments(a.pos, self.query_radius_m, &mut self.air_cells);
-            let mut emit = |sat: u32, range_m: f64, elev: f64| {
-                links.push((sat, range_m / SPEED_OF_LIGHT_M_S, elev));
-            };
-            for &(ca, cb) in &self.air_cells {
-                let (lo, hi) = (
-                    self.cell_off[ca as usize] as usize,
-                    self.cell_off[cb as usize] as usize,
-                );
-                self.vis
-                    .scan(&g, g_norm, (xs, ys, zs), &self.cell_ids[lo..hi], &mut emit);
-            }
+            scan_into_arena(
+                &self.vis,
+                (&g, g_norm),
+                &self.cells,
+                &self.air_cells,
+                &mut self.deg_rest,
+                (&mut self.links, &mut self.link_off),
+            );
         }
     }
 
     /// Rebuild snapshot `mi` (graph, node/edge tables, ground positions)
-    /// from the refreshed link sets, recycling all of its buffers. The
-    /// graph gets one coordinate per node — the exact ECEF points every
-    /// link delay was measured between — so searches on it toward one or
-    /// two targets run goal-directed (see [`Graph::lambda`]).
+    /// from the refreshed links, recycling all of its buffers.
+    ///
+    /// The graph is written in one pass ([`Graph::fill`]): satellites are
+    /// its scattered nodes, with this mode's degrees as counted by the
+    /// scans, and ground nodes are appended straight from the arena. Edge
+    /// ids run ISLs first (modes with ISLs), then each ground node's
+    /// links in node order, so every satellite's neighbor list starts
+    /// with its ISLs. The graph also gets one coordinate per node — the
+    /// exact ECEF points every link delay was measured between — so
+    /// searches on it toward one or two targets run goal-directed (see
+    /// [`Graph::lambda`]).
     // lint: hot-path
     fn assemble_mode(&mut self, mi: usize, t_s: f64) {
         let mode = self.modes[mi];
@@ -1002,31 +1012,34 @@ impl<'a> TimeSweep<'a> {
         }
         debug_assert_eq!(snap.nodes.len(), s + num_ground);
 
-        self.builder.reset(snap.nodes.len());
+        let (isl, rest) = (mode != Mode::BpOnly, mode != Mode::IslOnly);
+        for (i, d) in self.fill_degree.iter_mut().enumerate() {
+            *d = self.deg_city[i]
+                + if isl { self.deg_isl[i] } else { 0 }
+                + if rest { self.deg_rest[i] } else { 0 };
+        }
+        let num_isls = if isl { self.isl_links.len() } else { 0 };
+        let num_edges = num_isls + self.link_off[num_ground] as usize;
+        let mut fill = snap
+            .graph
+            .fill(snap.nodes.len(), num_edges, &mut self.fill_degree);
         snap.edges.clear();
-        if mode != Mode::BpOnly {
-            for &(a, b, delay) in &self.isl_links {
-                self.builder.add_edge(a, b, delay);
-                snap.edges.push(EdgeKind::Isl);
-            }
+        snap.edges.reserve(num_edges);
+        for &(a, b, delay) in &self.isl_links[..num_isls] {
+            fill.edge(a, b, delay);
+            snap.edges.push(EdgeKind::Isl);
         }
         for gi in 0..num_ground {
-            let ground_node = (s + gi) as NodeId;
-            let links = if gi < num_static {
-                &self.static_links[gi]
-            } else {
-                &self.air_links[gi - num_static]
-            };
-            for &(sat, delay, elevation_rad) in links {
-                self.builder.add_edge(ground_node, sat, delay);
-                snap.edges.push(EdgeKind::UpDown {
-                    ground: ground_node,
-                    sat,
-                    elevation_rad,
-                });
-            }
+            let ground = (s + gi) as NodeId;
+            let block = arena_block(&self.links, &self.link_off, gi);
+            fill.append_edges(ground, block.iter().map(|l| (l.sat, l.delay_s)));
+            snap.edges.extend(block.iter().map(|l| EdgeKind::UpDown {
+                ground,
+                sat: l.sat,
+                elevation_rad: l.elevation_rad,
+            }));
         }
-        self.builder.build_into(&mut snap.graph);
+        fill.complete();
         debug_assert_eq!(snap.graph.num_edges(), snap.edges.len());
         let (xs, ys, zs) = self.sats.xyz();
         let num_air = num_ground - num_ground.min(num_static);
@@ -1057,9 +1070,9 @@ impl<'a> TimeSweep<'a> {
         };
     }
 
-    /// Match the previous step's link sets against the refreshed ones,
-    /// producing block-local (old position, new position) pairs that
-    /// [`TimeSweep::assemble_delta`] offsets into per-mode edge ids.
+    /// Match the previous step's links against the refreshed ones:
+    /// block-local ISL pairs, and ground-link pairs as arena positions,
+    /// which [`TimeSweep::assemble_delta`] offsets into per-mode edge ids.
     ///
     /// Static ground points pair links by satellite id (unique per
     /// ground point); ISLs pair by position in the fixed `ctx.isls`
@@ -1094,50 +1107,53 @@ impl<'a> TimeSweep<'a> {
             }
         }
         self.prev_isl_count = oc;
-        for gi in 0..self.static_ground.len() {
-            match_link_block(
-                &self.prev_static_ids[gi],
-                &self.static_links[gi],
-                &mut self.gi_matched[gi],
-                &mut self.gi_removed[gi],
-                &mut self.gi_added[gi],
-                &mut self.match_sorted,
-                &mut self.match_consumed,
-            );
-        }
-        self.air_census_stable = self.prev_air_ids.len() == self.aircraft.len()
+        self.link_matched.clear();
+        self.link_removed.clear();
+        self.link_added.clear();
+        let num_static = self.static_ground.len();
+        let census_stable = self.prev_air_ids.len() == self.aircraft.len()
             && self
                 .aircraft
                 .iter()
                 .zip(&self.prev_air_ids)
                 .all(|(a, &id)| a.id == id);
-        if self.air_census_stable {
-            if self.air_matched.len() < self.aircraft.len() {
-                // lint: allow(hot-path-alloc) grows once per new peak aircraft count, then recycled
-                self.air_matched.resize_with(self.aircraft.len(), Vec::new);
-                // lint: allow(hot-path-alloc) grows once per new peak aircraft count, then recycled
-                self.air_removed.resize_with(self.aircraft.len(), Vec::new);
-                // lint: allow(hot-path-alloc) grows once per new peak aircraft count, then recycled
-                self.air_added.resize_with(self.aircraft.len(), Vec::new);
+        let matched_blocks = if census_stable {
+            num_static + self.aircraft.len()
+        } else {
+            num_static
+        };
+        for gp in 0..matched_blocks {
+            match_link_block(
+                (
+                    &self.prev_links,
+                    self.prev_link_off[gp],
+                    self.prev_link_off[gp + 1],
+                ),
+                (&self.links, self.link_off[gp], self.link_off[gp + 1]),
+                &mut self.link_matched,
+                &mut self.link_removed,
+                &mut self.link_added,
+                &mut self.match_sorted,
+                &mut self.match_consumed,
+            );
+        }
+        if !census_stable {
+            let old_total = *self.prev_link_off.last().unwrap_or(&0);
+            let new_total = *self.link_off.last().unwrap_or(&0);
+            for o in self.prev_link_off[num_static]..old_total {
+                self.link_removed.push(o);
             }
-            for ai in 0..self.aircraft.len() {
-                match_link_block(
-                    &self.prev_air_sat_ids[ai],
-                    &self.air_links[ai],
-                    &mut self.air_matched[ai],
-                    &mut self.air_removed[ai],
-                    &mut self.air_added[ai],
-                    &mut self.match_sorted,
-                    &mut self.match_consumed,
-                );
+            for n in self.link_off[num_static]..new_total {
+                self.link_added.push(n);
             }
         }
     }
 
-    /// Offset the block-local matches into mode `mi`'s edge-id space,
-    /// mirroring [`TimeSweep::assemble_mode`]'s emission order exactly:
-    /// the ISL block first (modes with ISLs), then each ground point's
-    /// links in ground order, then aircraft links (modes with aircraft).
+    /// Offset the matches into mode `mi`'s edge-id space, mirroring
+    /// [`TimeSweep::assemble_mode`]'s emission order exactly: the ISL
+    /// block first (modes with ISLs), then the ground links in arena
+    /// order — the city blocks only, in ISL-only mode, which are a
+    /// prefix of every match list.
     // lint: hot-path
     fn assemble_delta(&mut self, mi: usize) {
         let mode = self.modes[mi];
@@ -1165,95 +1181,98 @@ impl<'a> TimeSweep<'a> {
             ob = self.prev_isl_count;
             nb = self.isl_links.len() as u32;
         }
-        let num_ground_static = if mode == Mode::IslOnly {
-            self.ctx.city_positions.len()
+        let (old_end, new_end) = if mode == Mode::IslOnly {
+            let cities = self.ctx.city_positions.len();
+            (self.prev_link_off[cities], self.link_off[cities])
         } else {
-            self.static_ground.len()
+            (u32::MAX, u32::MAX)
         };
-        for gi in 0..num_ground_static {
-            for &(op, np) in &self.gi_matched[gi] {
-                d.reweighted
-                    .push(((ob + op) as EdgeId, (nb + np) as EdgeId));
-            }
-            for &op in &self.gi_removed[gi] {
-                d.removed.push((ob + op) as EdgeId);
-            }
-            for &np in &self.gi_added[gi] {
-                d.added.push((nb + np) as EdgeId);
-            }
-            ob += self.prev_static_ids[gi].len() as u32;
-            nb += self.static_links[gi].len() as u32;
+        for &(o, n) in self.link_matched.iter().take_while(|&&(_, n)| n < new_end) {
+            d.reweighted.push(((ob + o) as EdgeId, (nb + n) as EdgeId));
         }
-        if mode != Mode::IslOnly {
-            if self.air_census_stable {
-                for ai in 0..self.aircraft.len() {
-                    for &(op, np) in &self.air_matched[ai] {
-                        d.reweighted.push((ob + op, nb + np));
-                    }
-                    for &op in &self.air_removed[ai] {
-                        d.removed.push(ob + op);
-                    }
-                    for &np in &self.air_added[ai] {
-                        d.added.push(nb + np);
-                    }
-                    ob += self.prev_air_sat_ids[ai].len() as u32;
-                    nb += self.air_links[ai].len() as u32;
-                }
-            } else {
-                for k in 0..self.prev_air_total as u32 {
-                    d.removed.push(ob + k);
-                }
-                let new_air_total: usize = (0..self.aircraft.len())
-                    .map(|ai| self.air_links[ai].len())
-                    .sum();
-                for k in 0..new_air_total as u32 {
-                    d.added.push(nb + k);
-                }
-            }
+        for &o in self.link_removed.iter().take_while(|&&o| o < old_end) {
+            d.removed.push((ob + o) as EdgeId);
+        }
+        for &n in self.link_added.iter().take_while(|&&n| n < new_end) {
+            d.added.push((nb + n) as EdgeId);
         }
     }
 }
 
-/// Pair one link block's previous visible-satellite ids against its
-/// refreshed links by satellite id (unique within a block), producing
-/// block-local (old position, new position) matches plus old-only /
-/// new-only position lists. `sorted` / `consumed` are recycled scratch.
+/// Scan one ground point's cell window into the link arena, counting
+/// each emitted satellite in `degree`, and close the point's block.
+// lint: hot-path
+fn scan_into_arena(
+    vis: &VisibilityScan,
+    (g, g_norm): (&Ecef, f64),
+    cells: &CellOrder,
+    segments: &[(u32, u32)],
+    degree: &mut [u32],
+    (links, link_off): (&mut Vec<Link>, &mut Vec<u32>),
+) {
+    vis.scan_window(
+        g,
+        g_norm,
+        cells,
+        segments,
+        degree,
+        &mut |sat, range_m, elevation_rad| {
+            links.push(Link {
+                sat,
+                delay_s: range_m / SPEED_OF_LIGHT_M_S,
+                elevation_rad,
+            });
+        },
+    );
+    link_off.push(links.len() as u32);
+}
+
+/// Pair one ground point's previous links (`old`, an arena with the
+/// block's range) against its refreshed ones (`new`) by satellite id
+/// (unique within a block), appending (old position, new position)
+/// matches in new order plus ascending old-only and new-only positions —
+/// all as arena positions. `sorted` / `consumed` are recycled scratch.
 // lint: hot-path
 fn match_link_block(
-    old: &[u32],
-    new_links: &[(u32, f64, f64)],
+    (old, old_lo, old_hi): (&[Link], u32, u32),
+    (new, new_lo, new_hi): (&[Link], u32, u32),
     matched: &mut Vec<(u32, u32)>,
     removed: &mut Vec<u32>,
     added: &mut Vec<u32>,
     sorted: &mut Vec<(u32, u32)>,
     consumed: &mut Vec<bool>,
 ) {
-    matched.clear();
-    removed.clear();
-    added.clear();
     sorted.clear();
-    sorted.extend(old.iter().enumerate().map(|(p, &sat)| (sat, p as u32)));
+    for p in old_lo..old_hi {
+        sorted.push((old[p as usize].sat, p));
+    }
     sorted.sort_unstable();
     consumed.clear();
     consumed.resize(sorted.len(), false);
-    for (np, l) in new_links.iter().enumerate() {
-        match sorted.binary_search_by_key(&l.0, |&(s, _)| s) {
+    for np in new_lo..new_hi {
+        match sorted.binary_search_by_key(&new[np as usize].sat, |&(s, _)| s) {
             Ok(k) => {
                 consumed[k] = true;
-                matched.push((sorted[k].1, np as u32));
+                matched.push((sorted[k].1, np));
             }
-            Err(_) => added.push(np as u32),
+            Err(_) => added.push(np),
         }
     }
+    let first_removed = removed.len();
     for (k, &(_, op)) in sorted.iter().enumerate() {
         if !consumed[k] {
             removed.push(op);
         }
     }
-    removed.sort_unstable();
+    removed[first_removed..].sort_unstable();
 }
 
 /// The network frozen at one instant: a weighted graph plus metadata.
+///
+/// Layout: satellites are nodes `0..num_satellites`, then the ground
+/// nodes (cities, then relays and aircraft outside ISL-only mode). Edge
+/// ids run ISLs first, then every ground node's links in node order, so
+/// each satellite's neighbor list starts with its ISLs.
 #[derive(Debug, Clone)]
 pub struct NetworkSnapshot {
     /// Snapshot time, seconds since epoch.
@@ -1585,6 +1604,20 @@ mod tests {
             let (u2, v2, w2) = b.graph.edge(e);
             assert_eq!((u1, v1), (u2, v2), "{what}: edge {e} endpoints");
             assert_eq!(w1.to_bits(), w2.to_bits(), "{what}: edge {e} weight bits");
+        }
+        assert_eq!(a.graph.num_nodes(), b.graph.num_nodes(), "{what}: nodes");
+        for u in 0..a.graph.num_nodes() as NodeId {
+            let half_edges = |g: &Graph| -> Vec<(NodeId, EdgeId, u64)> {
+                g.neighbors(u)
+                    .iter()
+                    .map(|h| (h.to, h.edge, h.weight.to_bits()))
+                    .collect()
+            };
+            assert_eq!(
+                half_edges(&a.graph),
+                half_edges(&b.graph),
+                "{what}: node {u} neighbors"
+            );
         }
     }
 

@@ -45,7 +45,7 @@ pub use slant::{
     batch_visible_from, coverage_radius_m, elevation_angle_rad, max_slant_range_m, slant_range_m,
     visible_at_elevation, VisibilityScan,
 };
-pub use spatial::{CellGrid, SphereGrid};
+pub use spatial::{CellGrid, CellOrder, SphereGrid};
 
 /// Convert degrees to radians.
 #[inline]

@@ -6,7 +6,7 @@
 //! for Kuiper in the paper). These helpers convert between elevation
 //! constraints, ground coverage radii, and slant ranges.
 
-use crate::{Ecef, GeoPoint, EARTH_RADIUS_M};
+use crate::{CellOrder, Ecef, GeoPoint, EARTH_RADIUS_M};
 
 /// Elevation angle (radians) of a satellite at ECEF position `sat` as seen
 /// from ground point `gt` (on the surface).
@@ -113,29 +113,89 @@ impl VisibilityScan {
         candidates: &[u32],
         emit: &mut impl FnMut(u32, f64, f64),
     ) {
-        let quick = self.quick;
-        let quick_sq = (quick * g_norm) * (quick * g_norm);
+        let quick_sq = self.quick_sq(g_norm);
         for &id in candidates {
             let i = id as usize;
-            let dx = xs[i] - g.x;
-            let dy = ys[i] - g.y;
-            let dz = zs[i] - g.z;
-            let range_sq = dx * dx + dy * dy + dz * dz;
-            let dot = g.x * dx + g.y * dy + g.z * dz;
-            if quick > 0.0 && range_sq > 0.0 && (dot <= 0.0 || dot * dot < quick_sq * range_sq) {
-                continue;
-            }
-            let range = range_sq.sqrt();
-            let elev = if range == 0.0 {
-                std::f64::consts::FRAC_PI_2
-            } else {
-                let cos_zenith = dot / (g_norm * range);
-                std::f64::consts::FRAC_PI_2 - cos_zenith.clamp(-1.0, 1.0).acos()
-            };
-            if elev >= self.min_elev_rad {
+            if let Some((range, elev)) = self.test(g, g_norm, quick_sq, xs[i], ys[i], zs[i]) {
                 emit(id, range, elev);
             }
         }
+    }
+
+    /// [`VisibilityScan::scan`] over a window of a [`CellOrder`]: the
+    /// candidates are the ids of each `(start, end)` cell segment in turn
+    /// (a [`CellGrid::window_segments`] window), read with their
+    /// coordinates from the flattening's contiguous arrays. Emits exactly
+    /// what `scan` emits over the same ids — same float operations, same
+    /// order — and adds 1 to `degree[id]` for every id it emits.
+    ///
+    /// [`CellGrid::window_segments`]: crate::CellGrid::window_segments
+    // lint: hot-path
+    pub fn scan_window(
+        &self,
+        g: &Ecef,
+        g_norm: f64,
+        cells: &CellOrder,
+        segments: &[(u32, u32)],
+        degree: &mut [u32],
+        emit: &mut impl FnMut(u32, f64, f64),
+    ) {
+        let quick_sq = self.quick_sq(g_norm);
+        for &(start, end) in segments {
+            let (lo, hi) = (
+                cells.off[start as usize] as usize,
+                cells.off[end as usize] as usize,
+            );
+            let coords = cells.x[lo..hi]
+                .iter()
+                .zip(&cells.y[lo..hi])
+                .zip(&cells.z[lo..hi]);
+            for (&id, ((&x, &y), &z)) in cells.ids[lo..hi].iter().zip(coords) {
+                if let Some((range, elev)) = self.test(g, g_norm, quick_sq, x, y, z) {
+                    degree[id as usize] += 1;
+                    emit(id, range, elev);
+                }
+            }
+        }
+    }
+
+    /// The squared quick-reject bound for a ground point of norm
+    /// `g_norm`.
+    #[inline]
+    fn quick_sq(&self, g_norm: f64) -> f64 {
+        (self.quick * g_norm) * (self.quick * g_norm)
+    }
+
+    /// Slant range and elevation of the satellite at `(x, y, z)` seen
+    /// from `g`, or `None` below the minimum elevation. The one copy of
+    /// the arithmetic every scan runs.
+    #[inline(always)]
+    fn test(
+        &self,
+        g: &Ecef,
+        g_norm: f64,
+        quick_sq: f64,
+        x: f64,
+        y: f64,
+        z: f64,
+    ) -> Option<(f64, f64)> {
+        let quick = self.quick;
+        let dx = x - g.x;
+        let dy = y - g.y;
+        let dz = z - g.z;
+        let range_sq = dx * dx + dy * dy + dz * dz;
+        let dot = g.x * dx + g.y * dy + g.z * dz;
+        if quick > 0.0 && range_sq > 0.0 && (dot <= 0.0 || dot * dot < quick_sq * range_sq) {
+            return None;
+        }
+        let range = range_sq.sqrt();
+        let elev = if range == 0.0 {
+            std::f64::consts::FRAC_PI_2
+        } else {
+            let cos_zenith = dot / (g_norm * range);
+            std::f64::consts::FRAC_PI_2 - cos_zenith.clamp(-1.0, 1.0).acos()
+        };
+        (elev >= self.min_elev_rad).then_some((range, elev))
     }
 }
 
@@ -275,6 +335,74 @@ mod tests {
             assert_eq!(gr.to_bits(), er.to_bits(), "range bits for sat {gi}");
             assert_eq!(ge.to_bits(), ee.to_bits(), "elev bits for sat {gi}");
         }
+    }
+
+    #[test]
+    fn window_scan_over_cell_order_matches_the_id_scan() {
+        // Satellites scattered over a 3° grid around one ground point:
+        // scanning its window through the flattening (coordinates read
+        // in cell order) must emit what the id-indexed scan emits over
+        // the same ids, bit for bit, and count each emitted id once.
+        let gt = GeoPoint::from_degrees(47.0, 8.0);
+        let (g, min_elev) = (Ecef::from_geo(gt, 0.0), deg_to_rad(25.0));
+        let mut grid = crate::CellGrid::new(3.0);
+        let (mut xs, mut ys, mut zs) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..400u32 {
+            let p = GeoPoint::from_degrees(
+                47.0 + (i as f64 * 0.37) % 24.0 - 12.0,
+                8.0 + (i as f64 * 0.61) % 30.0 - 15.0,
+            );
+            let s = Ecef::from_geo(p, 550_000.0 + i as f64 * 37.0);
+            xs.push(s.x);
+            ys.push(s.y);
+            zs.push(s.z);
+            grid.insert(i, grid.cell_of(&p));
+        }
+        let mut cells = CellOrder::default();
+        grid.flatten_into((&xs, &ys, &zs), &mut cells);
+        let mut segments = Vec::new();
+        grid.window_segments(gt, 1_200_000.0, &mut segments);
+        let scan = VisibilityScan::new(min_elev);
+        let mut degree = vec![0u32; xs.len()];
+        let mut got = Vec::new();
+        scan.scan_window(
+            &g,
+            g.norm(),
+            &cells,
+            &segments,
+            &mut degree,
+            &mut |id, r, e| {
+                got.push((id, r.to_bits(), e.to_bits()));
+            },
+        );
+        let ids: Vec<u32> = segments
+            .iter()
+            .flat_map(|&(a, b)| {
+                cells.ids[cells.off[a as usize] as usize..cells.off[b as usize] as usize].to_vec()
+            })
+            .collect();
+        let mut want = Vec::new();
+        scan.scan(&g, g.norm(), (&xs, &ys, &zs), &ids, &mut |id, r, e| {
+            want.push((id, r.to_bits(), e.to_bits()));
+        });
+        assert!(
+            want.len() > 10 && want.len() < ids.len(),
+            "{} of {}",
+            want.len(),
+            ids.len()
+        );
+        assert_eq!(got, want);
+        for (id, &d) in degree.iter().enumerate() {
+            let emitted = want.iter().filter(|w| w.0 == id as u32).count();
+            assert_eq!(d as usize, emitted, "degree of {id}");
+        }
+        // Cell order: each cell's ids ascend, and every coordinate sits
+        // beside its id.
+        for (k, &id) in cells.ids.iter().enumerate() {
+            let i = id as usize;
+            assert_eq!([cells.x[k], cells.y[k], cells.z[k]], [xs[i], ys[i], zs[i]]);
+        }
+        assert_eq!(cells.ids.len(), xs.len());
     }
 
     #[test]

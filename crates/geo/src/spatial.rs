@@ -205,6 +205,22 @@ impl SphereGrid {
     }
 }
 
+/// A [`CellGrid`] flattened for scanning, by [`CellGrid::flatten_into`]:
+/// every cell's ids in CSR form, with each id's x/y/z coordinates
+/// gathered into the same order (struct of arrays). A scan over a run of
+/// consecutive cells reads one contiguous slice of each array.
+#[derive(Debug, Clone, Default)]
+pub struct CellOrder {
+    /// `off[c]..off[c + 1]` is cell `c`'s range in the arrays below.
+    pub(crate) off: Vec<u32>,
+    /// Item ids, cell by cell, ascending within a cell.
+    pub(crate) ids: Vec<u32>,
+    /// Coordinates of `ids[k]`, at `k`.
+    pub(crate) x: Vec<f64>,
+    pub(crate) y: Vec<f64>,
+    pub(crate) z: Vec<f64>,
+}
+
 /// An id-only bucket index maintained incrementally across a time sweep.
 ///
 /// Unlike [`SphereGrid`] (rebuilt from scratch per instant), a `CellGrid`
@@ -380,16 +396,18 @@ impl CellGrid {
         &self.buckets[cell as usize]
     }
 
-    /// Flatten the buckets into CSR form: after the call,
-    /// `ids[off[c] as usize..off[c + 1] as usize]` holds the (ascending)
-    /// ids of cell `c`. Both vectors are cleared first and keep their
-    /// capacity, so a sweep that re-flattens every step stops allocating
-    /// once warm.
+    /// Flatten the buckets into `out`, a [`CellOrder`]: after the call,
+    /// `out`'s ids `off[c]..off[c + 1]` are the (ascending) ids of cell
+    /// `c`, and beside each id sit its coordinates from `(xs, ys, zs)`.
+    /// Every vector is cleared first and keeps its capacity, so a sweep
+    /// that re-flattens every step stops allocating once warm.
     ///
-    /// Scanning many cell windows against the CSR arrays streams two
-    /// contiguous slices instead of pointer-chasing one heap bucket per
-    /// cell, which is what makes the per-step visibility refresh cheap.
-    pub fn flatten_into(&self, off: &mut Vec<u32>, ids: &mut Vec<u32>) {
+    /// Scanning many cell windows against the flattened arrays streams
+    /// contiguous slices (ids and coordinates alike) instead of
+    /// pointer-chasing one heap bucket per cell and then one position per
+    /// id, which is what makes the per-step visibility refresh cheap.
+    pub fn flatten_into(&self, (xs, ys, zs): (&[f64], &[f64], &[f64]), out: &mut CellOrder) {
+        let CellOrder { off, ids, x, y, z } = out;
         off.clear();
         ids.clear();
         // lint: allow(hot-path-alloc) reserve into recycled buffers; a no-op once capacity reaches steady state
@@ -400,6 +418,11 @@ impl CellGrid {
         for bucket in &self.buckets {
             ids.extend_from_slice(bucket);
             off.push(ids.len() as u32);
+        }
+        for (dst, src) in [(x, xs), (y, ys), (z, zs)] {
+            dst.clear();
+            // lint: allow(hot-path-alloc) refills a recycled buffer after clear; allocates only on a new peak item count
+            dst.extend(ids.iter().map(|&id| src[id as usize]));
         }
     }
 
@@ -422,8 +445,8 @@ impl CellGrid {
     /// Because the canonical scan order emits each row's columns as one
     /// ascending run (two when the window wraps the date line), a window
     /// of `R` rows compresses to at most `2R` segments — and against a
-    /// CSR flattening ([`CellGrid::flatten_into`]) each segment resolves
-    /// to **one** contiguous id slice, `ids[off[start]..off[end]]`.
+    /// flattening ([`CellGrid::flatten_into`]) each segment resolves to
+    /// **one** contiguous slice of its arrays.
     /// Concatenating the segment slices visits exactly the ids of
     /// `window_cells` in the same canonical order.
     pub fn window_segments(&self, center: GeoPoint, radius_m: f64, out: &mut Vec<(u32, u32)>) {

@@ -1,4 +1,5 @@
-//! Connected components (used for the BP satellite-disconnection statistic).
+//! Connected components: the definition the BP satellite-disconnection
+//! statistic is checked against.
 
 use crate::graph::{Graph, NodeId};
 

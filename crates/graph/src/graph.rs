@@ -21,8 +21,23 @@ pub struct GraphBuilder {
     num_nodes: usize,
     /// (u, v, weight) per undirected edge, in insertion order.
     edges: Vec<(NodeId, NodeId, f64)>,
-    /// CSR fill cursor, reused across [`GraphBuilder::build_into`] calls.
-    cursor: Vec<u32>,
+}
+
+/// The checks every edge passes on its way into a graph, through
+/// [`GraphBuilder::add_edge`] or a [`CsrFill`].
+#[inline]
+fn check_edge(num_nodes: usize, u: NodeId, v: NodeId, weight: f64) {
+    // lint: allow(panic-reachable) documented `# Panics` contract guarding Dijkstra's preconditions at graph construction time
+    assert!((u as usize) < num_nodes, "node {u} out of range");
+    // lint: allow(panic-reachable) documented `# Panics` contract guarding Dijkstra's preconditions at graph construction time
+    assert!((v as usize) < num_nodes, "node {v} out of range");
+    // lint: allow(panic-reachable) documented `# Panics` contract guarding Dijkstra's preconditions at graph construction time
+    assert_ne!(u, v, "self-loops are not allowed");
+    // lint: allow(panic-reachable) documented `# Panics` contract guarding Dijkstra's preconditions at graph construction time
+    assert!(
+        weight.is_finite() && weight >= 0.0,
+        "edge weight must be finite and non-negative, got {weight}"
+    );
 }
 
 impl GraphBuilder {
@@ -31,16 +46,7 @@ impl GraphBuilder {
         Self {
             num_nodes,
             edges: Vec::new(),
-            cursor: Vec::new(),
         }
-    }
-
-    /// Reset for reuse: drop all accumulated edges and adopt a new node
-    /// count, keeping the allocations. The builder behaves exactly like a
-    /// fresh [`GraphBuilder::new`] afterwards.
-    pub fn reset(&mut self, num_nodes: usize) {
-        self.num_nodes = num_nodes;
-        self.edges.clear();
     }
 
     /// Number of nodes.
@@ -60,85 +66,235 @@ impl GraphBuilder {
     /// Panics if an endpoint is out of range, on self-loops, or if the
     /// weight is negative or non-finite (Dijkstra's precondition).
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, weight: f64) -> EdgeId {
-        // lint: allow(panic-reachable) documented `# Panics` contract guarding Dijkstra's preconditions at graph construction time
-        assert!((u as usize) < self.num_nodes, "node {u} out of range");
-        // lint: allow(panic-reachable) documented `# Panics` contract guarding Dijkstra's preconditions at graph construction time
-        assert!((v as usize) < self.num_nodes, "node {v} out of range");
-        // lint: allow(panic-reachable) documented `# Panics` contract guarding Dijkstra's preconditions at graph construction time
-        assert_ne!(u, v, "self-loops are not allowed");
-        // lint: allow(panic-reachable) documented `# Panics` contract guarding Dijkstra's preconditions at graph construction time
-        assert!(
-            weight.is_finite() && weight >= 0.0,
-            "edge weight must be finite and non-negative, got {weight}"
-        );
+        check_edge(self.num_nodes, u, v, weight);
         let id = self.edges.len() as EdgeId;
         self.edges.push((u, v, weight));
         id
     }
 
-    /// Freeze into an immutable CSR graph.
-    pub fn build(mut self) -> Graph {
+    /// Freeze into an immutable CSR graph: count each node's degree, then
+    /// write every edge once through a [`CsrFill`].
+    pub fn build(self) -> Graph {
+        let mut degree = vec![0u32; self.num_nodes];
+        for &(u, v, _) in &self.edges {
+            degree[u as usize] += 1;
+            degree[v as usize] += 1;
+        }
         let mut g = Graph {
-            offsets: Vec::new(),
+            offsets: vec![0],
             adj: Vec::new(),
             edges: Vec::new(),
             coords: Vec::new(),
             lambda: OnceLock::new(),
         };
-        self.build_into(&mut g);
+        let mut fill = g.fill(self.num_nodes, self.edges.len(), &mut degree);
+        for &(u, v, w) in &self.edges {
+            fill.edge(u, v, w);
+        }
+        fill.complete();
         g
     }
+}
 
-    /// Freeze into `out`, overwriting its contents and reusing its
-    /// allocations — the zero-alloc path for rebuilding a graph every
-    /// instant of a time sweep. The result is element-for-element
-    /// identical to [`GraphBuilder::build`] (so it carries no coordinates
-    /// until [`Graph::set_coords`]); the builder keeps its edges and can
-    /// be rebuilt again (call [`GraphBuilder::reset`] to start a new edge
-    /// set).
+/// One-pass CSR writer, from [`Graph::fill`]: edges arrive in id order
+/// and each is written exactly once — into the edge table and as its two
+/// half-edges — so every node's neighbors come out in edge-id order, as
+/// [`GraphBuilder::build`] has always laid them out.
+///
+/// Nodes come in two kinds, split at the length of the degree slice:
+///
+/// * **Scattered** nodes (`0..degree.len()`) declared their exact degree
+///   up front. Their slots are laid out from those degrees, and each
+///   half-edge lands through the node's countdown: with `r` half-edges
+///   still due, it goes to slot `end − r`.
+/// * **Appended** nodes (the rest) take their half-edges in one
+///   [`CsrFill::append_edges`] call each, in node order, all toward
+///   scattered nodes; their slots are simply the next ones, so they need
+///   no declared degree.
+///
+/// Declared counts that do not match the edges panic (when a node or the
+/// graph gets one half-edge too many, or in [`CsrFill::complete`] when one
+/// is left short), so a graph never leaves a fill with a slot unwritten
+/// or written twice.
+#[derive(Debug)]
+#[must_use = "a fill leaves the graph incomplete until `complete` is called"]
+pub struct CsrFill<'a> {
+    g: &'a mut Graph,
+    /// Half-edges each scattered node is still due; counts down to 0.
+    due: &'a mut [u32],
+    /// Node count of the graph being written.
+    num_nodes: usize,
+    /// Id of the next edge.
+    next: EdgeId,
+    /// Slot of the next appended half-edge.
+    pos: usize,
+    /// First node that may still take appended half-edges (every
+    /// appended node below it is closed).
+    open: usize,
+}
+
+impl CsrFill<'_> {
+    /// Write an edge between two scattered nodes. Edge ids follow call
+    /// order, as with [`GraphBuilder::add_edge`].
+    ///
+    /// # Panics
+    /// On any edge [`GraphBuilder::add_edge`] rejects, on an appended
+    /// endpoint, past the declared edge count, and when an endpoint has
+    /// already received its declared degree.
     // lint: hot-path
-    pub fn build_into(&mut self, out: &mut Graph) {
-        let n = self.num_nodes;
-        out.offsets.clear();
-        out.offsets.resize(n + 1, 0);
-        for &(u, v, _) in &self.edges {
-            out.offsets[u as usize + 1] += 1;
-            out.offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            out.offsets[i + 1] += out.offsets[i];
-        }
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&out.offsets[..n]);
-        out.adj.clear();
-        out.adj.resize(
-            2 * self.edges.len(),
-            HalfEdge {
-                to: 0,
-                weight: 0.0,
-                edge: 0,
-            },
-        );
-        for (id, &(u, v, w)) in self.edges.iter().enumerate() {
-            let id = id as EdgeId;
-            out.adj[self.cursor[u as usize] as usize] = HalfEdge {
-                to: v,
-                weight: w,
-                edge: id,
-            };
-            self.cursor[u as usize] += 1;
-            out.adj[self.cursor[v as usize] as usize] = HalfEdge {
-                to: u,
-                weight: w,
-                edge: id,
-            };
-            self.cursor[v as usize] += 1;
-        }
-        out.edges.clear();
-        out.edges.extend_from_slice(&self.edges);
-        out.coords.clear();
-        out.lambda = OnceLock::new();
+    pub fn edge(&mut self, u: NodeId, v: NodeId, weight: f64) {
+        check_edge(self.num_nodes, u, v, weight);
+        let id = self.next;
+        let g = &mut *self.g;
+        // lint: allow(panic-reachable) documented `# Panics` contract: the edge table is sized by the declared edge count
+        assert!((id as usize) < g.edges.len(), "more edges than declared");
+        scatter(&mut g.adj, &g.offsets, self.due, u, v, weight, id);
+        scatter(&mut g.adj, &g.offsets, self.due, v, u, weight, id);
+        g.edges[id as usize] = (u, v, weight);
+        self.next += 1;
     }
+
+    /// Write every edge of appended node `u` — one `(v, weight)` per
+    /// edge, each `v` a scattered node — taking the next edge ids in
+    /// order. Appended nodes come in node order, one call each; a node
+    /// skipped over keeps no edges.
+    ///
+    /// # Panics
+    /// On any edge [`GraphBuilder::add_edge`] rejects, when `u` is not an
+    /// appended node past every earlier call's, when some `v` is not a
+    /// scattered node or has already received its declared degree, and
+    /// past the declared edge count.
+    // lint: hot-path
+    pub fn append_edges(&mut self, u: NodeId, edges: impl IntoIterator<Item = (NodeId, f64)>) {
+        // lint: allow(panic-reachable) documented `# Panics` contract: appended slots are laid out in node order
+        assert!(
+            u as usize >= self.open && (u as usize) < self.num_nodes,
+            "appended node {u} out of order or range (next open node {})",
+            self.open
+        );
+        self.close_below(u as usize);
+        let g = &mut *self.g;
+        append_block(
+            Block {
+                adj: &mut g.adj,
+                table: &mut g.edges,
+                offsets: &g.offsets,
+                due: self.due,
+                num_nodes: self.num_nodes,
+                next: &mut self.next,
+                pos: &mut self.pos,
+            },
+            u,
+            edges,
+        );
+        self.close_below(u as usize + 1);
+    }
+
+    /// Complete the graph: close the remaining appended nodes and check
+    /// that every declared slot and edge was written.
+    ///
+    /// # Panics
+    /// When a scattered node received fewer half-edges than declared, or
+    /// the graph fewer edges.
+    pub fn complete(mut self) {
+        self.close_below(self.num_nodes);
+        if let Some(u) = self.due.iter().position(|&r| r != 0) {
+            // lint: allow(panic-reachable) documented `# Panics` contract: an unfilled slot would leave a stale half-edge in the graph
+            panic!(
+                "node {u} received {} half-edge(s) fewer than its declared degree",
+                self.due[u]
+            );
+        }
+        // lint: allow(panic-reachable) documented `# Panics` contract: an unfilled slot would leave a stale edge in the graph
+        assert!(
+            self.next as usize == self.g.edges.len() && self.pos == self.g.adj.len(),
+            "{} edge(s) written of {} declared",
+            self.next,
+            self.g.edges.len()
+        );
+    }
+
+    /// Close every appended node below `end`: its slots end here.
+    #[inline]
+    fn close_below(&mut self, end: usize) {
+        while self.open < end {
+            self.g.offsets.push(self.pos as u32);
+            self.open += 1;
+        }
+    }
+}
+
+/// The buffers one [`CsrFill::append_edges`] call writes, borrowed apart
+/// so the loop over a node's edges keeps them in registers.
+struct Block<'b> {
+    adj: &'b mut [HalfEdge],
+    table: &'b mut [(NodeId, NodeId, f64)],
+    offsets: &'b [u32],
+    due: &'b mut [u32],
+    num_nodes: usize,
+    next: &'b mut EdgeId,
+    pos: &'b mut usize,
+}
+
+/// Write appended node `u`'s edges: its own half-edges into the next
+/// slots, the other halves through the scattered nodes' countdowns.
+#[inline]
+fn append_block(b: Block<'_>, u: NodeId, edges: impl IntoIterator<Item = (NodeId, f64)>) {
+    let Block {
+        adj,
+        table,
+        offsets,
+        due,
+        num_nodes,
+        next,
+        pos,
+    } = b;
+    for (v, weight) in edges {
+        check_edge(num_nodes, u, v, weight);
+        let id = *next;
+        // lint: allow(panic-reachable) documented `# Panics` contract: the edge table is sized by the declared edge count
+        assert!(
+            (id as usize) < table.len() && *pos < adj.len(),
+            "more edges than declared"
+        );
+        adj[*pos] = HalfEdge {
+            to: v,
+            weight,
+            edge: id,
+        };
+        *pos += 1;
+        scatter(adj, offsets, due, v, u, weight, id);
+        table[id as usize] = (u, v, weight);
+        *next += 1;
+    }
+}
+
+/// Place scattered node `u`'s half-edge toward `to` in `u`'s next
+/// declared slot.
+#[inline]
+fn scatter(
+    adj: &mut [HalfEdge],
+    offsets: &[u32],
+    due: &mut [u32],
+    u: NodeId,
+    to: NodeId,
+    weight: f64,
+    edge: EdgeId,
+) {
+    // lint: allow(panic-reachable) documented `# Panics` contract: only scattered nodes have declared slots
+    assert!(
+        (u as usize) < due.len(),
+        "node {u} is appended; it has no declared slots"
+    );
+    let due = &mut due[u as usize];
+    // lint: allow(panic-reachable) documented `# Panics` contract: a node's slots are exactly its declared degree
+    assert!(
+        *due > 0,
+        "node {u} received more half-edges than its declared degree"
+    );
+    let slot = offsets[u as usize + 1] - *due;
+    *due -= 1;
+    adj[slot as usize] = HalfEdge { to, weight, edge };
 }
 
 /// One directed half of an undirected edge, as stored in the adjacency
@@ -153,7 +309,26 @@ pub struct HalfEdge {
     pub edge: EdgeId,
 }
 
-/// Immutable CSR graph. Build with [`GraphBuilder`].
+/// Set `v`'s length to `len`, initialising only entries beyond the old
+/// length (the caller overwrites every entry before reading any).
+fn resize_for_overwrite<T: Copy>(v: &mut Vec<T>, len: usize, fill: T) {
+    if v.len() >= len {
+        v.truncate(len);
+    } else {
+        // lint: allow(hot-path-alloc) grows a recycled buffer only on a new peak size
+        v.resize(len, fill);
+    }
+}
+
+/// Placeholder for a half-edge slot a fill has not written yet.
+const UNWRITTEN: HalfEdge = HalfEdge {
+    to: 0,
+    weight: 0.0,
+    edge: 0,
+};
+
+/// Immutable CSR graph. Build with [`GraphBuilder`], or write one over in
+/// place with [`Graph::fill`].
 #[derive(Debug, Clone)]
 pub struct Graph {
     offsets: Vec<u32>,
@@ -187,14 +362,70 @@ pub(crate) fn dist_sq(a: &[f64; 3], b: &[f64; 3]) -> f64 {
 }
 
 impl Default for Graph {
-    /// An empty zero-node graph — a valid [`GraphBuilder::build_into`]
-    /// target.
+    /// An empty zero-node graph, e.g. the placeholder a [`Graph::fill`]
+    /// later writes over.
     fn default() -> Self {
         GraphBuilder::new(0).build()
     }
 }
 
 impl Graph {
+    /// Start writing this graph over in place with `num_nodes` nodes and
+    /// `num_edges` edges, keeping its allocations: the one CSR writer,
+    /// behind [`GraphBuilder::build`] and every snapshot graph (see
+    /// [`CsrFill`]).
+    ///
+    /// `degree[u]` is the exact degree of scattered node `u`; the fill
+    /// counts it down to 0. Nodes from `degree.len()` to `num_nodes` are
+    /// appended. Coordinates are dropped, as on a fresh build, until
+    /// [`Graph::set_coords`].
+    ///
+    /// # Panics
+    /// If `degree` is longer than `num_nodes`, or declares more
+    /// half-edges than `num_edges` edges have.
+    // lint: hot-path
+    pub fn fill<'a>(
+        &'a mut self,
+        num_nodes: usize,
+        num_edges: usize,
+        degree: &'a mut [u32],
+    ) -> CsrFill<'a> {
+        // lint: allow(panic-reachable) documented `# Panics` contract: scattered nodes are a prefix of the node range
+        assert!(
+            degree.len() <= num_nodes,
+            "more declared degrees than nodes"
+        );
+        self.offsets.clear();
+        self.offsets.reserve(num_nodes + 1);
+        self.offsets.push(0);
+        let mut end = 0u64;
+        for &d in degree.iter() {
+            end += u64::from(d);
+            self.offsets.push(end as u32);
+        }
+        // lint: allow(panic-reachable) documented `# Panics` contract: scattered slots are a share of all half-edges
+        assert!(
+            end <= 2 * num_edges as u64 && 2 * num_edges as u64 <= u64::from(u32::MAX),
+            "{end} declared half-edges for {num_edges} edges"
+        );
+        // Every slot and edge is written exactly once before `complete`
+        // returns, so entries left over from the previous fill need no
+        // clearing: only growth is initialised.
+        resize_for_overwrite(&mut self.adj, 2 * num_edges, UNWRITTEN);
+        resize_for_overwrite(&mut self.edges, num_edges, (0, 0, 0.0));
+        self.coords.clear();
+        self.lambda = OnceLock::new();
+        let open = degree.len();
+        CsrFill {
+            g: self,
+            due: degree,
+            num_nodes,
+            next: 0,
+            pos: end as usize,
+            open,
+        }
+    }
+
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.offsets.len() - 1
@@ -427,40 +658,166 @@ mod tests {
         assert_eq!(g.degree(5), 0);
     }
 
-    #[test]
-    fn build_into_reuse_matches_fresh_build() {
-        let mut builder = GraphBuilder::new(0);
-        let mut g = Graph::default();
-        // Two rebuild rounds with different shapes through the same
-        // builder + graph: contents must match a from-scratch build.
-        for round in 0..2 {
-            let n = 5 + round * 3;
-            builder.reset(n);
-            let mut fresh = GraphBuilder::new(n);
-            for i in 0..(n as u32 - 1) {
-                let w = (i as f64) * 0.5 + round as f64;
-                builder.add_edge(i, i + 1, w);
-                fresh.add_edge(i, i + 1, w);
-            }
-            builder.add_edge(0, n as u32 - 1, 9.0);
-            fresh.add_edge(0, n as u32 - 1, 9.0);
-            builder.build_into(&mut g);
-            let f = fresh.build();
-            assert_eq!(g.num_nodes(), f.num_nodes());
-            assert_eq!(g.num_edges(), f.num_edges());
-            for u in 0..n as NodeId {
-                let (a, b) = (g.neighbors(u), f.neighbors(u));
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.to, y.to);
-                    assert_eq!(x.edge, y.edge);
-                    assert_eq!(x.weight.to_bits(), y.weight.to_bits());
-                }
-            }
-            for e in 0..g.num_edges() as EdgeId {
-                assert_eq!(g.edge(e), f.edge(e));
+    /// Bit-level CSR comparison: node count, every node's neighbors
+    /// (target, edge id, weight bits) in order, and the edge table; and
+    /// `a`'s neighbors are each node's edges in id order, listed straight
+    /// from the edge table.
+    fn assert_same_csr(a: &Graph, b: &Graph) {
+        assert_eq!(a.num_nodes(), b.num_nodes());
+        assert_eq!(a.num_edges(), b.num_edges());
+        let mut lists = vec![Vec::new(); a.num_nodes()];
+        for e in 0..a.num_edges() as EdgeId {
+            let (u, v, w) = a.edge(e);
+            lists[u as usize].push((v, e, w.to_bits()));
+            lists[v as usize].push((u, e, w.to_bits()));
+        }
+        for (u, list) in lists.iter().enumerate() {
+            let got: Vec<_> = a
+                .neighbors(u as NodeId)
+                .iter()
+                .map(|h| (h.to, h.edge, h.weight.to_bits()))
+                .collect();
+            assert_eq!(&got, list, "node {u} in edge-id order");
+        }
+        for u in 0..a.num_nodes() as NodeId {
+            let key = |h: &HalfEdge| (h.to, h.edge, h.weight.to_bits());
+            let (x, y) = (a.neighbors(u), b.neighbors(u));
+            assert_eq!(
+                x.iter().map(key).collect::<Vec<_>>(),
+                y.iter().map(key).collect::<Vec<_>>(),
+                "node {u}"
+            );
+        }
+        for e in 0..a.num_edges() as EdgeId {
+            let ((u1, v1, w1), (u2, v2, w2)) = (a.edge(e), b.edge(e));
+            assert_eq!((u1, v1, w1.to_bits()), (u2, v2, w2.to_bits()), "edge {e}");
+        }
+    }
+
+    /// A star-of-stars in snapshot shape: `s` scattered hubs joined in a
+    /// ring, then `n − s` appended leaves, each linked to a few hubs
+    /// (some to none, some twice). Written once with `fill` and once
+    /// with the builder.
+    fn refill(g: &mut Graph, s: usize, n: usize, seed: u32) -> Graph {
+        let leaf_edges = |leaf: usize| -> Vec<(NodeId, f64)> {
+            (0..(leaf as u32 * 7 + seed) % 4)
+                .map(|k| {
+                    let hub = (leaf as u32 * 5 + k * 3 + seed) % s as u32;
+                    (hub, leaf as f64 + hub as f64 / 8.0)
+                })
+                .collect()
+        };
+        let mut b = GraphBuilder::new(n);
+        let mut degree = vec![0u32; s];
+        for u in 0..s as u32 {
+            let v = (u + 1) % s as u32;
+            b.add_edge(u, v, 0.5 + u as f64);
+            degree[u as usize] += 1;
+            degree[v as usize] += 1;
+        }
+        for leaf in s..n {
+            for (hub, w) in leaf_edges(leaf) {
+                b.add_edge(leaf as u32, hub, w);
+                degree[hub as usize] += 1;
             }
         }
+        let mut fill = g.fill(n, b.num_edges(), &mut degree);
+        for u in 0..s as u32 {
+            fill.edge(u, (u + 1) % s as u32, 0.5 + u as f64);
+        }
+        // Every other edgeless leaf is skipped instead of written empty.
+        for leaf in (s..n).filter(|&leaf| leaf % 2 == 1 || !leaf_edges(leaf).is_empty()) {
+            fill.append_edges(leaf as u32, leaf_edges(leaf));
+        }
+        fill.complete();
+        assert!(degree.iter().all(|&d| d == 0), "degrees count down to 0");
+        b.build()
+    }
+
+    #[test]
+    fn refill_in_place_matches_fresh_build() {
+        // Shrinking, growing and reshaping one graph in place: entries
+        // left over from an earlier fill must never show through.
+        let mut g = Graph::default();
+        for (round, &(s, n)) in [(6, 40), (3, 9), (9, 70), (4, 4), (5, 30)]
+            .iter()
+            .enumerate()
+        {
+            let fresh = refill(&mut g, s, n, round as u32 * 4);
+            assert_same_csr(&g, &fresh);
+        }
+        // With no appended nodes, the fill is exactly the builder's.
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(3, 0, 1.0);
+        b.add_edge(0, 3, 2.0);
+        b.add_edge(1, 2, 3.0);
+        let mut degree = vec![2, 1, 1, 2];
+        let mut fill = g.fill(4, 3, &mut degree);
+        fill.edge(3, 0, 1.0);
+        fill.edge(0, 3, 2.0);
+        fill.edge(1, 2, 3.0);
+        fill.complete();
+        assert_same_csr(&g, &b.build());
+    }
+
+    #[test]
+    #[should_panic(expected = "more half-edges than its declared degree")]
+    fn fill_rejects_an_undeclared_half_edge() {
+        let mut g = Graph::default();
+        let mut degree = vec![1, 1, 0];
+        let mut fill = g.fill(3, 2, &mut degree);
+        fill.edge(0, 1, 1.0);
+        fill.edge(1, 2, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than its declared degree")]
+    fn fill_rejects_a_short_degree() {
+        let mut g = Graph::default();
+        let mut degree = vec![2, 1];
+        let mut fill = g.fill(3, 2, &mut degree);
+        fill.append_edges(2, [(0, 1.0)]);
+        fill.complete();
+    }
+
+    #[test]
+    #[should_panic(expected = "edge(s) written of 3 declared")]
+    fn fill_rejects_a_short_edge_count() {
+        let mut g = Graph::default();
+        let mut degree = vec![2];
+        let mut fill = g.fill(3, 3, &mut degree);
+        fill.append_edges(1, [(0, 1.0)]);
+        fill.append_edges(2, [(0, 1.0)]);
+        fill.complete();
+    }
+
+    #[test]
+    #[should_panic(expected = "more edges than declared")]
+    fn fill_rejects_an_undeclared_edge() {
+        let mut g = Graph::default();
+        let mut degree = vec![2];
+        let mut fill = g.fill(3, 1, &mut degree);
+        fill.append_edges(1, [(0, 1.0)]);
+        fill.append_edges(2, [(0, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn fill_appends_in_node_order() {
+        let mut g = Graph::default();
+        let mut degree = vec![2];
+        let mut fill = g.fill(3, 2, &mut degree);
+        fill.append_edges(2, [(0, 1.0)]);
+        fill.append_edges(1, [(0, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn fill_validates_like_add_edge() {
+        let mut g = Graph::default();
+        let mut degree = vec![1];
+        let mut fill = g.fill(2, 1, &mut degree);
+        fill.append_edges(1, [(0, f64::NAN)]);
     }
 
     /// 4×4 unit grid with coordinates `(row, col, 0)` and unit weights:
@@ -499,11 +856,12 @@ mod tests {
         g.set_coords([[0.0; 3]; 15]);
         assert!(g.coords().is_empty());
         assert_eq!(g.lambda(), 0.0);
-        // Rebuilding into a graph drops its coordinates too.
-        let mut b = GraphBuilder::new(16);
-        b.add_edge(0, 1, 1.0);
+        // Writing a graph over drops its coordinates too.
         let mut g = unit_grid();
-        b.build_into(&mut g);
+        let mut degree = vec![1, 1];
+        let mut fill = g.fill(16, 1, &mut degree);
+        fill.edge(0, 1, 1.0);
+        fill.complete();
         assert!(g.coords().is_empty());
         assert_eq!(g.lambda(), 0.0);
     }

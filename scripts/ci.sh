@@ -68,12 +68,18 @@
 #    to the unsharded fig2 run of lane 11, and its CSV to the tracked
 #    results/fig2_latency.csv. This is the out-of-core contract —
 #    sharding is an execution strategy, never a result change.
-# 13. Shard-bench smoke: run benches/shard.rs and require the 4-shard
+# 13. Pinned-digest lane: `leo_benchmark run --seconds 1` times every
+#    workload of BENCHMARK.json at full size and seed 42 (at least five
+#    repetitions each, ~1.5 min in all) and checks each repetition's
+#    output digest against the one pinned in its workloads.rs. Every
+#    workload must print its JSON result line, and every line must read
+#    "correct":true.
+# 14. Shard-bench smoke: run benches/shard.rs and require the 4-shard
 #    merge (decode + validate + concatenate + sketch merges) to cost
 #    <= 5% of one unsharded latency fold (committed BENCH_shard.json
 #    shows ~0.3%; the loose ceiling is loud if the merge ever turns
 #    into a per-pair recompute).
-# 14. Million-pair smoke (opt-in: LEO_CI_MILLION_PAIRS=1, ~1 min):
+# 15. Million-pair smoke (opt-in: LEO_CI_MILLION_PAIRS=1, ~1 min):
 #    ext_million_pairs at full scale — 1,000,000 pairs over 4 workers,
 #    each asserted under a 512 MiB peak-RSS budget via its manifest.
 #
@@ -293,6 +299,23 @@ if ! cmp "$golden_dir/fig2_latency.out" "$shard_dir/fig2_latency.out" ||
 fi
 echo "ok: output and CSV byte-identical with and without sharding"
 rm -rf "$golden_dir" "$shard_dir"
+
+echo "== pinned digests: every benchmark workload reproduces its seed-42 output =="
+workloads=$(grep -c '{"name": "[a-z_]*", "why"' BENCHMARK.json)
+if ! bench_out=$(LEO_LOG=off cargo run -q --release --offline -p leo-bench \
+    --bin leo_benchmark -- run --seconds 1); then
+    printf '%s\n' "$bench_out" >&2
+    echo "ERROR: leo_benchmark run failed" >&2
+    exit 1
+fi
+results=$(printf '%s\n' "$bench_out" | grep -c '^{"correct":' || true)
+correct=$(printf '%s\n' "$bench_out" | grep -c '^{"correct":true,' || true)
+if [ "$results" != "$workloads" ] || [ "$correct" != "$workloads" ]; then
+    printf '%s\n' "$bench_out" >&2
+    echo "ERROR: $correct of $workloads workloads reproduced their pinned digests ($results result lines)" >&2
+    exit 1
+fi
+echo "ok: all $workloads workloads reproduced their pinned seed-42 digests"
 
 echo "== shard bench smoke: merge must stay a tiny fraction of the fold =="
 LEO_LOG=off LEO_BENCH_DIR="$log_dir" \

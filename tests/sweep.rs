@@ -9,8 +9,10 @@
 //! accumulate — stale cell membership, missed transitions, reused link
 //! buffers — shows up as a bit-level mismatch.
 
-use leo_core::{ExperimentScale, Mode, NetworkSnapshot, StudyContext, TimeSweep};
-use leo_graph::SptWorkspace;
+use leo_core::{
+    EdgeKind, ExperimentScale, Mode, NetworkSnapshot, NodeKind, StudyContext, TimeSweep,
+};
+use leo_graph::{Graph, GraphBuilder, SptWorkspace};
 use leo_util::check::check_with;
 use leo_util::{check_assert, check_assert_eq};
 
@@ -19,6 +21,37 @@ fn ctx(kind: leo_core::ConstellationKind) -> StudyContext {
     let mut cfg = ExperimentScale::Tiny.config();
     cfg.constellation = kind;
     StudyContext::build(cfg)
+}
+
+/// Bit-exact CSR comparison: node and edge counts, every node's
+/// neighbors in order (target, edge id, weight bits), and the edge
+/// table. Neighbor order decides Dijkstra's parallel-edge ties and the
+/// k-disjoint routes, so it is part of the contract.
+fn assert_same_csr(a: &Graph, b: &Graph, what: &str) -> Result<(), leo_util::check::CaseError> {
+    check_assert_eq!(a.num_nodes(), b.num_nodes(), "{what}: node count");
+    check_assert_eq!(a.num_edges(), b.num_edges(), "{what}: edge count");
+    for u in 0..a.num_nodes() as u32 {
+        let (x, y) = (a.neighbors(u), b.neighbors(u));
+        check_assert_eq!(x.len(), y.len(), "{what}: node {u} degree");
+        for (i, (p, q)) in x.iter().zip(y).enumerate() {
+            check_assert_eq!(
+                (p.to, p.edge, p.weight.to_bits()),
+                (q.to, q.edge, q.weight.to_bits()),
+                "{what}: node {u} half-edge {i}"
+            );
+        }
+    }
+    for e in 0..a.num_edges() as u32 {
+        let (u1, v1, w1) = a.edge(e);
+        let (u2, v2, w2) = b.edge(e);
+        check_assert_eq!((u1, v1), (u2, v2), "{what}: edge {e} endpoints");
+        check_assert_eq!(
+            w1.to_bits(),
+            w2.to_bits(),
+            "{what}: edge {e} weight ({w1} vs {w2})"
+        );
+    }
+    Ok(())
 }
 
 /// Bit-exact snapshot comparison (graph topology, weights, metadata).
@@ -33,27 +66,93 @@ fn assert_identical(
     check_assert_eq!(a.edges, b.edges, "{what}: edge metadata");
     check_assert_eq!(a.num_satellites, b.num_satellites, "{what}: num_satellites");
     check_assert_eq!(a.num_aircraft, b.num_aircraft, "{what}: num_aircraft");
-    check_assert_eq!(
-        a.graph.num_nodes(),
-        b.graph.num_nodes(),
-        "{what}: node count"
-    );
-    check_assert_eq!(
-        a.graph.num_edges(),
-        b.graph.num_edges(),
-        "{what}: edge count"
-    );
-    for e in 0..a.graph.num_edges() as u32 {
-        let (u1, v1, w1) = a.graph.edge(e);
-        let (u2, v2, w2) = b.graph.edge(e);
-        check_assert_eq!((u1, v1), (u2, v2), "{what}: edge {e} endpoints");
-        check_assert_eq!(
-            w1.to_bits(),
-            w2.to_bits(),
-            "{what}: edge {e} weight ({w1} vs {w2})"
+    assert_same_csr(&a.graph, &b.graph, what)
+}
+
+/// The snapshot's graph, written again by [`GraphBuilder::build`] from
+/// nothing but its own edge table, must match it half-edge for
+/// half-edge, and each node's neighbors must be its edges in id order
+/// (listed here without any CSR code); the edge metadata must name the
+/// same endpoints.
+fn assert_csr_matches_its_edge_table(
+    snap: &NetworkSnapshot,
+    what: &str,
+) -> Result<(), leo_util::check::CaseError> {
+    let g = &snap.graph;
+    check_assert_eq!(g.num_nodes(), snap.nodes.len(), "{what}: node table");
+    check_assert_eq!(g.num_edges(), snap.edges.len(), "{what}: edge table");
+    let mut b = GraphBuilder::new(g.num_nodes());
+    let mut lists: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); g.num_nodes()];
+    for e in 0..g.num_edges() as u32 {
+        let (u, v, w) = g.edge(e);
+        b.add_edge(u, v, w);
+        lists[u as usize].push((v, e, w.to_bits()));
+        lists[v as usize].push((u, e, w.to_bits()));
+        let kind_ok = match snap.edges[e as usize] {
+            EdgeKind::Isl => {
+                (u as usize) < snap.num_satellites && (v as usize) < snap.num_satellites
+            }
+            EdgeKind::UpDown { ground, sat, .. } => (u, v) == (ground, sat),
+        };
+        check_assert!(kind_ok, "{what}: edge {e} metadata names other endpoints");
+    }
+    for (u, list) in lists.iter().enumerate() {
+        let got: Vec<(u32, u32, u64)> = g
+            .neighbors(u as u32)
+            .iter()
+            .map(|h| (h.to, h.edge, h.weight.to_bits()))
+            .collect();
+        check_assert_eq!(&got, list, "{what}: node {u} neighbors in edge-id order");
+    }
+    assert_same_csr(g, &b.build(), what)
+}
+
+/// Every sweep snapshot's CSR equals an independent build of its own
+/// edge table — in all three modes, with and without delta tracking,
+/// and across steps where aircraft take off or land (which reshapes the
+/// ground-node tail the sweep appends).
+#[test]
+fn sweep_csr_matches_an_independent_build_of_its_edge_table() {
+    const MODES: [Mode; 3] = [Mode::BpOnly, Mode::Hybrid, Mode::IslOnly];
+    let c = ctx(leo_core::ConstellationKind::Starlink);
+    let times = [20_000.0, 20_015.0, 20_900.0, 23_000.0, 22_100.0];
+    let census = |snap: &NetworkSnapshot| -> Vec<u64> {
+        snap.nodes
+            .iter()
+            .filter_map(|n| match n {
+                NodeKind::Aircraft(id) => Some(*id),
+                _ => None,
+            })
+            .collect()
+    };
+    for tracked in [false, true] {
+        let mut sweep = TimeSweep::new(&c, &MODES);
+        let mut prev_census: Option<Vec<u64>> = None;
+        let mut census_changes = 0;
+        for &t in &times {
+            let snaps = if tracked {
+                sweep.step_with_deltas(t).0
+            } else {
+                sweep.step(t)
+            };
+            for (snap, mode) in snaps.iter().zip(MODES) {
+                let what = format!("tracked={tracked} t={t} {mode:?}");
+                if let Err(e) = assert_csr_matches_its_edge_table(snap, &what) {
+                    panic!("{}", e.message);
+                }
+            }
+            let now = census(&snaps[0]);
+            assert!(!now.is_empty(), "t={t}: BP snapshot carries aircraft");
+            if prev_census.as_ref().is_some_and(|p| *p != now) {
+                census_changes += 1;
+            }
+            prev_census = Some(now);
+        }
+        assert!(
+            census_changes >= 2,
+            "the walk must cross aircraft-census changes ({census_changes})"
         );
     }
-    Ok(())
 }
 
 fn random_sweep_property(c: &StudyContext, name: &str, cases: usize) {
