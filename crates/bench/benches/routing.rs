@@ -19,7 +19,11 @@
 //! * `k_disjoint_pairs` — fig4's routing step at bench scale: k = 4
 //!   edge-disjoint paths for every pair on one cold Hybrid snapshot, on
 //!   a warm workspace. Every search here has one target, so this is
-//!   where the goal-directed bound shows most directly.
+//!   where the goal-directed bound shows most directly. The snapshot's
+//!   landmark table is built by the first iteration and kept.
+//! * `landmark_table_build` — the table itself: the `LANDMARKS + 1` full
+//!   searches of one landmark table on the same bench Hybrid snapshot,
+//!   what a graph's first goal-directed `run_multi` pays.
 //! * `many_targets_sources` — the other side of the goal-direction cap:
 //!   one early-exit search per source of a 15,500-pair bench-scale set
 //!   (~62 destinations per source, `ext_million_pairs`' per-shard
@@ -158,6 +162,9 @@ fn bench_k_disjoint(h: &mut Harness) {
     let ctx = StudyContext::build(ExperimentScale::Bench.config());
     let snap = ctx.snapshot(0.0, Mode::Hybrid);
     let mut ws = DijkstraWorkspace::new();
+    h.bench("landmark_table_build", || {
+        ws.landmark_table(&snap.graph).len()
+    });
     h.bench("k_disjoint_pairs", move || {
         let mut paths = 0usize;
         for pair in &ctx.pairs {

@@ -989,7 +989,7 @@ impl<'a> TimeSweep<'a> {
     /// links in node order, so every satellite's neighbor list starts
     /// with its ISLs. The graph also gets one coordinate per node — the
     /// exact ECEF points every link delay was measured between — so
-    /// searches on it toward one or two targets run goal-directed (see
+    /// searches on it toward a few targets run goal-directed (see
     /// [`Graph::lambda`]).
     // lint: hot-path
     fn assemble_mode(&mut self, mi: usize, t_s: f64) {

@@ -36,6 +36,8 @@ pub fn k_edge_disjoint_paths(
 
 /// [`k_edge_disjoint_paths`] reusing the caller's warm workspace: all
 /// SSSP buffers and the working edge mask are amortized across calls.
+/// Each search is a one-target [`DijkstraWorkspace::run_multi`], so the
+/// many pairs routed over one snapshot share its landmark table.
 pub fn k_edge_disjoint_paths_with(
     g: &Graph,
     source: NodeId,
@@ -53,7 +55,7 @@ pub fn k_edge_disjoint_paths_with(
     let mut out = Vec::with_capacity(k);
     for _ in 0..k {
         let found = ws
-            .run(g, source, Some(&mask), Some(target))
+            .run_multi(g, source, Some(&mask), std::slice::from_ref(&target))
             .extract_path(target);
         match found {
             Some(p) => {

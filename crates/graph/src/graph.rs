@@ -1,6 +1,7 @@
 //! Compact undirected weighted graph in CSR (compressed sparse row) form,
 //! with optional per-node coordinates that give targeted searches a
-//! straight-line lower bound (see [`Graph::lambda`]).
+//! straight-line lower bound (see [`Graph::lambda`]), and a lazily built
+//! table of landmark distances that tightens it (see [`LANDMARKS`]).
 
 use std::sync::OnceLock;
 
@@ -86,6 +87,7 @@ impl GraphBuilder {
             edges: Vec::new(),
             coords: Vec::new(),
             lambda: OnceLock::new(),
+            landmarks: OnceLock::new(),
         };
         let mut fill = g.fill(self.num_nodes, self.edges.len(), &mut degree);
         for &(u, v, w) in &self.edges {
@@ -339,11 +341,29 @@ pub struct Graph {
     coords: Vec<[f64; 3]>,
     /// [`Graph::lambda`], derived on first use.
     lambda: OnceLock<f64>,
+    /// One row of [`LANDMARKS`] exact distances per node, built by the
+    /// first goal-directed `run_multi` on this graph (see
+    /// `DijkstraWorkspace::landmark_table`).
+    pub(crate) landmarks: OnceLock<Vec<[f64; LANDMARKS]>>,
 }
 
+/// Landmarks per graph: a node's distances to all of them fill one
+/// 64-byte row.
+///
+/// A goal-directed `run_multi` raises the straight-line bound toward its
+/// target `t` with the landmark (ALT) bound: every path from `v` to `t`
+/// weighs at least `|D_i(t) − D_i(v)|`, where `D_i` is the exact distance
+/// from landmark `i` (triangle inequality). The landmarks are picked by
+/// farthest-point selection, so together they see the detours a
+/// straight line cannot, such as a bent-pipe path's climbs and descents.
+/// The table depends on the edges alone: [`Graph::fill`] drops it,
+/// [`Graph::set_coords`] keeps it.
+pub const LANDMARKS: usize = 8;
+
 /// `1 − 2⁻²⁰`: λ sits this far below the tightest weight-per-length
-/// ratio, so every edge keeps a slack of `2⁻²⁰·w` (see [`Graph::lambda`]).
-const LAMBDA_MARGIN: f64 = 1.0 - 1.0 / (1u64 << 20) as f64;
+/// ratio, and the landmark bound is scaled by it, so every edge keeps a
+/// slack of `2⁻²⁰·w` (see [`Graph::lambda`]).
+pub(crate) const LAMBDA_MARGIN: f64 = 1.0 - 1.0 / (1u64 << 20) as f64;
 /// `2⁻²⁴`: the smallest weight must be at least this share of the
 /// distance and heuristic bounds `D + H` for the slack to dominate
 /// rounding.
@@ -378,7 +398,7 @@ impl Graph {
     /// `degree[u]` is the exact degree of scattered node `u`; the fill
     /// counts it down to 0. Nodes from `degree.len()` to `num_nodes` are
     /// appended. Coordinates are dropped, as on a fresh build, until
-    /// [`Graph::set_coords`].
+    /// [`Graph::set_coords`], and so is the landmark table.
     ///
     /// # Panics
     /// If `degree` is longer than `num_nodes`, or declares more
@@ -415,6 +435,7 @@ impl Graph {
         resize_for_overwrite(&mut self.edges, num_edges, (0, 0, 0.0));
         self.coords.clear();
         self.lambda = OnceLock::new();
+        self.landmarks = OnceLock::new();
         let open = degree.len();
         CsrFill {
             g: self,
@@ -478,36 +499,57 @@ impl Graph {
     }
 
     /// λ, the weight-per-length scale of the straight-line lower bound
-    /// that searches toward one or two targets add to their heap keys:
-    /// every path from `v` to `t` weighs at least `λ·|p_v − p_t|`.
-    /// Derived from the graph's own edges on first call (so graphs that
-    /// are never searched that way never pay for it) as
+    /// that goal-directed searches add to their heap keys: every path
+    /// from `v` to `t` weighs at least `λ·|p_v − p_t|`. Derived from the
+    /// graph's own edges on first call (so graphs that are never searched
+    /// that way never pay for it) as
     ///
     /// ```text
     /// λ = (1 − 2⁻²⁰) · min over edges of w / |p_u − p_v|
     /// ```
     ///
     /// It is **0** — and a targeted search is then exactly plain
-    /// `(dist, node)` Dijkstra — unless all of these hold: every node has
-    /// a finite coordinate with magnitude ≤ 2⁴⁰⁰; every edge weight is
-    /// positive; every edge length is 0 (coincident endpoints) or
-    /// ≥ 2⁻⁴⁰⁰, and at least one is nonzero; and the weights are not too
-    /// small for the margin, `w_min ≥ 2⁻²⁴·(D + H)` with `D = 2n·w_max`
-    /// (bounds every shortest distance: a simple path has < n edges) and
-    /// `H = 4λ·M` (bounds every heuristic; `M` = the largest coordinate
-    /// magnitude).
+    /// `(dist, node)` Dijkstra, with no landmark table either — unless
+    /// all of these hold: every node has a finite coordinate with
+    /// magnitude ≤ 2⁴⁰⁰; every edge weight is positive; every edge length
+    /// is 0 (coincident endpoints) or ≥ 2⁻⁴⁰⁰, and at least one is
+    /// nonzero; and the weights are not too small for the margin,
+    /// `w_min ≥ 2⁻²⁴·(D + H)` with `D = 2n·w_max` (bounds every shortest
+    /// distance: a simple path has < n edges) and `H = max(4λ·M, D)`
+    /// (bounds every heuristic: `4λ·M` the straight-line term, with `M`
+    /// the largest coordinate magnitude, and `D` the landmark term).
     ///
-    /// **Why λ > 0 never changes a bit.** Let `ε = 2⁻⁵³` and write `h(v)`
-    /// for the computed bound `fl(λ·fl(√ min_t |p_v − p_t|²))`. Computed
+    /// The heuristic of a search aimed at target `t` is
+    ///
+    /// ```text
+    /// h(v) = max(λ·|p_v − p_t|, μ·max_i |D_i(t) − D_i(v)|),   μ = 1 − 2⁻²⁰
+    /// ```
+    ///
+    /// where the landmark term (see [`LANDMARKS`]) is present only in
+    /// `run_multi` searches and takes only the differences that are
+    /// finite (0 when none is).
+    ///
+    /// **Why λ > 0 never changes a bit.** Let `ε = 2⁻⁵³`. For the
+    /// straight-line term `h(v) = fl(λ·fl(√|p_v − p_t|²))`: computed
     /// lengths carry relative error ≤ 4ε (the magnitude guards keep edge
     /// squares normal; a node-to-target square that underflows is off by
     /// less than `λ·2⁻⁵³⁶`, far below the slack), and λ rounds up by
     /// ≤ 2ε, so for an edge `(u, v, w)` the triangle inequality through
-    /// `v`'s nearest target gives
+    /// `t` gives
     ///
     /// ```text
     /// h(u) ≤ h(v) + w − 2⁻²⁰·w + 14ε·w + 12ε·H.                   (1)
     /// ```
+    ///
+    /// The landmark term obeys (1) too. The table holds Dijkstra's
+    /// computed distances, so every edge has `D_i(u) ≤ fl(D_i(v) + w)` and
+    /// `|D_i(u) − D_i(v)| ≤ w + ε·D`. `u` and `v` lie in one component, so
+    /// a landmark's difference is finite at both or at neither, and both
+    /// maxima run over the same landmarks. Rounding the subtractions and
+    /// the product with μ then adds at most `6ε·D + ε·w`, and `D ≤ H`. A
+    /// maximum of two terms that obey (1) obeys it as well. The table is
+    /// built without a mask, and (1) holds on every edge of the graph, so
+    /// it holds on every edge a masked search relaxes.
     ///
     /// For any float `g ≤ D`, folding the edge in adds ≤ ε·D of rounding,
     /// so the real key sums satisfy `g + h(u) ≤ fl(g + w) + h(v) − δ` with
@@ -532,6 +574,14 @@ impl Graph {
     ///   so it settles in `(dist, node)` order and keeps the first
     ///   candidate it settles. Parallel edges from one candidate resolve
     ///   to the lowest edge id in both (CSR order, strict replacement).
+    ///
+    /// Both arguments look only at the bound in use when `v` pops, and
+    /// need only that every settled node is exact and has relaxed its
+    /// edges. So a search may change its aim between pops: when the aimed
+    /// target settles, `run_multi` aims at the next pending one,
+    /// recomputes every open key and rebuilds its heap, and every later
+    /// pop is still exact with Dijkstra's parent. (Keys do not grow
+    /// across a change of aim, and need not.)
     ///
     /// So coordinates that are wrong, scrambled or missing only weaken
     /// (or zero) λ: the bound then prunes less, and every distance and
@@ -572,8 +622,9 @@ impl Graph {
             return 0.0;
         }
         let lambda = LAMBDA_MARGIN * ratio;
-        let bound = 2.0 * n as f64 * w_max + 4.0 * lambda * m;
-        if w_min >= MARGIN_SCALE * bound {
+        let d = 2.0 * n as f64 * w_max;
+        let h = d.max(4.0 * lambda * m);
+        if w_min >= MARGIN_SCALE * (d + h) {
             lambda
         } else {
             0.0

@@ -7,9 +7,10 @@
 //!
 //! * [`Graph`] — a compact CSR adjacency structure with stable edge ids,
 //!   written in one pass per snapshot ([`Graph::fill`]), with optional
-//!   per-node coordinates whose straight-line bound ([`Graph::lambda`])
-//!   makes searches toward one or two targets goal-directed without
-//!   changing any result bit.
+//!   per-node coordinates whose straight-line bound ([`Graph::lambda`]),
+//!   raised by a lazily built table of landmark distances
+//!   ([`LANDMARKS`]), makes searches toward a few targets goal-directed
+//!   without changing any result bit.
 //! * [`dijkstra`] / [`dijkstra_with_mask`] — single-source shortest paths
 //!   (the latency experiments run one SSSP per unique source city), and
 //!   [`DijkstraWorkspace`] — reusable generation-stamped buffers so hot
@@ -42,11 +43,11 @@ mod yen;
 
 pub use components::{component_sizes, connected_components};
 pub use disjoint::{k_edge_disjoint_paths, k_edge_disjoint_paths_with};
-pub use graph::{CsrFill, EdgeId, Graph, GraphBuilder, NodeId};
+pub use graph::{CsrFill, EdgeId, Graph, GraphBuilder, NodeId, LANDMARKS};
 pub use maxflow::{max_flow, max_flow_with, FlowNetwork, MaxFlowWorkspace};
 pub use shortest::{
     dijkstra, dijkstra_with_mask, extract_path, with_thread_workspace, DijkstraWorkspace, Path,
-    ShortestPaths, SptWorkspace, SsspView,
+    ShortestPaths, SptWorkspace, SsspView, GOAL_MAX_TARGETS,
 };
 pub use suurballe::{suurballe, suurballe_with};
 pub use yen::{yen_k_shortest, yen_k_shortest_with};

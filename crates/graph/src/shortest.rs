@@ -14,14 +14,18 @@
 //! an improved label lowers the node's key in place, and every pop
 //! settles a node, in `(key, node)` order.
 //!
-//! A run with one or two distinct targets on a graph with coordinates is
-//! goal-directed: its heap keys add the straight-line bound
-//! `λ·min_t |p_v − p_t|` (see [`Graph::lambda`]), which settles fewer
-//! nodes and leaves every distance and path bit-identical to plain
-//! Dijkstra. Runs with more targets are plain Dijkstra (see
-//! `GOAL_MAX_TARGETS`).
+//! A run toward at most [`GOAL_MAX_TARGETS`] distinct targets on a graph
+//! with coordinates is goal-directed: its heap keys add a lower bound on
+//! the distance to one target at a time (see [`Graph::lambda`]), which
+//! settles fewer nodes and leaves every distance and path bit-identical
+//! to plain Dijkstra. [`DijkstraWorkspace::run_multi`] takes the larger
+//! of the straight-line bound and a landmark bound read from the graph's
+//! table of exact distances (see [`LANDMARKS`]), which it builds on the
+//! graph's first such search; [`DijkstraWorkspace::run`] uses the
+//! straight line alone and never builds a table. Runs with more targets
+//! are plain Dijkstra.
 
-use crate::graph::{dist_sq, EdgeId, Graph, NodeId};
+use crate::graph::{dist_sq, EdgeId, Graph, NodeId, LAMBDA_MARGIN, LANDMARKS};
 use leo_util::telemetry::Counter;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -172,6 +176,20 @@ impl NodeHeap {
         self.sift_up(i, (key, node));
     }
 
+    /// Give every entry the key `key(node)` and restore the heap order
+    /// bottom-up, in time linear in the entries.
+    fn rekey(&mut self, mut key: impl FnMut(NodeId) -> f64) {
+        for slot in &mut self.slots {
+            slot.0 = key(slot.1);
+        }
+        let len = self.slots.len();
+        if len > 1 {
+            for i in (0..=(len - 2) / HEAP_ARITY).rev() {
+                self.sift_down(i, self.slots[i]);
+            }
+        }
+    }
+
     /// Remove and return the `(key, node)`-smallest entry.
     #[inline]
     fn pop(&mut self) -> Option<(f64, NodeId)> {
@@ -261,10 +279,9 @@ pub struct DijkstraWorkspace {
     parent_edge: Vec<EdgeId>,
     parent_node: Vec<NodeId>,
     settled: Vec<bool>,
-    /// Straight-line bound of each touched node in a goal-directed run.
+    /// Bound toward the aimed target of each open node in a
+    /// goal-directed run.
     bound: Vec<f64>,
-    /// Coordinates of the current run's distinct targets.
-    target_pts: Vec<[f64; 3]>,
     heap: NodeHeap,
     /// Loanable scratch mask, used by the multi-path algorithms.
     mask_buf: Vec<bool>,
@@ -289,8 +306,9 @@ impl DijkstraWorkspace {
         self.runs
     }
 
-    /// Bump the generation and size buffers for an `n`-node graph.
-    fn begin(&mut self, n: usize) {
+    /// Bump the generation, size buffers for an `n`-node graph and stamp
+    /// `targets`; returns how many of them are distinct.
+    fn begin(&mut self, n: usize, targets: &[NodeId]) -> usize {
         if self.stamp.len() < n {
             // lint: allow(hot-path-alloc) grows once to the peak node count, then the guard above makes every resize a no-op
             self.stamp.resize(n, 0);
@@ -319,13 +337,33 @@ impl DijkstraWorkspace {
         }
         self.heap.clear();
         self.active_n = n;
+        let mut distinct = 0;
+        for &t in targets {
+            let ti = t as usize;
+            // lint: allow(panic-reachable) documented `# Panics` contract: buffers a warm workspace grew for a larger graph would take the node without a bounds-check failure
+            assert!(ti < n, "target {t} out of range for {n} nodes");
+            if self.target_stamp[ti] != self.gen {
+                self.target_stamp[ti] = self.gen;
+                distinct += 1;
+            }
+        }
+        distinct
     }
 
     /// Run Dijkstra from `source`, skipping edges marked `true` in
     /// `disabled` and optionally stopping once `target` is settled.
     ///
+    /// A run toward a target on a graph with [`Graph::lambda`] > 0 is
+    /// goal-directed on the straight-line bound alone. `run` serves
+    /// callers that search a graph once or twice, for whom a landmark
+    /// table would cost more than it saves, so it neither builds one nor
+    /// reads one: its work never depends on what else searched the graph.
+    ///
     /// Returns a [`SsspView`] borrowing this workspace; the result stays
     /// readable (via [`DijkstraWorkspace::view`]) until the next run.
+    ///
+    /// # Panics
+    /// If `source` or `target` is not a node of `g`.
     pub fn run(
         &mut self,
         g: &Graph,
@@ -333,10 +371,7 @@ impl DijkstraWorkspace {
         disabled: Option<&[bool]>,
         target: Option<NodeId>,
     ) -> SsspView<'_> {
-        match target {
-            Some(t) => self.run_core(g, source, disabled, Some(std::slice::from_ref(&t))),
-            None => self.run_core(g, source, disabled, None),
-        }
+        self.run_core(g, source, disabled, target.as_slice(), false)
     }
 
     /// Like [`DijkstraWorkspace::run`] with a *set* of early-exit targets:
@@ -347,13 +382,23 @@ impl DijkstraWorkspace {
     /// Distances and paths to the targets are exact, bit for bit what a
     /// full Dijkstra run reports. Non-target nodes follow the settled-only
     /// contract: every node the run settles is exact too, but *which*
-    /// nodes get settled depends on the graph's coordinates — with
-    /// [`Graph::lambda`] > 0 and at most two distinct targets the search
-    /// is goal-directed and settles mostly nodes toward the targets.
+    /// nodes get settled depends on the graph's coordinates. With
+    /// [`Graph::lambda`] > 0 and at most [`GOAL_MAX_TARGETS`] distinct
+    /// targets the search is goal-directed and aims at one target at a
+    /// time, in the order given: its keys add the larger of the
+    /// straight-line and the landmark bound toward that target, and when
+    /// it settles while others are pending, the search aims at the next
+    /// unsettled one and re-keys every open node. The graph's first such
+    /// search builds the graph's landmark table
+    /// ([`DijkstraWorkspace::landmark_table`]) on this workspace, so the
+    /// table's searches count like any other run of it.
     ///
     /// This is the experiment-loop shape: one source city, a handful of
     /// destination cities, and a constellation graph whose far side never
     /// needs settling.
+    ///
+    /// # Panics
+    /// If `source` or any target is not a node of `g`.
     pub fn run_multi(
         &mut self,
         g: &Graph,
@@ -361,66 +406,56 @@ impl DijkstraWorkspace {
         disabled: Option<&[bool]>,
         targets: &[NodeId],
     ) -> SsspView<'_> {
-        self.run_core(
-            g,
-            source,
-            disabled,
-            if targets.is_empty() {
-                None
-            } else {
-                Some(targets)
-            },
-        )
+        self.run_core(g, source, disabled, targets, true)
     }
 
+    /// One run; `landmarks` lets a goal-directed run use (and build) the
+    /// graph's landmark table.
     // lint: hot-path
     fn run_core(
         &mut self,
         g: &Graph,
         source: NodeId,
         disabled: Option<&[bool]>,
-        targets: Option<&[NodeId]>,
+        targets: &[NodeId],
+        landmarks: bool,
     ) -> SsspView<'_> {
         let n = g.num_nodes();
-        // Release builds keep equivalent protection via the slice bounds
-        // checks on `stamp`/`dist` indexing below; the named asserts are
-        // kept for debug/test builds where the message matters.
-        debug_assert!((source as usize) < n, "source out of range");
+        // lint: allow(panic-reachable) documented `# Panics` contract: buffers a warm workspace grew for a larger graph would take the node without a bounds-check failure
+        assert!(
+            (source as usize) < n,
+            "source {source} out of range for {n} nodes"
+        );
         if let Some(d) = disabled {
             debug_assert_eq!(d.len(), g.num_edges(), "mask length must equal edge count");
         }
+        let distinct = self.begin(n, targets);
+        // Goal direction needs a few targets to aim at (see
+        // `GOAL_MAX_TARGETS`); λ = 0 keeps the keys equal to the
+        // distances, i.e. plain (dist, node) Dijkstra.
+        let lambda = match distinct {
+            1..=GOAL_MAX_TARGETS => g.lambda(),
+            _ => 0.0,
+        };
+        let rows = match (landmarks && lambda > 0.0, g.landmarks.get()) {
+            (false, _) => None,
+            (true, Some(rows)) => Some(rows.as_slice()),
+            (true, None) => {
+                // Another thread may be building the table; then this
+                // waits for it instead of running the searches itself.
+                let rows = g.landmarks.get_or_init(|| self.landmark_table(g));
+                // The table's searches may have run on this workspace:
+                // start over.
+                self.begin(n, targets);
+                Some(rows.as_slice())
+            }
+        };
         DIJKSTRA_CALLS.add(1);
         if self.runs > 0 {
             WORKSPACE_REUSES.add(1);
         }
         self.runs += 1;
-        self.begin(n);
         let gen = self.gen;
-        let coords = g.coords();
-        self.target_pts.clear();
-        // Pending distinct early-exit targets; `None` = run to exhaustion.
-        let pending = targets.map(|ts| {
-            let mut distinct = 0usize;
-            for &t in ts {
-                let ti = t as usize;
-                debug_assert!(ti < n, "target out of range"); // release: target_stamp[ti] bounds-checks
-                if self.target_stamp[ti] != gen {
-                    self.target_stamp[ti] = gen;
-                    distinct += 1;
-                    if distinct <= GOAL_MAX_TARGETS && !coords.is_empty() {
-                        self.target_pts.push(coords[ti]);
-                    }
-                }
-            }
-            distinct
-        });
-        // Goal direction needs a few targets to aim at (see
-        // `GOAL_MAX_TARGETS`); λ = 0 keeps the keys equal to the
-        // distances, i.e. plain (dist, node) Dijkstra.
-        let lambda = match pending {
-            Some(1..=GOAL_MAX_TARGETS) => g.lambda(),
-            _ => 0.0,
-        };
         let si = source as usize;
         self.stamp[si] = gen;
         self.dist[si] = 0.0;
@@ -428,10 +463,20 @@ impl DijkstraWorkspace {
         self.parent_node[si] = NodeId::MAX;
         self.settled[si] = false;
         self.heap.push(0.0, source);
+        let mut aim = Aim {
+            lambda,
+            coords: g.coords(),
+            rows,
+            target: NodeId::MAX,
+            point: [0.0; 3],
+            row: [0.0; LANDMARKS],
+            next: 0,
+        };
         let settled_count = if lambda > 0.0 {
-            self.settle::<true>(g, disabled, pending, lambda)
+            aim.next_pending(targets, |_| false);
+            self.settle::<true>(g, disabled, targets, distinct, aim)
         } else {
-            self.settle::<false>(g, disabled, pending, 0.0)
+            self.settle::<false>(g, disabled, targets, distinct, aim)
         };
         DIJKSTRA_SETTLED.add(settled_count);
         self.source = source;
@@ -440,31 +485,34 @@ impl DijkstraWorkspace {
 
     /// The settle loop of a run, compiled twice: `GOAL = false` (λ = 0)
     /// is plain `(dist, node)` Dijkstra with no per-edge λ test, and
-    /// `GOAL = true` adds `λ` times the straight-line distance to the
-    /// nearest target to every heap key and applies the exact-tie parent
-    /// rule (see [`Graph::lambda`]). Returns the number of nodes settled.
+    /// `GOAL = true` adds `aim`'s bound to every heap key, re-aims when
+    /// the aimed target settles and applies the exact-tie parent rule
+    /// (see [`Graph::lambda`]). `pending` counts the distinct targets not
+    /// yet settled (0: run to exhaustion). Returns the number of nodes
+    /// settled.
     // lint: hot-path
     fn settle<const GOAL: bool>(
         &mut self,
         g: &Graph,
         disabled: Option<&[bool]>,
-        mut pending: Option<usize>,
-        lambda: f64,
+        targets: &[NodeId],
+        mut pending: usize,
+        mut aim: Aim<'_>,
     ) -> u64 {
         let gen = self.gen;
-        let coords = g.coords();
         let mut settled_count = 0u64;
         while let Some((key, u)) = self.heap.pop() {
             let ui = u as usize;
             debug_assert!(!self.settled[ui], "a node is in the heap at most once");
             self.settled[ui] = true;
             settled_count += 1;
-            if let Some(p) = pending.as_mut() {
-                if self.target_stamp[ui] == gen {
-                    *p -= 1;
-                    if *p == 0 {
-                        break;
-                    }
+            if self.target_stamp[ui] == gen {
+                pending -= 1;
+                if pending == 0 {
+                    break;
+                }
+                if GOAL && u == aim.target {
+                    self.retarget(&mut aim, targets);
                 }
             }
             // A plain key is the label itself; a goal-directed key adds
@@ -486,7 +534,7 @@ impl DijkstraWorkspace {
                     self.parent_edge[vi] = h.edge;
                     self.parent_node[vi] = u;
                     if GOAL && fresh {
-                        self.bound[vi] = lambda * nearest(&self.target_pts, &coords[vi]);
+                        self.bound[vi] = aim.bound(vi);
                     }
                     let key = if GOAL { nd + self.bound[vi] } else { nd };
                     if fresh {
@@ -512,6 +560,62 @@ impl DijkstraWorkspace {
             }
         }
         settled_count
+    }
+
+    /// The aimed target just settled with others pending: aim at the next
+    /// unsettled target in the order given, and re-key every open node
+    /// toward it.
+    fn retarget(&mut self, aim: &mut Aim<'_>, targets: &[NodeId]) {
+        let gen = self.gen;
+        let (stamp, settled) = (&self.stamp, &self.settled);
+        aim.next_pending(targets, |t| stamp[t] == gen && settled[t]);
+        let (dist, bound) = (&self.dist, &mut self.bound);
+        self.heap.rekey(|v| {
+            let vi = v as usize;
+            bound[vi] = aim.bound(vi);
+            dist[vi] + bound[vi]
+        });
+    }
+
+    /// `g`'s landmark table (see [`LANDMARKS`]): for every node, its exact
+    /// distance from each landmark, bit for bit what a full search from
+    /// that landmark reports (`INFINITY` where it does not reach).
+    ///
+    /// Farthest-point selection picks the landmarks: the first is the
+    /// node farthest from the highest-degree node, and each next one the
+    /// node farthest from its nearest landmark so far, lowest id on ties.
+    /// All are drawn from the nodes that first search reaches, so on a
+    /// graph with edges an isolated node is never one. The table costs
+    /// `LANDMARKS + 1` full searches on this workspace, each counted like
+    /// any other run. [`DijkstraWorkspace::run_multi`] builds it once per
+    /// graph and keeps it in the graph; this call always builds afresh.
+    pub fn landmark_table(&mut self, g: &Graph) -> Vec<[f64; LANDMARKS]> {
+        let n = g.num_nodes();
+        // lint: allow(hot-path-alloc) one table per graph, built by the graph's first goal-directed search and kept in it
+        let mut rows = vec![[f64::INFINITY; LANDMARKS]; n];
+        if n == 0 {
+            return rows;
+        }
+        let mut hub = 0;
+        for v in 1..n as NodeId {
+            if g.degree(v) > g.degree(hub) {
+                hub = v;
+            }
+        }
+        let view = self.run_core(g, hub, None, &[], false);
+        let mut landmark = farthest(n, |v| view.dist(v));
+        for i in 0..LANDMARKS {
+            let view = self.run_core(g, landmark, None, &[], false);
+            for (v, row) in rows.iter_mut().enumerate() {
+                row[i] = view.dist(v as NodeId);
+            }
+            landmark = farthest(n, |v| {
+                rows[v as usize][..=i]
+                    .iter()
+                    .fold(f64::INFINITY, |m, &d| m.min(d))
+            });
+        }
+        rows
     }
 
     /// A view of the most recent run's result (empty before any run).
@@ -555,28 +659,86 @@ impl DijkstraWorkspace {
     }
 }
 
-/// Most distinct targets a run aims the straight-line bound at; runs
-/// with more are plain Dijkstra. The bound is the distance to the
-/// *nearest* target, so it prunes well toward one or two targets but
-/// little once they spread around the globe, while every touched node
-/// pays one distance per target. Timed per search on Starlink BP and
-/// hybrid snapshots over three real pair sets (`leo_benchmark`'s
-/// `latency_day`, paper-scale fig2, `ext_million_pairs`), the bound
-/// changed search time by −66…−27% at one target, −28…+15% at two,
-/// −10…+39% at three to eight and +137…+163% at 64. A cap of two gave
-/// the smallest BP + hybrid total on the first two sets and tied with a
-/// cap of one on the third.
-const GOAL_MAX_TARGETS: usize = 2;
+/// Most distinct targets a goal-directed run aims at; runs with more are
+/// plain Dijkstra. Aiming at one target at a time, a run re-keys its open
+/// nodes once per target and settles one corridor per target, which
+/// stops paying once many targets ring the source. Each search was timed
+/// both ways (goal-directed with no cap, and plain) on Starlink BP and
+/// hybrid snapshots over three real pair sets. Goal direction changed
+/// search time by −87…−52% on `latency_day`'s (1 to 6 targets); by
+/// −89…−33% at 1 to 12 targets and −18…−17% at 13 to 16 on paper-scale
+/// fig2's; and on an `ext_million_pairs` shard's by −83…−24% at 1 to 8,
+/// −26…−1% at 9 to 12, −3…+25% at 13 to 16 and +150…+155% past 16. A cap
+/// of 12 gave the smallest BP + hybrid total on the million-pair set and
+/// came within 2% of the best (no cap) on paper-scale fig2; every cap
+/// from 6 up ties on `latency_day`.
+pub const GOAL_MAX_TARGETS: usize = 12;
 
-/// Straight-line distance from `p` to the nearest of `targets` (one
-/// square root: `√` is monotone, so the minimum commutes with it).
-#[inline]
-fn nearest(targets: &[[f64; 3]], p: &[f64; 3]) -> f64 {
-    let mut best = f64::INFINITY;
-    for t in targets {
-        best = best.min(dist_sq(p, t));
+/// The node with the largest finite `score`, lowest id on ties (node 0
+/// when no score is finite).
+fn farthest(n: usize, score: impl Fn(NodeId) -> f64) -> NodeId {
+    let (mut best, mut best_score) = (0, f64::NEG_INFINITY);
+    for v in 0..n as NodeId {
+        let s = score(v);
+        if s.is_finite() && s > best_score {
+            (best, best_score) = (v, s);
+        }
     }
-    best.sqrt()
+    best
+}
+
+/// The target a goal-directed run is aimed at, and the bound of every
+/// node toward it.
+struct Aim<'g> {
+    /// The straight-line scale, [`Graph::lambda`].
+    lambda: f64,
+    coords: &'g [[f64; 3]],
+    /// The graph's landmark table, in `run_multi` runs.
+    rows: Option<&'g [[f64; LANDMARKS]]>,
+    /// The aimed target, with its point and table row.
+    target: NodeId,
+    point: [f64; 3],
+    row: [f64; LANDMARKS],
+    /// Position in the run's target list just past the aimed target.
+    next: usize,
+}
+
+impl Aim<'_> {
+    /// Aim at the first target from position `next` on that has not
+    /// `settled`. Every target before `next` has settled.
+    fn next_pending(&mut self, targets: &[NodeId], settled: impl Fn(usize) -> bool) {
+        while let Some(&t) = targets.get(self.next) {
+            self.next += 1;
+            let ti = t as usize;
+            if !settled(ti) {
+                self.target = t;
+                self.point = self.coords[ti];
+                if let Some(rows) = self.rows {
+                    self.row = rows[ti];
+                }
+                return;
+            }
+        }
+    }
+
+    /// `v`'s bound toward the aimed target: the larger of the
+    /// straight-line and the landmark bound (see [`Graph::lambda`]).
+    #[inline]
+    fn bound(&self, v: usize) -> f64 {
+        let line = self.lambda * dist_sq(&self.coords[v], &self.point).sqrt();
+        let Some(rows) = self.rows else {
+            return line;
+        };
+        let mut far = 0.0f64;
+        for (&at_target, &at_v) in self.row.iter().zip(&rows[v]) {
+            let d = (at_target - at_v).abs();
+            // A landmark that reaches only one of the two gives ∞ or NaN.
+            if d.is_finite() && d > far {
+                far = d;
+            }
+        }
+        line.max(LAMBDA_MARGIN * far)
+    }
 }
 
 /// Borrowed result of the most recent [`DijkstraWorkspace::run`].
@@ -585,8 +747,9 @@ fn nearest(targets: &[[f64; 3]], p: &[f64; 3]) -> f64 {
 /// distances are reported only for **settled** nodes, so an early-exited
 /// run never exposes a stale queued-but-unrelaxed upper bound. Targets
 /// are always exact. Every other settled node is exact as well, but in a
-/// goal-directed run (one or two distinct targets, [`Graph::lambda`] > 0)
-/// *which* non-target nodes get settled depends on the coordinates.
+/// goal-directed run (at most [`GOAL_MAX_TARGETS`] distinct targets,
+/// [`Graph::lambda`] > 0) *which* non-target nodes get settled depends on
+/// the coordinates and, in `run_multi`, on the landmark table.
 #[derive(Clone, Copy)]
 pub struct SsspView<'a> {
     ws: &'a DijkstraWorkspace,
@@ -1486,6 +1649,151 @@ mod tests {
                 assert_eq!(view.dist(t), fresh.dist[t as usize], "src {s} target {t}");
             }
         }
+    }
+
+    /// Regression: a release build once took `target` 5 of a 3-node graph
+    /// through buffers the workspace had grown for a larger graph, and
+    /// reported it unreached instead of panicking like a fresh workspace.
+    #[test]
+    #[should_panic(expected = "target 5 out of range for 3 nodes")]
+    fn out_of_range_target_panics_on_a_warm_workspace() {
+        let mut ws = DijkstraWorkspace::new();
+        ws.run(&two_cliques(), 0, None, None);
+        ws.run_multi(&small(), 0, None, &[1, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "source 6 out of range for 3 nodes")]
+    fn out_of_range_source_panics_on_a_warm_workspace() {
+        let mut ws = DijkstraWorkspace::new();
+        ws.run(&two_cliques(), 0, None, None);
+        ws.run(&small(), 6, None, Some(1));
+    }
+
+    /// A 4×4 unit grid whose coordinates are its `(row, col)` (nodes
+    /// 0–15, λ > 0), an isolated node (16), a two-node component (17–18)
+    /// and another isolated node (19).
+    fn grid_with_islands() -> Graph {
+        let id = |r: u32, c: u32| r * 4 + c;
+        let mut b = GraphBuilder::new(20);
+        for r in 0..4 {
+            for c in 0..4 {
+                if c + 1 < 4 {
+                    b.add_edge(id(r, c), id(r, c + 1), 1.0);
+                }
+                if r + 1 < 4 {
+                    b.add_edge(id(r, c), id(r + 1, c), 1.0);
+                }
+            }
+        }
+        b.add_edge(17, 18, 1.0);
+        let mut g = b.build();
+        let mut points: Vec<[f64; 3]> = (0..16)
+            .map(|i| [(i / 4) as f64, (i % 4) as f64, 0.0])
+            .collect();
+        points.extend([
+            [9.0, 9.0, 0.0],
+            [20.0, 0.0, 0.0],
+            [21.0, 0.0, 0.0],
+            [0.0, 30.0, 0.0],
+        ]);
+        g.set_coords(points);
+        assert!(g.lambda() > 0.0);
+        g
+    }
+
+    /// Each table column's landmark: the node at distance 0, which on a
+    /// graph with positive weights is the landmark alone.
+    fn landmarks_of(rows: &[[f64; LANDMARKS]]) -> Vec<NodeId> {
+        (0..LANDMARKS)
+            .map(|i| {
+                let mut at_zero = (0..rows.len()).filter(|&v| rows[v][i].to_bits() == 0);
+                let l = at_zero
+                    .next()
+                    .expect("a landmark is at distance 0 from itself");
+                assert!(at_zero.next().is_none(), "column {i} has one node at 0");
+                l as NodeId
+            })
+            .collect()
+    }
+
+    #[test]
+    fn landmark_rows_are_full_search_distances() {
+        let g = grid_with_islands();
+        let rows = DijkstraWorkspace::new().landmark_table(&g);
+        assert_eq!(rows.len(), g.num_nodes());
+        for (i, &l) in landmarks_of(&rows).iter().enumerate() {
+            let full = dijkstra(&g, l);
+            for (v, row) in rows.iter().enumerate() {
+                assert_eq!(
+                    row[i].to_bits(),
+                    full.dist[v].to_bits(),
+                    "landmark {l}, node {v}"
+                );
+            }
+        }
+    }
+
+    /// Farthest-point selection from the highest-degree node (5, the
+    /// first of the four interior nodes): the far corner 15, then the
+    /// corner 0 farthest from it, then each time the lowest id among the
+    /// nodes farthest from their nearest landmark (corner 3 at 3, node 9
+    /// at 3, 6 and 12 at 2, 1 and 2 at 1). The same on a fresh and on a
+    /// warm workspace, and never an isolated node or the other component.
+    #[test]
+    fn landmark_selection_is_deterministic_and_skips_isolated_nodes() {
+        let g = grid_with_islands();
+        let fresh = DijkstraWorkspace::new().landmark_table(&g);
+        let mut warm = DijkstraWorkspace::new();
+        warm.run(&two_cliques(), 3, None, None);
+        let again = warm.landmark_table(&g);
+        for (a, b) in fresh.iter().zip(&again) {
+            assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
+        }
+        let landmarks = landmarks_of(&fresh);
+        assert_eq!(landmarks, [15, 0, 3, 9, 6, 12, 1, 2]);
+        assert!(landmarks.iter().all(|&l| g.degree(l) > 0));
+        for (v, row) in fresh.iter().enumerate().skip(16) {
+            assert!(row.iter().all(|d| d.is_infinite()), "node {v}");
+        }
+    }
+
+    /// Only a goal-directed `run_multi` builds the table: `run`, plain
+    /// runs, runs past the target cap and runs on a graph with λ = 0
+    /// leave it unbuilt. `set_coords` keeps it; `fill` drops it.
+    #[test]
+    fn landmark_table_is_built_once_by_run_multi_and_dropped_by_fill() {
+        let mut g = grid_with_islands();
+        let mut ws = DijkstraWorkspace::new();
+        ws.run(&g, 0, None, Some(15));
+        ws.run_multi(&g, 0, None, &[]);
+        let too_many: Vec<NodeId> = (1..=GOAL_MAX_TARGETS as NodeId + 1).collect();
+        ws.run_multi(&g, 0, None, &too_many);
+        let mut plain = g.clone();
+        plain.set_coords([]);
+        ws.run_multi(&plain, 0, None, &[15]);
+        assert!(g.landmarks.get().is_none() && plain.landmarks.get().is_none());
+        let runs = ws.runs();
+        assert_eq!(ws.run_multi(&g, 0, None, &[15, 17]).dist(15), 6.0);
+        assert_eq!(
+            ws.runs(),
+            runs + LANDMARKS as u64 + 2,
+            "table searches count as runs"
+        );
+        let table = g
+            .landmarks
+            .get()
+            .expect("built by the first goal-directed run_multi");
+        assert_eq!(table, &DijkstraWorkspace::new().landmark_table(&g));
+        ws.run_multi(&g, 3, None, &[12]);
+        assert_eq!(ws.runs(), runs + LANDMARKS as u64 + 3, "built once");
+        g.set_coords(g.coords().to_vec());
+        assert!(g.landmarks.get().is_some());
+        let mut degree = vec![1, 1];
+        let mut fill = g.fill(20, 1, &mut degree);
+        fill.edge(0, 1, 1.0);
+        fill.complete();
+        assert!(g.landmarks.get().is_none());
     }
 
     /// `NodeHeap` against a sorted `(key, node)` list: random pushes,

@@ -200,17 +200,15 @@ fn early_exit_distances_are_never_stale() {
     });
 }
 
-/// A graph with coordinates whose weights are at least the straight-line
-/// length over a per-graph speed — the shape of every snapshot graph —
-/// in one of two flavours. Geometric: random points on an integer
-/// lattice (so coincident points occur), random edges with random slack
-/// above the length, some parallel duplicates, occasionally a zero
-/// weight. Grid: unit spacing and unit weights, so λ is as tight as it
-/// gets and equal-length paths tie exactly everywhere. The last node is
-/// always isolated, so some targets are unreachable.
-fn arb_geometric_graph(gen: &mut Gen) -> Graph {
-    let speed = [1.0, 3.0, 299_792_458.0][gen.usize(0..3)];
-    let (points, edges) = if gen.bool() {
+/// One component of an [`arb_geometric_graph`], in one of two flavours.
+/// Geometric: random points on an integer lattice (so coincident points
+/// occur), random edges with random slack above the length over `speed`,
+/// some parallel duplicates, occasionally a zero weight. Grid: unit
+/// spacing and unit weights over `speed`, so λ is as tight as it gets and
+/// equal-length paths tie exactly everywhere.
+#[allow(clippy::type_complexity)]
+fn arb_piece(gen: &mut Gen, speed: f64) -> (Vec<[f64; 3]>, Vec<(u32, u32, f64)>) {
+    if gen.bool() {
         let (rows, cols) = (gen.u32(1..7), gen.u32(2..7));
         let id = |r: u32, c: u32| r * cols + c;
         let mut edges = Vec::new();
@@ -227,47 +225,65 @@ fn arb_geometric_graph(gen: &mut Gen) -> Graph {
         let points: Vec<[f64; 3]> = (0..rows * cols)
             .map(|i| [(i / cols) as f64, (i % cols) as f64, 0.0])
             .collect();
-        (points, edges)
-    } else {
-        let n = gen.usize(2..30);
-        let points: Vec<[f64; 3]> = (0..n)
-            .map(|_| {
-                [
-                    gen.f64(0.0..6.0).floor(),
-                    gen.f64(0.0..6.0).floor(),
-                    gen.f64(0.0..3.0).floor(),
-                ]
-            })
-            .collect();
-        let mut edges = Vec::new();
-        for i in 1..n as u32 {
-            edges.push((gen.u32(0..i), i, 0.0));
+        return (points, edges);
+    }
+    let n = gen.usize(2..30);
+    let points: Vec<[f64; 3]> = (0..n)
+        .map(|_| {
+            [
+                gen.f64(0.0..6.0).floor(),
+                gen.f64(0.0..6.0).floor(),
+                gen.f64(0.0..3.0).floor(),
+            ]
+        })
+        .collect();
+    let mut edges = Vec::new();
+    for i in 1..n as u32 {
+        edges.push((gen.u32(0..i), i, 0.0));
+    }
+    for _ in 0..gen.usize(0..3 * n) {
+        let (u, v) = (gen.u32(0..n as u32), gen.u32(0..n as u32));
+        if u != v {
+            edges.push((u, v, 0.0));
         }
-        for _ in 0..gen.usize(0..3 * n) {
-            let (u, v) = (gen.u32(0..n as u32), gen.u32(0..n as u32));
-            if u != v {
-                edges.push((u, v, 0.0));
-            }
-        }
-        for e in &mut edges {
-            let (a, b) = (points[e.0 as usize], points[e.1 as usize]);
-            let len =
-                ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)).sqrt();
-            // Exact-length edges half the time, so λ meets its tightest
-            // ratio; coincident endpoints still need a positive weight.
-            let slack = if gen.bool() { 0.0 } else { gen.f64(0.0..2.0) };
-            e.2 = (len + slack).max(0.5) / speed;
-        }
-        for _ in 0..gen.usize(0..4) {
-            let dup = edges[gen.usize(0..edges.len())];
-            edges.push(dup);
-        }
-        if gen.u32(0..8) == 0 {
-            let i = gen.usize(0..edges.len());
-            edges[i].2 = 0.0;
-        }
-        (points, edges)
-    };
+    }
+    for e in &mut edges {
+        let (a, b) = (points[e.0 as usize], points[e.1 as usize]);
+        let len = ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)).sqrt();
+        // Exact-length edges half the time, so λ meets its tightest
+        // ratio; coincident endpoints still need a positive weight.
+        let slack = if gen.bool() { 0.0 } else { gen.f64(0.0..2.0) };
+        e.2 = (len + slack).max(0.5) / speed;
+    }
+    for _ in 0..gen.usize(0..4) {
+        let dup = edges[gen.usize(0..edges.len())];
+        edges.push(dup);
+    }
+    if gen.u32(0..8) == 0 {
+        let i = gen.usize(0..edges.len());
+        edges[i].2 = 0.0;
+    }
+    (points, edges)
+}
+
+/// A graph with coordinates whose weights are at least the straight-line
+/// length over a per-graph speed — the shape of every snapshot graph —
+/// made of one to three [`arb_piece`] components side by side. The
+/// landmarks all lie in one component, so searches in the others run
+/// with no finite landmark difference. The last node is always isolated,
+/// so some targets are unreachable.
+fn arb_geometric_graph(gen: &mut Gen) -> Graph {
+    let speed = [1.0, 3.0, 299_792_458.0][gen.usize(0..3)];
+    let (mut points, mut edges) = (Vec::new(), Vec::new());
+    for piece in 0..gen.usize(1..4) {
+        let (p, e) = arb_piece(gen, speed);
+        let base = points.len() as u32;
+        points.extend(
+            p.into_iter()
+                .map(|[x, y, z]| [x + 10.0 * piece as f64, y, z]),
+        );
+        edges.extend(e.into_iter().map(|(u, v, w)| (u + base, v + base, w)));
+    }
     let n = points.len() + 1;
     let mut b = GraphBuilder::new(n);
     for &(u, v, w) in &edges {
@@ -280,17 +296,21 @@ fn arb_geometric_graph(gen: &mut Gen) -> Graph {
 
 /// Goal direction is invisible in the results: on random geometric
 /// graphs (grids with exact ties, parallel edges, coincident points,
-/// random masks), a run with 1–4 targets (duplicates and unreachable
+/// several components, an isolated node, random masks), a `run_multi`
+/// with 1 to `GOAL_MAX_TARGETS` + 2 targets (duplicates and unreachable
 /// ones included) reports, for every target, the same distance bits and
 /// the same path nodes and edges as the same run on the graph without
 /// coordinates (λ = 0, plain Dijkstra); every other node it settles is
-/// exact too; and k-edge-disjoint path sets match. Runs with three or
-/// four distinct targets are past the goal-direction cap, so both sides
-/// of it are covered.
+/// exact too; and k-edge-disjoint path sets match. Runs with more than
+/// `GOAL_MAX_TARGETS` distinct targets are past the goal-direction cap,
+/// so both sides of it are covered. Counted: cases that run
+/// goal-directed, and among them cases that must retarget, because the
+/// first target is reached and another lies farther (or is unreachable),
+/// so it is still pending when the first one settles.
 #[test]
 fn goal_directed_search_is_bit_identical_to_dijkstra() {
     let (mut ws, mut plain_ws) = (DijkstraWorkspace::new(), DijkstraWorkspace::new());
-    let mut guided_runs = 0;
+    let (mut guided_runs, mut retargeted) = (0, 0);
     check("goal_directed_search_is_bit_identical_to_dijkstra", |gen| {
         let g = arb_geometric_graph(gen);
         let mut plain = g.clone();
@@ -302,19 +322,23 @@ fn goal_directed_search_is_bit_identical_to_dijkstra() {
         let mask: Vec<bool> = (0..g.num_edges())
             .map(|_| masked && gen.u32(0..4) == 0)
             .collect();
-        let mut targets = gen.vec(1..5, |gen| gen.u32(0..n));
+        let mut targets = gen.vec(1..GOAL_MAX_TARGETS + 3, |gen| gen.u32(0..n));
         if gen.bool() {
             targets.push(targets[0]);
         }
         let mut distinct = targets.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        if g.lambda() > 0.0 && distinct.len() <= 2 {
-            guided_runs += 1;
-        }
         let full = plain_ws
             .run(&plain, source, Some(&mask), None)
             .to_shortest_paths();
+        if g.lambda() > 0.0 && distinct.len() <= GOAL_MAX_TARGETS {
+            guided_runs += 1;
+            let first = full.dist[targets[0] as usize];
+            if first.is_finite() && distinct.iter().any(|&t| full.dist[t as usize] > first) {
+                retargeted += 1;
+            }
+        }
         let reference = plain_ws
             .run_multi(&plain, source, Some(&mask), &targets)
             .to_shortest_paths();
@@ -354,7 +378,11 @@ fn goal_directed_search_is_bit_identical_to_dijkstra() {
     });
     assert!(
         guided_runs > 64,
-        "only {guided_runs} of 256 cases ran goal-directed (λ > 0, ≤ 2 distinct targets)"
+        "only {guided_runs} of 256 cases ran goal-directed (λ > 0, ≤ {GOAL_MAX_TARGETS} distinct targets)"
+    );
+    assert!(
+        retargeted > 32,
+        "only {retargeted} of {guided_runs} goal-directed cases had to retarget"
     );
 }
 
@@ -409,42 +437,55 @@ impl LazyRun {
     }
 }
 
-/// The workspace's search as it ran on a lazy-deletion `BinaryHeap`:
-/// every improvement pushes a fresh `(key, node)` entry and pops of
-/// settled nodes are skipped. Same key formula in the same operation
-/// order (`d + w`, plus `λ·nearest` for at most two distinct targets),
-/// same early exit and same exact-tie parent rule.
+/// The workspace's `run_multi` as it would run on a lazy-deletion
+/// `BinaryHeap`: every improvement pushes a fresh `(key, node)` entry and
+/// pops of settled nodes are skipped. Same key formula in the same
+/// operation order — `d + w`, plus, for 1 to `GOAL_MAX_TARGETS` distinct
+/// targets and λ > 0, the larger of `λ·|p_v − p_t|` and `(1 − 2⁻²⁰)` times
+/// the largest finite landmark difference toward the aimed target — the
+/// same retarget rule (when the aimed target settles with others
+/// pending, aim at the next unsettled one in the order given and queue
+/// every open node afresh under the new key), the same early exit and
+/// the same exact-tie parent rule.
 fn lazy_reference_run(g: &Graph, source: NodeId, mask: &[bool], targets: &[NodeId]) -> LazyRun {
     let n = g.num_nodes();
     let mut is_target = vec![false; n];
-    let mut target_pts = Vec::new();
     let mut pending = 0usize;
     for &t in targets {
         if !is_target[t as usize] {
             is_target[t as usize] = true;
             pending += 1;
-            if pending <= 2 && !g.coords().is_empty() {
-                target_pts.push(g.coords()[t as usize]);
-            }
         }
     }
-    let lambda = if (1..=2).contains(&pending) {
+    let lambda = if (1..=GOAL_MAX_TARGETS).contains(&pending) {
         g.lambda()
     } else {
         0.0
     };
-    let nearest = |p: &[f64; 3]| {
-        let mut best = f64::INFINITY;
-        for t in &target_pts {
-            let (dx, dy, dz) = (p[0] - t[0], p[1] - t[1], p[2] - t[2]);
-            best = best.min(dx * dx + dy * dy + dz * dz);
-        }
-        best.sqrt()
+    let rows = if lambda > 0.0 {
+        DijkstraWorkspace::new().landmark_table(g)
+    } else {
+        Vec::new()
     };
-    let (mut dist, mut bound) = (vec![f64::INFINITY; n], vec![0.0; n]);
+    let mu = 1.0 - 1.0 / (1u64 << 20) as f64;
+    let bound = |v: usize, t: usize| {
+        let (p, q) = (g.coords()[v], g.coords()[t]);
+        let (dx, dy, dz) = (p[0] - q[0], p[1] - q[1], p[2] - q[2]);
+        let line = lambda * (dx * dx + dy * dy + dz * dz).sqrt();
+        let mut far = 0.0f64;
+        for (&at_target, &at_v) in rows[t].iter().zip(&rows[v]) {
+            let d = (at_target - at_v).abs();
+            if d.is_finite() && d > far {
+                far = d;
+            }
+        }
+        line.max(mu * far)
+    };
+    let (mut dist, mut bounds) = (vec![f64::INFINITY; n], vec![0.0; n]);
     let (mut parent_edge, mut parent_node) = (vec![EdgeId::MAX; n], vec![NodeId::MAX; n]);
     let (mut touched, mut settled) = (vec![false; n], vec![false; n]);
     let mut settled_count = 0;
+    let mut aim = 0;
     dist[source as usize] = 0.0;
     touched[source as usize] = true;
     let mut heap = std::collections::BinaryHeap::new();
@@ -461,6 +502,16 @@ fn lazy_reference_run(g: &Graph, source: NodeId, mask: &[bool], targets: &[NodeI
             if pending == 0 {
                 break;
             }
+            if lambda > 0.0 && u == targets[aim] {
+                while settled[targets[aim] as usize] {
+                    aim += 1;
+                }
+                heap.clear();
+                for v in (0..n).filter(|&v| touched[v] && !settled[v]) {
+                    bounds[v] = bound(v, targets[aim] as usize);
+                    heap.push(LazyEntry(dist[v] + bounds[v], v as NodeId));
+                }
+            }
         }
         let d = if lambda > 0.0 { dist[ui] } else { key };
         for h in g.neighbors(u) {
@@ -475,10 +526,10 @@ fn lazy_reference_run(g: &Graph, source: NodeId, mask: &[bool], targets: &[NodeI
                 parent_node[vi] = u;
                 settled[vi] = false;
                 if lambda > 0.0 && !touched[vi] {
-                    bound[vi] = lambda * nearest(&g.coords()[vi]);
+                    bounds[vi] = bound(vi, targets[aim] as usize);
                 }
                 touched[vi] = true;
-                let key = if lambda > 0.0 { nd + bound[vi] } else { nd };
+                let key = if lambda > 0.0 { nd + bounds[vi] } else { nd };
                 heap.push(LazyEntry(key, h.to));
             } else if lambda > 0.0 && nd == dist[vi] {
                 let p = parent_node[vi];
@@ -500,15 +551,15 @@ fn lazy_reference_run(g: &Graph, source: NodeId, mask: &[bool], targets: &[NodeI
     }
 }
 
-/// The indexed heap settles what the lazy-deletion queue did: on the
+/// The indexed heap settles what the lazy-deletion queue does: on the
 /// geometric graphs above, with and without coordinates (so both with
-/// λ > 0 and λ = 0), random masks and 0–4 targets (duplicates and
-/// unreachable ones included), one warm workspace reaches exactly the
-/// nodes [`lazy_reference_run`] settles, with the same distance bits and
-/// the same extracted paths. Every pop of the indexed heap settles a
-/// node, so its settled count (what `dijkstra_nodes_settled` adds up) is
-/// the number of reached nodes, and it must equal the reference's count
-/// of settling pops.
+/// λ > 0 and λ = 0), random masks and 0 to `GOAL_MAX_TARGETS` + 2
+/// targets (duplicates and unreachable ones included), one warm
+/// workspace reaches exactly the nodes [`lazy_reference_run`] settles,
+/// with the same distance bits and the same extracted paths. Every pop
+/// of the indexed heap settles a node, so its settled count (what
+/// `dijkstra_nodes_settled` adds up) is the number of reached nodes, and
+/// it must equal the reference's count of settling pops.
 #[test]
 fn indexed_heap_settles_like_the_lazy_deletion_queue() {
     let mut ws = DijkstraWorkspace::new();
@@ -523,7 +574,7 @@ fn indexed_heap_settles_like_the_lazy_deletion_queue() {
         let mask: Vec<bool> = (0..g.num_edges())
             .map(|_| masked && gen.u32(0..4) == 0)
             .collect();
-        let mut targets = gen.vec(0..5, |gen| gen.u32(0..n));
+        let mut targets = gen.vec(0..GOAL_MAX_TARGETS + 3, |gen| gen.u32(0..n));
         if !targets.is_empty() && gen.bool() {
             targets.push(targets[0]);
         }

@@ -180,3 +180,75 @@ fn invariant_no_rtt_beats_great_circle_light() {
     }
     assert!(checked > 0, "no reachable pair was checked");
 }
+
+/// The numeric tokens of `text`: maximal runs of ASCII digits, with one
+/// inner decimal point at most.
+fn numbers(text: &str) -> Vec<&str> {
+    let bytes = text.as_bytes();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        if !bytes[i].is_ascii_digit() {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        let mut dot = false;
+        while i < bytes.len() {
+            if bytes[i].is_ascii_digit() {
+                i += 1;
+            } else if bytes[i] == b'.' && !dot && bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
+                dot = true;
+                i += 1;
+            } else {
+                break;
+            }
+        }
+        out.push(&text[start..i]);
+    }
+    out
+}
+
+/// EXPERIMENTS.md's "Measured (bench)" columns quote the tracked
+/// bench-scale run: every number in them is a number token of
+/// `results/bench_scale_run.log`, so a re-pinned log cannot leave the
+/// doc behind. Tokens are matched, not rows, so this catches a stale
+/// value, not one copied into the wrong row.
+#[test]
+fn experiments_bench_column_quotes_the_tracked_log() {
+    let doc = include_str!("../EXPERIMENTS.md");
+    let log: std::collections::BTreeSet<&str> =
+        numbers(include_str!("../results/bench_scale_run.log"))
+            .into_iter()
+            .collect();
+    let (mut tables, mut checked, mut missing) = (0, 0, Vec::new());
+    let mut lines = doc.lines();
+    while let Some(line) = lines.next() {
+        let header: Vec<&str> = line.split('|').map(str::trim).collect();
+        let Some(col) = header.iter().position(|&c| c == "Measured (bench)") else {
+            continue;
+        };
+        tables += 1;
+        for row in lines.by_ref().take_while(|l| l.starts_with('|')) {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            if cells[1].starts_with("---") {
+                continue;
+            }
+            for n in numbers(cells[col]) {
+                checked += 1;
+                if !log.contains(n) {
+                    missing.push(format!("{n} in row `{}`", cells[1]));
+                }
+            }
+        }
+    }
+    assert!(
+        tables >= 9 && checked >= 30,
+        "{tables} tables, {checked} numbers"
+    );
+    assert!(
+        missing.is_empty(),
+        "numbers not in the bench log:\n{}",
+        missing.join("\n")
+    );
+}
