@@ -8,7 +8,8 @@
 //! offending line on failure.
 //!
 //! The manifest's `lint_clean` field records whether the producing tree
-//! passed `leo-lint --deny` (set by the bins from `LEO_LINT_CLEAN`). A
+//! passed both clippy lanes of `scripts/ci.sh` and `leo-lint --deny`
+//! (set by the bins from `LEO_LINT_CLEAN`). A
 //! manifest saying `"false"` always fails validation; under
 //! `--require-lint-clean` (the CI lane), anything but `"true"` fails —
 //! results from an unlinted tree don't count as reproducible evidence.
@@ -102,12 +103,12 @@ fn main() {
     }
     let lint_clean = manifest.get("lint_clean").and_then(Json::as_str);
     if lint_clean == Some("false") {
-        fail("manifest: lint_clean is \"false\" — the producing tree failed leo-lint");
+        fail("manifest: lint_clean is \"false\" — the producing tree failed clippy or leo-lint");
     }
     if require_lint_clean && lint_clean != Some("true") {
         fail(&format!(
             "manifest: --require-lint-clean needs lint_clean=\"true\", got {:?} \
-             (run under LEO_LINT_CLEAN=1 after `leo-lint --deny` passes)",
+             (run under LEO_LINT_CLEAN=1 after the clippy lanes and `leo-lint --deny` pass)",
             lint_clean.unwrap_or("<absent>")
         ));
     }

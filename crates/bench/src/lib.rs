@@ -22,11 +22,16 @@ pub fn scale_from_args() -> (ExperimentScale, Vec<String>) {
     while let Some(a) = it.next() {
         if a == "--scale" {
             let v = it.next().unwrap_or_default();
-            scale = ExperimentScale::parse(&v).unwrap_or_else(|| {
-                // lint: allow(print-in-lib) CLI usage-error surface shared by every figure bin; exits immediately
-                eprintln!("unknown scale '{v}'; use tiny|bench|paper");
-                std::process::exit(2);
-            });
+            scale = ExperimentScale::parse(&v).unwrap_or_else(
+                #[expect(
+                    clippy::print_stderr,
+                    reason = "CLI usage-error surface shared by every figure bin; exits immediately"
+                )]
+                || {
+                    eprintln!("unknown scale '{v}'; use tiny|bench|paper");
+                    std::process::exit(2);
+                },
+            );
         } else {
             rest.push(a);
         }
@@ -73,8 +78,11 @@ pub struct ShardCli {
 pub fn shard_cli(rest: Vec<String>) -> ShardCli {
     let mut cli = ShardCli::default();
     let mut it = rest.into_iter();
+    #[expect(
+        clippy::print_stderr,
+        reason = "CLI usage-error surface shared by every figure bin; exits immediately"
+    )]
     let bail = |msg: String| -> ! {
-        // lint: allow(print-in-lib) CLI usage-error surface shared by every figure bin; exits immediately
         eprintln!("{msg}");
         std::process::exit(2);
     };
@@ -204,9 +212,10 @@ pub fn finish_run_with(
 ) -> Option<PathBuf> {
     let hash = telemetry::fnv1a_64(cfg.to_kv_string().as_bytes());
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    // Provenance: did the producing tree pass `leo-lint --deny`? CI
-    // exports LEO_LINT_CLEAN=1 after the lint lane; `validate_run
-    // --require-lint-clean` rejects manifests that don't say "true".
+    // Provenance: did the producing tree pass both clippy lanes and
+    // `leo-lint --deny`? CI exports LEO_LINT_CLEAN=1 once all three
+    // have passed; `validate_run --require-lint-clean` rejects
+    // manifests that don't say "true".
     let lint_clean = match std::env::var("LEO_LINT_CLEAN").as_deref() {
         Ok("1") | Ok("true") => "true",
         Ok("0") | Ok("false") => "false",
@@ -241,8 +250,13 @@ pub fn results_dir() -> PathBuf {
 
 /// Simple aligned two-column-or-more table printer.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    // lint: allow(print-in-lib) stdout is the figure bins' data channel; this is their shared table reporter
-    println!("\n== {title} ==");
+    #[expect(
+        clippy::print_stdout,
+        reason = "stdout is the figure bins' data channel; this is their shared table reporter"
+    )]
+    {
+        println!("\n== {title} ==");
+    }
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for r in rows {
         for (i, cell) in r.iter().enumerate() {
@@ -251,6 +265,10 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
             }
         }
     }
+    #[expect(
+        clippy::print_stdout,
+        reason = "stdout is the figure bins' data channel; this is their shared table reporter"
+    )]
     let line = |cells: &[String]| {
         let mut s = String::new();
         for (i, c) in cells.iter().enumerate() {
@@ -260,7 +278,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
                 w = widths.get(i).copied().unwrap_or(8)
             ));
         }
-        // lint: allow(print-in-lib) stdout is the figure bins' data channel; this is their shared table reporter
         println!("{}", s.trim_end());
     };
     line(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>());

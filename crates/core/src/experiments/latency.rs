@@ -43,9 +43,12 @@ impl PairStats {
 /// Run the latency study for one connectivity mode over all configured
 /// snapshots. `threads = 0` uses all cores.
 pub fn latency_study(ctx: &StudyContext, mode: Mode, threads: usize) -> Vec<PairStats> {
+    #[expect(
+        clippy::expect_used,
+        reason = "latency_studies returns one entry per requested mode, and one mode was passed"
+    )]
     latency_studies(ctx, &[mode], threads)
         .pop()
-        // lint: allow(unwrap-in-lib) latency_studies returns one entry per requested mode, and one mode was passed
         .expect("one mode requested")
 }
 

@@ -41,9 +41,12 @@ fn link_attenuation_db(
     } else {
         downlink_ghz
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "UpDown edges reference a ground node with a position by snapshot construction"
+    )]
     let site = snap
         .ground_position(ground)
-        // lint: allow(unwrap-in-lib) UpDown edges reference a ground node with a position by snapshot construction
         .expect("ground node has position");
     let slant = SlantPath {
         site,

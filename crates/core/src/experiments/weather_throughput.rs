@@ -58,7 +58,10 @@ pub fn weathered_throughput(
     let budget = LinkBudget::ku_user_terminal();
     // Reference efficiency: the best MODCOD rung — the clear-sky design
     // point of the 20 Gbps links.
-    // lint: allow(unwrap-in-lib) modcod_ladder is a non-empty static table
+    #[expect(
+        clippy::unwrap_used,
+        reason = "modcod_ladder is a non-empty static table"
+    )]
     let best_eff = leo_atmo::modcod_ladder().last().unwrap().bits_per_hz;
 
     // Per-edge capacities for both scenarios. The per-GT-link MODCOD
@@ -80,7 +83,10 @@ pub fn weathered_throughput(
                 sat: _,
                 elevation_rad,
             } => {
-                // lint: allow(unwrap-in-lib) UpDown edges reference a ground node with a position by snapshot construction
+                #[expect(
+                    clippy::expect_used,
+                    reason = "UpDown edges reference a ground node with a position by snapshot construction"
+                )]
                 let site = snap.ground_position(*ground).expect("ground position");
                 let slant = SlantPath {
                     site,

@@ -104,7 +104,10 @@ where
     }
     .min(n);
     if threads <= 1 {
-        // lint: allow(wall-clock) feeds the busy_ns telemetry field only, which determinism comparisons exclude
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "feeds the busy_ns telemetry field only, which determinism comparisons exclude"
+        )]
         let t0 = Instant::now();
         let out: Vec<R> = items.iter().map(&f).collect();
         let stats = ParStats {
@@ -131,7 +134,10 @@ where
                         if i >= n {
                             break;
                         }
-                        // lint: allow(wall-clock) feeds the busy_ns telemetry field only, which determinism comparisons exclude
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "feeds the busy_ns telemetry field only, which determinism comparisons exclude"
+                        )]
                         let t0 = Instant::now();
                         let r = f(&items[i]);
                         busy_ns += t0.elapsed().as_nanos() as u64;
@@ -142,7 +148,10 @@ where
             })
             .collect();
         for w in workers {
-            // lint: allow(unwrap-in-lib) re-raising a worker panic on the coordinating thread is the intended failure mode
+            #[expect(
+                clippy::expect_used,
+                reason = "re-raising a worker panic on the coordinating thread is the intended failure mode"
+            )]
             let (local, busy_ns) = w.join().expect("worker panicked");
             stats.workers.push(WorkerStats {
                 items: local.len(),
@@ -156,8 +165,13 @@ where
     record_fanout(&stats);
     (
         out.into_iter()
-            // lint: allow(unwrap-in-lib) the atomic cursor hands each index to exactly one worker, so every slot is written
-            .map(|r| r.expect("all slots filled"))
+            .map(
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the atomic cursor hands each index to exactly one worker, so every slot is written"
+                )]
+                |r| r.expect("all slots filled"),
+            )
             .collect(),
         stats,
     )

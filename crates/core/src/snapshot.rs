@@ -296,9 +296,12 @@ impl StudyContext {
     /// [`StudyContext::sweep_times`] or [`StudyContext::sweep_map`],
     /// which additionally keep state alive *between* instants.
     pub fn snapshot(&self, t_s: f64, mode: Mode) -> NetworkSnapshot {
+        #[expect(
+            clippy::expect_used,
+            reason = "snapshot_bundle returns one snapshot per requested mode, and one mode was passed"
+        )]
         self.snapshot_bundle(t_s, &[mode])
             .pop()
-            // lint: allow(unwrap-in-lib) snapshot_bundle returns one snapshot per requested mode, and one mode was passed
             .expect("one mode requested")
     }
 
@@ -508,7 +511,10 @@ impl StudyContext {
             acc
         });
         let mut iter = per_chunk.into_iter();
-        // lint: allow(unwrap-in-lib) n > 0 guarantees at least one chunk accumulator
+        #[expect(
+            clippy::expect_used,
+            reason = "n > 0 guarantees at least one chunk accumulator"
+        )]
         let mut acc = iter.next().expect("at least one chunk");
         for part in iter {
             merge(&mut acc, part);
@@ -781,7 +787,8 @@ impl<'a> TimeSweep<'a> {
     /// One-time allocation of the delta-tracking bookkeeping, on the
     /// first [`TimeSweep::step_with_deltas`] call. Everything sized here
     /// is recycled on every subsequent step (declared cold in
-    /// `lint.toml`, so `hot-path-alloc` reachability stops at this fn).
+    /// `leo-lint`'s `LintConfig::default()`, so `hot-path-alloc`
+    /// reachability stops at this fn).
     fn start_delta_tracking(&mut self) {
         self.track_deltas = true;
         self.delta_ready = false;

@@ -117,7 +117,10 @@ impl MapCanvas {
                 segments.push(Vec::new());
             }
             prev_lon = p.lon_deg();
-            // lint: allow(unwrap-in-lib) segments is initialized with one element and only ever grows
+            #[expect(
+                clippy::unwrap_used,
+                reason = "segments is initialized with one element and only ever grows"
+            )]
             segments.last_mut().unwrap().push(self.project(*p));
         }
         for seg in segments.iter().filter(|s| s.len() >= 2) {

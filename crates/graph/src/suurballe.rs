@@ -137,7 +137,10 @@ pub fn suurballe_with(
     }
     let mut v = target;
     while v != source {
-        // lint: allow(unwrap-in-lib) dist[target] is finite, so every node on the parent chain was settled with a parent
+        #[expect(
+            clippy::expect_used,
+            reason = "dist[target] is finite, so every node on the parent chain was settled with a parent"
+        )]
         let (p, e) = parent[v as usize].expect("reached node has parent");
         let key = arc_key(p, e);
         let (eu, ev, _) = g.edge(e);

@@ -7,7 +7,7 @@ use leo_util::telemetry::json_string;
 /// One finding at a `file:line` location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule that produced the finding (kebab-case, e.g. `wall-clock`).
+    /// Rule that produced the finding (kebab-case, e.g. `unseeded-rng`).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -105,21 +105,21 @@ mod tests {
     #[test]
     fn renders_both_forms() {
         let d = Diagnostic {
-            rule: "wall-clock",
+            rule: "unseeded-rng",
             path: "crates/x/src/a.rs".into(),
             line: 7,
-            msg: "Instant::now() outside the telemetry allowlist".into(),
+            msg: "`thread_rng` draws entropy-seeded randomness".into(),
         };
         assert_eq!(
             d.human(),
-            "crates/x/src/a.rs:7: [wall-clock] Instant::now() outside the telemetry allowlist"
+            "crates/x/src/a.rs:7: [unseeded-rng] `thread_rng` draws entropy-seeded randomness"
         );
         let j = d.jsonl();
         assert!(j.starts_with("{\"type\":\"diagnostic\""));
         assert!(j.contains("\"line\":7"));
         // The JSONL line parses back with the shared parser.
         let v = leo_util::telemetry::Json::parse(&j).unwrap();
-        assert_eq!(v.get("rule").and_then(|r| r.as_str()), Some("wall-clock"));
+        assert_eq!(v.get("rule").and_then(|r| r.as_str()), Some("unseeded-rng"));
     }
 
     #[test]
@@ -128,11 +128,11 @@ mod tests {
             files: 3,
             ..Default::default()
         };
-        rep.suppressed.push(("wall-clock".into(), 2));
-        rep.suppressed.push(("print-in-lib".into(), 1));
+        rep.suppressed.push(("hot-path-alloc".into(), 2));
+        rep.suppressed.push(("panic-reachable".into(), 1));
         assert_eq!(rep.suppressed_total(), 3);
         let s = rep.summary_human();
-        assert!(s.contains("wall-clock×2"));
+        assert!(s.contains("hot-path-alloc×2"));
         assert!(s.contains("checked 3 files: 0 diagnostics"));
         let v = leo_util::telemetry::Json::parse(&rep.summary_jsonl()).unwrap();
         assert_eq!(v.get("suppressed").and_then(|n| n.as_num()), Some(3.0));

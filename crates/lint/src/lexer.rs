@@ -384,9 +384,16 @@ fn scan_number(b: &[u8], i: usize) -> (usize, bool) {
     while j < b.len() && (b[j].is_ascii_digit() || b[j] == b'_') {
         j += 1;
     }
-    // Fractional part only when a digit follows the dot (so `0..5` and
-    // tuple access `x.0` stay integer + punct).
-    if j + 1 < b.len() && b[j] == b'.' && b[j + 1].is_ascii_digit() {
+    // Rust's rule: a `.` after the digits makes a float (`1.5`, and
+    // `1.` on its own) unless `.`, `_` or an identifier start follows
+    // it, so `0..5`, `1.max(2)` and tuple access `x.0` stay integer +
+    // punct. Any non-ASCII byte counts as an identifier start.
+    if j < b.len()
+        && b[j] == b'.'
+        && !b
+            .get(j + 1)
+            .is_some_and(|&c| c == b'.' || c == b'_' || c.is_ascii_alphabetic() || !c.is_ascii())
+    {
         is_float = true;
         j += 1;
         while j < b.len() && (b[j].is_ascii_digit() || b[j] == b'_') {
@@ -453,9 +460,17 @@ mod tests {
         assert_eq!(ts[0].0, TokKind::Int);
         assert_eq!(ts[1], (TokKind::Punct, "..".into()));
         assert_eq!(ts[2].0, TokKind::Int);
-        // Tuple access stays integer.
+        // Tuple access and integer method calls stay integer.
         let ts = kinds("x.0");
         assert_eq!(ts[2].0, TokKind::Int);
+        let ts = kinds("1.max(2)");
+        assert_eq!(ts[0], (TokKind::Int, "1".into()));
+        assert_eq!(ts[1], (TokKind::Punct, ".".into()));
+        // A trailing dot ends a float literal, as in Rust.
+        assert_eq!(kinds("1.")[0], (TokKind::Float, "1.".into()));
+        let ts = kinds("x == 1.)");
+        assert_eq!(ts[2], (TokKind::Float, "1.".into()));
+        assert_eq!(ts[3], (TokKind::Punct, ")".into()));
         // Underscored literals.
         assert_eq!(kinds("630_000.0")[0].0, TokKind::Float);
         assert_eq!(kinds("1_000")[0].0, TokKind::Int);

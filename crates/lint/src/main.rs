@@ -1,19 +1,21 @@
 //! `leo-lint` — workspace static analysis driver.
 //!
 //! ```text
-//! leo-lint [--deny] [--jsonl] [--root DIR] [--config FILE] [--rules]
-//!          [--threads N] [--graph-out FILE] [PATH…]
+//! leo-lint [--deny] [--jsonl] [--root DIR] [--rules] [--threads N]
+//!          [--graph-out FILE] [PATH…]
 //! ```
 //!
 //! Walks `--root` (default: the current directory) for `.rs` files,
-//! applies every rule, prints `file:line` diagnostics (human form, or
-//! one JSON object per line with `--jsonl`) plus a summary that counts
-//! applied suppressions. `PATH…` arguments restrict *reporting* to
-//! files under those workspace-relative prefixes; the symbol graph is
-//! always built from the whole workspace so reachability findings
-//! don't change with the filter. `--threads N` pins the file-parse
-//! pool (0 = hardware default; output is bytewise identical either
-//! way). `--graph-out FILE` persists the symbol/call graph as JSONL.
+//! applies every rule under the compiled-in policy
+//! ([`LintConfig::default`]), prints `file:line` diagnostics (human
+//! form, or one JSON object per line with `--jsonl`) plus a summary
+//! that counts applied suppressions. `PATH…` arguments restrict
+//! *reporting* to files under those workspace-relative prefixes; the
+//! symbol graph is always built from the whole workspace so
+//! reachability findings don't change with the filter. `--threads N`
+//! pins the file-parse pool (0 = hardware default; output is bytewise
+//! identical either way). `--graph-out FILE` persists the symbol/call
+//! graph as JSONL.
 //!
 //! Exit codes: `0` clean (or findings without `--deny`), `1` findings
 //! under `--deny` (the CI lane), `2` usage or IO error.
@@ -30,7 +32,6 @@ struct Args {
     jsonl: bool,
     list_rules: bool,
     root: PathBuf,
-    config: Option<PathBuf>,
     threads: usize,
     graph_out: Option<PathBuf>,
     filters: Vec<String>,
@@ -42,7 +43,6 @@ fn parse_args() -> Result<Args, String> {
         jsonl: false,
         list_rules: false,
         root: PathBuf::from("."),
-        config: None,
         threads: 0,
         graph_out: None,
         filters: Vec::new(),
@@ -56,9 +56,6 @@ fn parse_args() -> Result<Args, String> {
             "--root" => {
                 args.root = PathBuf::from(it.next().ok_or("--root needs a directory")?);
             }
-            "--config" => {
-                args.config = Some(PathBuf::from(it.next().ok_or("--config needs a file")?));
-            }
             "--threads" => {
                 let n = it.next().ok_or("--threads needs a count")?;
                 args.threads = n
@@ -70,8 +67,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: leo-lint [--deny] [--jsonl] [--root DIR] [--config FILE] \
-                     [--rules] [--threads N] [--graph-out FILE] [PATH...]"
+                    "usage: leo-lint [--deny] [--jsonl] [--root DIR] [--rules] \
+                     [--threads N] [--graph-out FILE] [PATH...]"
                 );
                 std::process::exit(0);
             }
@@ -80,22 +77,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-fn load_config(args: &Args) -> Result<LintConfig, String> {
-    let path = match &args.config {
-        Some(p) => p.clone(),
-        None => {
-            let default = args.root.join("lint.toml");
-            if !default.is_file() {
-                return Ok(LintConfig::default());
-            }
-            default
-        }
-    };
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    LintConfig::parse(&text)
 }
 
 fn main() -> ExitCode {
@@ -119,14 +100,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    let cfg = match load_config(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("leo-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let linter = Linter::new(cfg);
+    let linter = Linter::new(LintConfig::default());
     let (report, graph) = match linter.run(&args.root, &args.filters, args.threads) {
         Ok(r) => r,
         Err(e) => {

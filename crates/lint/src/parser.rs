@@ -67,8 +67,8 @@ pub struct PanicSite {
     pub what: String,
     /// 1-based source line.
     pub line: u32,
-    /// True for `.unwrap()`/`.expect()` — those stay under
-    /// `unwrap-in-lib`'s per-site proof regime, not `panic-reachable`.
+    /// True for `.unwrap()`/`.expect()` — those stay under clippy's
+    /// `unwrap_used`/`expect_used`, not `panic-reachable`.
     pub is_unwrap: bool,
 }
 
@@ -111,7 +111,7 @@ pub struct FnSym {
 
 impl FnSym {
     /// `Type::name` or plain `name` — the display/matching form used by
-    /// diagnostics and `lint.toml` root patterns.
+    /// diagnostics and [`crate::config::LintConfig`]'s root patterns.
     pub fn qualified(&self) -> String {
         match &self.impl_type {
             Some(t) => format!("{t}::{}", self.name),

@@ -1,8 +1,7 @@
 //! `hot-path-alloc` v2 — the workspace half of the rule: allocation in
 //! any fn *transitively reachable* from a configured hot-path root
-//! (`lint.toml` `[hot-path-alloc] roots = …`) or from a
-//! `// lint: hot-path`-marked fn, reported with the shortest call
-//! chain from the root.
+//! ([`LintConfig::hot_path_roots`]) or from a `// lint: hot-path`-marked
+//! fn, reported with the shortest call chain from the root.
 //!
 //! The file-local half ([`super::HotPathAlloc`]) patrols the *bodies*
 //! of marked fns; this half patrols everything those bodies (and the
@@ -16,7 +15,7 @@
 //! round, capacity retained) is the sanctioned zero-alloc idiom, and
 //! growth is caught where buffers are created or resized instead.
 //!
-//! `[hot-path-alloc] allow = <path prefixes>` exempts files wholesale
+//! [`LintConfig::hot_path_allow`] path prefixes exempt files wholesale
 //! (e.g. cold-path config loaders dragged in by over-approximate
 //! method resolution).
 

@@ -27,28 +27,20 @@ mod float_fastmath;
 mod hot_path_alloc;
 mod hot_path_reach;
 mod panic_reachable;
-mod print_in_lib;
 mod unordered_iter;
-mod unsafe_undocumented;
 mod unseeded_rng;
-mod unwrap_in_lib;
-mod wall_clock;
 
 pub use float_fastmath::FloatFastmath;
 pub use hot_path_alloc::HotPathAlloc;
 pub use hot_path_reach::HotPathReach;
 pub use panic_reachable::PanicReachable;
-pub use print_in_lib::PrintInLib;
 pub use unordered_iter::UnorderedIter;
-pub use unsafe_undocumented::UnsafeUndocumented;
 pub use unseeded_rng::UnseededRng;
-pub use unwrap_in_lib::UnwrapInLib;
-pub use wall_clock::WallClock;
 
 /// A file-local invariant check.
 pub trait Rule: Sync {
     /// Kebab-case rule name — the key used in `lint: allow(<name>)`
-    /// suppressions and `lint.toml` sections.
+    /// suppressions.
     fn name(&self) -> &'static str;
     /// One line on what the rule enforces and why (shown by `--rules`).
     fn rationale(&self) -> &'static str;
@@ -70,14 +62,10 @@ pub trait WorkspaceRule: Sync {
 /// Every shipped file-local rule, in stable order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(WallClock),
         Box::new(UnorderedIter),
         Box::new(UnseededRng),
-        Box::new(UnwrapInLib),
         Box::new(HotPathAlloc),
-        Box::new(UnsafeUndocumented),
         Box::new(FloatFastmath),
-        Box::new(PrintInLib),
     ]
 }
 
@@ -103,15 +91,6 @@ pub fn known_rule_names() -> Vec<&'static str> {
     names
 }
 
-/// Do tokens starting at `i` match `texts` exactly?
-pub(crate) fn seq_matches(file: &SourceFile, i: usize, texts: &[&str]) -> bool {
-    file.toks.len() >= i + texts.len()
-        && texts
-            .iter()
-            .enumerate()
-            .all(|(k, t)| file.toks[i + k].text == *t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,7 +109,7 @@ mod tests {
                 "rule name `{n}` is not kebab-case"
             );
         }
-        assert_eq!(rules.len(), 8, "the shipped file-local rule set");
+        assert_eq!(rules.len(), 4, "the shipped file-local rule set");
         for r in rules {
             assert!(!r.rationale().is_empty());
         }

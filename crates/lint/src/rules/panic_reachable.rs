@@ -4,17 +4,18 @@
 //! a public library API, are errors — reported with the shortest call
 //! chain from the API to the panic site.
 //!
-//! Division of labour with `unwrap-in-lib`: `.unwrap()`/`.expect()`
-//! stay under that rule's per-site proof regime (they are value-level
-//! and near-always local); this rule owns the *macro* family, whose
+//! Division of labour with clippy: `.unwrap()`/`.expect()` stay under
+//! `clippy::unwrap_used`/`expect_used` and their per-site
+//! `#[expect(…, reason = …)]` proofs (they are value-level and
+//! near-always local); this rule owns the *macro* family, whose
 //! reachability from a public entry point is exactly what a caller of
 //! the library cannot see. `debug_assert*` is deliberately out of
 //! scope — it vanishes in release builds, where the reproducibility
 //! contract lives.
 //!
-//! `lint.toml` `[panic-reachable] allow = <path prefixes>` exempts
-//! files whose *job* is panicking (the `leo_util::check` property-test
-//! harness asserts by panicking).
+//! [`LintConfig::panic_allow`] path prefixes exempt files whose *job*
+//! is panicking (the `leo_util::check` property-test harness asserts by
+//! panicking).
 
 use crate::config::LintConfig;
 use crate::diag::Diagnostic;
@@ -58,7 +59,7 @@ impl WorkspaceRule for PanicReachable {
             }
             for site in &n.sym.panics {
                 if site.is_unwrap {
-                    continue; // unwrap-in-lib's jurisdiction
+                    continue; // clippy's jurisdiction (unwrap_used/expect_used)
                 }
                 let chain = reach.chain(i as u32);
                 out.push(Diagnostic {

@@ -5,7 +5,7 @@ use crate::lexer::{lex, Comment, Lexed, Tok};
 use crate::parser::{parse_fns, FnSym};
 
 /// How a file participates in the build — rules scope themselves by
-/// kind (e.g. `unwrap-in-lib` fires only in `Lib`).
+/// kind (e.g. `panic-reachable` patrols only `Lib`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
     /// Library source (`crates/*/src/**`, excluding `src/bin`).
@@ -274,8 +274,8 @@ fn more_lib() {}
         let src = "
 // lint: hot-path
 fn hot() {}
-let x = 1; // lint: allow(wall-clock) bench timing only
-// lint: allow(unwrap-in-lib)
+let x = 1; // lint: allow(unseeded-rng) demo jitter only
+// lint: allow(float-fastmath)
 // lint: gibberish
 ";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
@@ -288,8 +288,8 @@ let x = 1; // lint: allow(wall-clock) bench timing only
                 line,
                 trailing,
             } => {
-                assert_eq!(rule, "wall-clock");
-                assert_eq!(reason, "bench timing only");
+                assert_eq!(rule, "unseeded-rng");
+                assert_eq!(reason, "demo jitter only");
                 assert_eq!(*line, 4);
                 assert!(*trailing);
             }

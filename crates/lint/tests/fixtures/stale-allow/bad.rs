@@ -2,10 +2,10 @@
 // anything — a trailing allow on a clean line and a standalone allow
 // above clean code.
 pub fn double(x: u32) -> u32 {
-    x * 2 // lint: allow(wall-clock) left behind after the timing call was removed
+    x * 2 // lint: allow(unseeded-rng) left behind after the jitter term was removed
 }
 
-// lint: allow(unwrap-in-lib) the unwrap below was refactored away
+// lint: allow(panic-reachable) the range assert below was refactored away
 pub fn triple(x: u32) -> u32 {
     x * 3
 }

@@ -1,6 +1,6 @@
 // Fixture: an allow without a reason — it must NOT suppress, and is
 // itself a `bare-allow` diagnostic.
 
-pub fn head(xs: &[u32]) -> u32 {
-    *xs.first().unwrap() // lint: allow(unwrap-in-lib)
+pub fn jitter() -> f64 {
+    thread_rng().next_f64() // lint: allow(unseeded-rng)
 }

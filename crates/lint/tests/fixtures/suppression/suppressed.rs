@@ -1,7 +1,7 @@
 // Fixture: a violation silenced by an allow *with a reason* — the
 // suppression applies and is counted, leaving zero diagnostics.
 
-pub fn head(xs: &[u32]) -> u32 {
-    // lint: allow(unwrap-in-lib) caller guarantees non-empty input per the public contract
-    *xs.first().unwrap()
+pub fn jitter() -> f64 {
+    // lint: allow(unseeded-rng) demo-only jitter that never reaches a result path
+    thread_rng().next_f64()
 }

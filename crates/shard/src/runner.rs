@@ -113,11 +113,11 @@ pub fn flow_shard(
     let combos = combos
         .iter()
         .map(|&(mode, k)| {
-            let mi = modes
-                .iter()
-                .position(|&m| m == mode)
-                // lint: allow(unwrap-in-lib) modes was built from combos, so every combo's mode is present
-                .expect("mode present");
+            #[expect(
+                clippy::expect_used,
+                reason = "modes was built from combos, so every combo's mode is present"
+            )]
+            let mi = modes.iter().position(|&m| m == mode).expect("mode present");
             let paths = route_pair_paths(&ctx, &snaps[mi], k)
                 .into_iter()
                 .map(|pair| pair.into_iter().map(|p| p.edges).collect())

@@ -16,6 +16,14 @@
 //!   `BENCH_*.json` holds the latest run of that suite — the perf
 //!   trajectory across PRs is the git history of these files.
 //! * A human-readable line per benchmark is printed to stdout.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the bench harness is a clock reader by design: timing closures is its job"
+)]
+#![expect(
+    clippy::print_stdout,
+    reason = "the bench harness reports to the bench binary's stdout, one line per benchmark"
+)]
 
 use std::io::Write;
 use std::path::PathBuf;

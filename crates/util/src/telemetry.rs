@@ -50,6 +50,14 @@
 //! Library code may record spans/counters without any setup: if the
 //! level is enabled but no sink was [`init`]ialized, events go to
 //! stderr, so unit tests and ad-hoc runs still see them.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "span timing is the clock's one home; measurement fields are excluded from determinism comparisons"
+)]
+#![expect(
+    clippy::print_stderr,
+    reason = "stderr is the fallback sink when the level is enabled but no run file is open"
+)]
 
 use std::io::Write;
 use std::path::PathBuf;

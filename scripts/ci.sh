@@ -11,15 +11,28 @@
 #    `debug_assert!` is compiled out and integer overflow wraps. The
 #    debug suite runs with --no-fail-fast: every test binary runs and
 #    reports even after one fails, and the step still fails if any did.
-# 3. Style gates: rustfmt (check mode) and clippy with -D warnings —
-#    the tree must be lint-clean, not just compiling.
-# 4. Static invariants: `leo-lint --deny` must pass — the source-level
-#    rules (determinism, panic-free libs, zero-alloc hot paths, the
-#    call-graph reachability rules, and the stale-suppression audit; see
-#    DESIGN.md "Static invariants") with every suppression reasoned.
-#    The run persists the workspace symbol graph to
-#    target/lint-symgraph.jsonl for post-hoc queries (jq/grep over
-#    lint_symbol/lint_edge records).
+# 3. Style gates and clippy: rustfmt (check mode), then clippy with
+#    -D warnings in two lanes that also deny the lints owning the
+#    invariants clippy checks exactly (DESIGN.md "Static invariants").
+#    The lints come from one list, `moved_lints`. The all-targets lane
+#    denies its `all` lints: a `// SAFETY:` comment on every unsafe
+#    block, and no wall-clock reads (disallowed_methods/_types, set in
+#    clippy.toml). The `--workspace --lib` lane denies its `lib` lints,
+#    which hold in library code only: no unwrap/expect and no stdio.
+#    Bins, tests and benches may unwrap and print. Each exception is an
+#    `#[expect(clippy::…, reason = "…")]`, and under -D warnings an
+#    expectation that no longer fires fails the lane. A last step runs
+#    the whole list over crates/lint/tests/fixtures/clippy (one
+#    violation per lint) and fails unless clippy rejects it and names
+#    every lint, so a lint that stops firing cannot pass unnoticed.
+# 4. Static invariants rustc and clippy can't see: `leo-lint --deny`
+#    must pass — hash-order-free result paths, seeded RNG, zero-alloc
+#    hot paths, explicit float comparisons in tests, the call-graph
+#    reachability rules, and the stale-suppression audit — with every
+#    suppression reasoned. The run persists the workspace symbol graph
+#    to target/lint-symgraph.jsonl for post-hoc queries (jq/grep over
+#    lint_symbol/lint_edge records). LEO_LINT_CLEAN=1 is exported only
+#    after lanes 3 and 4 pass.
 #    4b. Sanitizer lane (opt-in: LEO_CI_SANITIZE=1, needs a nightly
 #    toolchain): re-runs the lock-free fan-out (leo-core par), telemetry
 #    sink, and sketch suites under ThreadSanitizer. Skips gracefully
@@ -30,7 +43,7 @@
 # 6. Telemetry schema guard: one Tiny figure run with LEO_LOG=info must
 #    produce a RUN_*.jsonl in which every line is a known event type and
 #    the final record is the run manifest (validate_run checks both).
-#    The run inherits LEO_LINT_CLEAN=1 from the lint lane, and
+#    The run inherits LEO_LINT_CLEAN=1 from lanes 3-4, and
 #    validate_run --require-lint-clean rejects manifests that don't
 #    carry lint_clean="true".
 # 7. leo-report lane: run the Tiny fig2 a second time into the same
@@ -119,8 +132,58 @@ cargo test -q --offline --no-fail-fast
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy --offline --all-targets -- -D warnings =="
-cargo clippy -q --offline --all-targets -- -D warnings
+# The clippy lints that own leo-lint's former file-local rules, as
+# scope:lint. `lib` lints hold in library code only; `all` lints hold in
+# every target.
+moved_lints="
+lib:unwrap_used
+lib:expect_used
+lib:print_stdout
+lib:print_stderr
+lib:dbg_macro
+all:undocumented_unsafe_blocks
+all:disallowed_methods
+all:disallowed_types
+"
+# deny_flags SCOPE: `-D clippy::<lint>` for every moved lint in SCOPE.
+deny_flags() {
+    local entry
+    for entry in $moved_lints; do
+        if [ "${entry%%:*}" = "$1" ]; then
+            printf -- '-D clippy::%s ' "${entry#*:}"
+        fi
+    done
+}
+
+echo "== cargo clippy --offline --all-targets -- -D warnings $(deny_flags all)=="
+# shellcheck disable=SC2046 # one word per flag
+cargo clippy -q --offline --all-targets -- -D warnings $(deny_flags all)
+
+echo "== cargo clippy --offline --workspace --lib -- -D warnings $(deny_flags lib)=="
+# shellcheck disable=SC2046 # one word per flag
+cargo clippy -q --offline --workspace --lib -- -D warnings $(deny_flags lib)
+
+echo "== clippy fixture: every moved lint fires on its bad fixture =="
+fixture=crates/lint/tests/fixtures/clippy
+# shellcheck disable=SC2046 # one word per flag
+if fixture_out=$(cargo clippy --offline --manifest-path "$fixture/Cargo.toml" \
+    --target-dir target/clippy-fixture -- $(deny_flags all) $(deny_flags lib) 2>&1); then
+    printf '%s\n' "$fixture_out" >&2
+    echo "ERROR: clippy passed $fixture/src/lib.rs, which breaks every moved lint" >&2
+    exit 1
+fi
+missing=""
+for entry in $moved_lints; do
+    if ! printf '%s\n' "$fixture_out" | grep -q "index\.html#${entry#*:}\$"; then
+        missing="$missing ${entry#*:}"
+    fi
+done
+if [ -n "$missing" ]; then
+    printf '%s\n' "$fixture_out" >&2
+    echo "ERROR: clippy did not flag$missing on $fixture/src/lib.rs" >&2
+    exit 1
+fi
+echo "ok: clippy rejects the fixture and names every moved lint"
 
 echo "== static invariants: leo-lint --deny =="
 cargo run -q --release --offline -p leo-lint -- --deny --graph-out target/lint-symgraph.jsonl
