@@ -17,7 +17,6 @@
 
 use leo_core::experiments::latency::latency_studies;
 use leo_core::{ExperimentScale, Mode, StudyContext};
-use leo_shard::codec::PayloadKind;
 use leo_shard::runner::{config_hash, latency_shard, spill_latency_shard};
 use leo_shard::{LatencyKeepers, ShardSpec};
 use leo_util::bench::Harness;
@@ -48,7 +47,6 @@ fn main() {
     let spec = ShardSpec::new(0, 1).expect("valid spec");
     let (header, keepers) = latency_shard(&cfg, &MODES, spec, 1);
     assert_eq!(header.config_hash, config_hash(&cfg));
-    assert_eq!(header.kind, PayloadKind::Latency);
     h.bench("keepers_roundtrip", || {
         let bytes = keepers.encode();
         LatencyKeepers::decode(&bytes).expect("decode")

@@ -49,8 +49,9 @@ pub fn scale_name(scale: ExperimentScale) -> &'static str {
     }
 }
 
-/// Sharding options shared by the figure bins (parsed from the args
-/// left over after [`scale_from_args`]):
+/// `fig2_latency`'s sharding options, parsed from the args left over
+/// after [`scale_from_args`] (`ext_million_pairs` has its own parser for
+/// the same worker flags):
 ///
 /// * `--shards K` — coordinator: run the study as `K` pair shards, each
 ///   a separate OS process (this binary re-invoked in worker mode), and

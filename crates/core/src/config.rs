@@ -2,7 +2,7 @@
 //! and experiment scale presets.
 
 use leo_orbit::{Constellation, Shell};
-use leo_util::config::{KvDoc, KvError, KvWriter};
+use leo_util::config::KvWriter;
 
 /// Which constellation to study (paper §2: one shell each, per the FCC
 /// filings of the first deployment phases).
@@ -44,16 +44,6 @@ impl ConstellationKind {
             Self::Starlink => "starlink",
             Self::Kuiper => "kuiper",
             Self::StarlinkPlusPolar => "starlink_plus_polar",
-        }
-    }
-
-    /// Parse a config-text name.
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "starlink" => Some(Self::Starlink),
-            "kuiper" => Some(Self::Kuiper),
-            "starlink_plus_polar" => Some(Self::StarlinkPlusPolar),
-            _ => None,
         }
     }
 }
@@ -122,9 +112,10 @@ impl StudyConfig {
     }
 
     /// Serialize to the workspace's `key = value` config text
-    /// (`leo_util::config` format). Round-trips exactly through
-    /// [`StudyConfig::from_kv_str`]: every float is written with
-    /// shortest-exact formatting.
+    /// (`leo_util::config` format): the canonical form whose FNV-1a hash
+    /// names a run in manifests and shard headers. Every float is
+    /// written with shortest-exact formatting, so configs that differ in
+    /// any field write different text.
     pub fn to_kv_string(&self) -> String {
         let mut w = KvWriter::new();
         w.section("study")
@@ -144,37 +135,6 @@ impl StudyConfig {
             .field("downlink_ghz", self.network.downlink_ghz)
             .field("isl_clearance_m", self.network.isl_clearance_m);
         w.finish()
-    }
-
-    /// Parse config text produced by [`StudyConfig::to_kv_string`] (or
-    /// written by hand in the same format).
-    pub fn from_kv_str(text: &str) -> Result<Self, KvError> {
-        let doc = KvDoc::parse(text)?;
-        let constellation_name = doc.require("study", "constellation")?;
-        let constellation =
-            ConstellationKind::from_name(constellation_name).ok_or_else(|| KvError::BadValue {
-                section: "study".into(),
-                key: "constellation".into(),
-                value: constellation_name.to_string(),
-            })?;
-        Ok(StudyConfig {
-            constellation,
-            network: NetworkConfig {
-                gt_link_gbps: doc.get_f64("network", "gt_link_gbps")?,
-                isl_gbps: doc.get_f64("network", "isl_gbps")?,
-                uplink_ghz: doc.get_f64("network", "uplink_ghz")?,
-                downlink_ghz: doc.get_f64("network", "downlink_ghz")?,
-                isl_clearance_m: doc.get_f64("network", "isl_clearance_m")?,
-            },
-            num_cities: doc.get_usize("study", "num_cities")?,
-            num_pairs: doc.get_usize("study", "num_pairs")?,
-            min_pair_distance_m: doc.get_f64("study", "min_pair_distance_m")?,
-            relay_grid_deg: doc.get_opt_f64("study", "relay_grid_deg")?,
-            relay_radius_m: doc.get_f64("study", "relay_radius_m")?,
-            flight_density: doc.get_f64("study", "flight_density")?,
-            snapshot_times_s: doc.get_f64_list("study", "snapshot_times_s")?,
-            seed: doc.get_u64("study", "seed")?,
-        })
     }
 }
 
@@ -289,63 +249,55 @@ mod tests {
     }
 
     #[test]
-    fn kv_roundtrip_all_scales() {
+    fn config_text_changes_with_every_field() {
+        // The run hash is taken over this text, so a config that differs
+        // in any one field must write different text.
+        fn ulp(x: &mut f64) {
+            *x = x.next_up();
+        }
+        type Edit = fn(&mut StudyConfig);
+        let edits: [(&str, Edit); 17] = [
+            ("kuiper", |c| c.constellation = ConstellationKind::Kuiper),
+            ("polar", |c| {
+                c.constellation = ConstellationKind::StarlinkPlusPolar;
+            }),
+            ("gt_link_gbps", |c| ulp(&mut c.network.gt_link_gbps)),
+            ("isl_gbps", |c| ulp(&mut c.network.isl_gbps)),
+            ("uplink_ghz", |c| ulp(&mut c.network.uplink_ghz)),
+            ("downlink_ghz", |c| ulp(&mut c.network.downlink_ghz)),
+            ("isl_clearance_m", |c| ulp(&mut c.network.isl_clearance_m)),
+            ("num_cities", |c| c.num_cities += 1),
+            ("num_pairs", |c| c.num_pairs += 1),
+            ("min_pair_distance_m", |c| ulp(&mut c.min_pair_distance_m)),
+            ("relay_grid_deg", |c| {
+                c.relay_grid_deg.iter_mut().for_each(ulp)
+            }),
+            ("no relay grid", |c| c.relay_grid_deg = None),
+            ("relay_radius_m", |c| ulp(&mut c.relay_radius_m)),
+            ("flight_density", |c| ulp(&mut c.flight_density)),
+            ("snapshot time", |c| {
+                c.snapshot_times_s.iter_mut().for_each(ulp)
+            }),
+            ("snapshot count", |c| c.snapshot_times_s.truncate(1)),
+            ("seed", |c| c.seed += 1),
+        ];
         for scale in [
             ExperimentScale::Tiny,
             ExperimentScale::Bench,
             ExperimentScale::Paper,
         ] {
-            let cfg = scale.config();
-            let text = cfg.to_kv_string();
-            let back = StudyConfig::from_kv_str(&text).expect("parse back");
-            assert_eq!(back, cfg, "round-trip mismatch for {scale:?}:\n{text}");
+            let base = scale.config();
+            let text = base.to_kv_string();
+            for (field, edit) in edits {
+                let mut cfg = base.clone();
+                edit(&mut cfg);
+                assert_ne!(
+                    cfg.to_kv_string(),
+                    text,
+                    "{scale:?}: changing {field} alone left the config text unchanged"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn kv_roundtrip_none_grid_and_other_constellations() {
-        let mut cfg = ExperimentScale::Tiny.config();
-        cfg.relay_grid_deg = None;
-        cfg.constellation = ConstellationKind::StarlinkPlusPolar;
-        cfg.seed = u64::MAX;
-        let back = StudyConfig::from_kv_str(&cfg.to_kv_string()).unwrap();
-        assert_eq!(back, cfg);
-        cfg.constellation = ConstellationKind::Kuiper;
-        let back = StudyConfig::from_kv_str(&cfg.to_kv_string()).unwrap();
-        assert_eq!(back, cfg);
-    }
-
-    #[test]
-    fn kv_parse_rejects_bad_constellation() {
-        let text = ExperimentScale::Tiny
-            .config()
-            .to_kv_string()
-            .replace("constellation = starlink", "constellation = oneweb");
-        assert!(StudyConfig::from_kv_str(&text).is_err());
-    }
-
-    #[test]
-    fn kv_parse_rejects_missing_key() {
-        let text: String = ExperimentScale::Tiny
-            .config()
-            .to_kv_string()
-            .lines()
-            .filter(|l| !l.starts_with("seed"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(StudyConfig::from_kv_str(&text).is_err());
-    }
-
-    #[test]
-    fn constellation_names_roundtrip() {
-        for k in [
-            ConstellationKind::Starlink,
-            ConstellationKind::Kuiper,
-            ConstellationKind::StarlinkPlusPolar,
-        ] {
-            assert_eq!(ConstellationKind::from_name(k.name()), Some(k));
-        }
-        assert_eq!(ConstellationKind::from_name("oneweb"), None);
     }
 
     #[test]

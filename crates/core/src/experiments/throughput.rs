@@ -76,17 +76,10 @@ impl RoutedFlows {
 }
 
 /// Route `k` edge-disjoint delay-shortest paths for every pair of
-/// `ctx`'s (possibly [range-restricted]) traffic matrix, in pair order.
-///
-/// This is the per-pair-independent half of the throughput pipeline —
-/// the stage pair-sharded runs execute per shard. Paths depend only on
-/// the snapshot's delay graph (never on capacities or on *other* pairs),
-/// so routing pairs `lo..hi` in a restricted context yields exactly the
-/// `lo..hi` slice of the full run's result, and concatenating shard
-/// slices in global pair order feeds [`throughput_from_path_edges`]
-/// bit-identically to the single-process path.
-///
-/// [range-restricted]: StudyContext::restrict_pair_range
+/// `ctx`'s traffic matrix, in pair order: the routing half of the
+/// throughput pipeline. Paths depend only on the snapshot's delay graph,
+/// never on capacities or on other pairs, so one routing pass can feed
+/// [`throughput_from_path_edges`] under any capacity assumption.
 pub fn route_pair_paths(ctx: &StudyContext, snap: &NetworkSnapshot, k: usize) -> Vec<Vec<Path>> {
     // Path-finding per pair is read-only on the snapshot: parallelize.
     parallel_map(&ctx.pairs, 0, |pair| {
@@ -137,13 +130,13 @@ fn routed_from_path_edges(
     }
 }
 
-/// Max-min-fair throughput from pre-routed per-pair path edge lists —
-/// the merge half of the pair-sharded throughput pipeline. `paths`
-/// must list every pair of the *full* traffic matrix in global pair
-/// order (each entry up to `k` paths of snapshot edge ids); the result
+/// Max-min-fair throughput from pre-routed per-pair path edge lists:
+/// the solve half of the throughput pipeline. `paths` lists every pair
+/// of the traffic matrix in pair order (each entry up to `k` paths of
+/// snapshot edge ids, as [`route_pair_paths`] returns them); the result
 /// is bit-identical to [`throughput_with_isl_capacity`] routing the
-/// same snapshot itself, because the global max-min solve sees the
-/// identical link table and flow order.
+/// same snapshot itself, because the max-min solve sees the identical
+/// link table and flow order.
 pub fn throughput_from_path_edges(
     ctx: &StudyContext,
     snap: &NetworkSnapshot,

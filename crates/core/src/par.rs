@@ -87,6 +87,9 @@ where
 /// [`parallel_map`] that also reports per-worker items/busy-time, so
 /// load imbalance across the fan-out is visible. The stats are fed to
 /// telemetry (`par_items_processed`, `par_worker_busy_ns`) when enabled.
+/// Each worker joins the caller's telemetry run
+/// ([`leo_util::telemetry::adopt_run`]), so its events reach the
+/// caller's run log.
 pub fn parallel_map_stats<T, R, F>(items: &[T], threads: usize, f: F) -> (Vec<R>, ParStats)
 where
     T: Sync,
@@ -121,12 +124,14 @@ where
     }
 
     let cursor = AtomicUsize::new(0);
+    let run = leo_util::telemetry::run_id();
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut stats = ParStats::default();
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    leo_util::telemetry::adopt_run(run);
                     let mut local: Vec<(usize, R)> = Vec::new();
                     let mut busy_ns = 0u64;
                     loop {

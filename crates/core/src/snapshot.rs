@@ -5,12 +5,13 @@
 //!
 //! * [`StudyContext::snapshot`] / [`StudyContext::snapshot_bundle`] —
 //!   freeze one instant from scratch.
-//! * [`TimeSweep`] (via [`StudyContext::sweep`],
-//!   [`StudyContext::sweep_times`], or the parallel
-//!   [`StudyContext::sweep_map`]) — walk a whole time series keeping the
-//!   satellite state, the sub-point cell index, the previous step's links
-//!   and every output buffer alive between instants, so consecutive
+//! * [`TimeSweep`] — walk a whole time series keeping the satellite
+//!   state, the sub-point cell index, the previous step's links and
+//!   every output buffer alive between instants, so consecutive
 //!   snapshots cost an incremental update instead of a full rebuild.
+//!   Sequential walks call [`TimeSweep::step`] once per instant;
+//!   parallel ones split the series into chunks, one sweep each, through
+//!   [`StudyContext::sweep_fold`] or [`StudyContext::sweep_map`].
 //!
 //! Both paths are **bit-identical**: a sweep step performs the same
 //! floating-point operations in the same order as a fresh
@@ -292,9 +293,10 @@ impl StudyContext {
     /// lowest-latency paths and `2 × weight` is RTT.
     ///
     /// Building several modes at the same `t_s`? Use
-    /// [`StudyContext::snapshot_bundle`]. Walking a time series? Use
-    /// [`StudyContext::sweep_times`] or [`StudyContext::sweep_map`],
-    /// which additionally keep state alive *between* instants.
+    /// [`StudyContext::snapshot_bundle`]. Walking a time series? Step a
+    /// [`TimeSweep`], or fan out with [`StudyContext::sweep_fold`] /
+    /// [`StudyContext::sweep_map`]; both keep state alive *between*
+    /// instants.
     pub fn snapshot(&self, t_s: f64, mode: Mode) -> NetworkSnapshot {
         #[expect(
             clippy::expect_used,
@@ -324,45 +326,10 @@ impl StudyContext {
         sweep.into_snapshots()
     }
 
-    /// Walk the time series `times`, calling `f(i, snapshots)` with the
-    /// bundle for `times[i]` under `modes` (one snapshot per mode, in
-    /// order). Consecutive instants share a [`TimeSweep`], so each step
-    /// after the first is an incremental update, not a rebuild.
-    ///
-    /// The snapshot slice passed to `f` is reused between steps — clone
-    /// out anything that must outlive the call.
-    pub fn sweep_times(
-        &self,
-        times: &[f64],
-        modes: &[Mode],
-        mut f: impl FnMut(usize, &[NetworkSnapshot]),
-    ) {
-        let mut sweep = TimeSweep::new(self, modes);
-        for (i, &t) in times.iter().enumerate() {
-            f(i, sweep.step(t));
-        }
-    }
-
-    /// [`StudyContext::sweep_times`] over the arithmetic grid
-    /// `t0_s + i·dt_s` for `i in 0..n`.
-    pub fn sweep(
-        &self,
-        t0_s: f64,
-        dt_s: f64,
-        n: usize,
-        modes: &[Mode],
-        mut f: impl FnMut(usize, &[NetworkSnapshot]),
-    ) {
-        let mut sweep = TimeSweep::new(self, modes);
-        for i in 0..n {
-            f(i, sweep.step(t0_s + i as f64 * dt_s));
-        }
-    }
-
-    /// Parallel [`StudyContext::sweep_times`] that collects
-    /// `f(i, snapshots)` for every index, in order — a
-    /// [`StudyContext::sweep_fold`] into a `Vec`, so it shares that
-    /// fan-out's chunking and thread-count invariance.
+    /// Parallel sweep that collects `f(i, snapshots)` — the bundle for
+    /// `times[i]` under `modes`, one snapshot per mode — for every index,
+    /// in order: a [`StudyContext::sweep_fold`] into a `Vec`, so it
+    /// shares that fan-out's chunking and thread-count invariance.
     pub fn sweep_map<R, F>(&self, times: &[f64], modes: &[Mode], threads: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -416,23 +383,6 @@ impl StudyContext {
             |sweep, acc, i, t| step(acc, i, sweep.step(t)),
             merge,
         )
-    }
-
-    /// [`StudyContext::sweep_times`] with per-mode [`EdgeDelta`]s:
-    /// `f(i, snapshots, deltas)` receives, alongside each bundle, how
-    /// every mode's edge set changed since the previous step (`full` on
-    /// step 0). Both slices are reused between steps.
-    pub fn sweep_deltas(
-        &self,
-        times: &[f64],
-        modes: &[Mode],
-        mut f: impl FnMut(usize, &[NetworkSnapshot], &[EdgeDelta]),
-    ) {
-        let mut sweep = TimeSweep::new(self, modes);
-        for (i, &t) in times.iter().enumerate() {
-            let (snaps, deltas) = sweep.step_with_deltas(t);
-            f(i, snaps, deltas);
-        }
     }
 
     /// [`StudyContext::sweep_fold`] with per-mode [`EdgeDelta`]s — the
@@ -1646,28 +1596,6 @@ mod tests {
                 assert_snapshots_identical(a, b, &format!("t={t} mode #{i}"));
             }
         }
-    }
-
-    #[test]
-    fn sweep_times_and_grid_sweep_agree() {
-        let c = ctx();
-        let modes = [Mode::Hybrid];
-        let times = [100.0, 550.0, 1000.0];
-        let mut from_times: Vec<usize> = Vec::new();
-        let mut edges_times: Vec<usize> = Vec::new();
-        c.sweep_times(&times, &modes, |i, snaps| {
-            from_times.push(i);
-            edges_times.push(snaps[0].graph.num_edges());
-        });
-        let mut from_grid: Vec<usize> = Vec::new();
-        let mut edges_grid: Vec<usize> = Vec::new();
-        c.sweep(100.0, 450.0, 3, &modes, |i, snaps| {
-            from_grid.push(i);
-            edges_grid.push(snaps[0].graph.num_edges());
-        });
-        assert_eq!(from_times, vec![0, 1, 2]);
-        assert_eq!(from_times, from_grid);
-        assert_eq!(edges_times, edges_grid);
     }
 
     #[test]

@@ -24,10 +24,9 @@
 //!   without labelling the whole graph).
 //! * [`max_flow`] — Dinic's algorithm, used to reproduce the "lax"
 //!   one-big-sink max-flow model of prior work that the paper criticizes.
-//! * [`suurballe`] — the optimal two-edge-disjoint-path algorithm, and
-//!   [`yen_k_shortest`] — k shortest loopless paths; both feed the
-//!   routing-scheme ablations (the paper's §5 "superior routing" future
-//!   work).
+//! * [`suurballe`] — the optimal two-edge-disjoint-path algorithm,
+//!   which feeds the routing-scheme ablation (the paper's §5 "superior
+//!   routing" future work).
 //!
 //! Everything is synchronous and allocation-conscious: snapshot graphs have
 //! ~10⁵ nodes and ~10⁶ edges and the experiments run thousands of queries
@@ -39,7 +38,6 @@ mod graph;
 mod maxflow;
 mod shortest;
 mod suurballe;
-mod yen;
 
 pub use components::{component_sizes, connected_components};
 pub use disjoint::{k_edge_disjoint_paths, k_edge_disjoint_paths_with};
@@ -50,4 +48,3 @@ pub use shortest::{
     ShortestPaths, SptWorkspace, SsspView, GOAL_MAX_TARGETS,
 };
 pub use suurballe::{suurballe, suurballe_with};
-pub use yen::{yen_k_shortest, yen_k_shortest_with};

@@ -228,7 +228,10 @@ mod tests {
 
     #[test]
     fn classify_paths() {
-        assert_eq!(FileKind::classify("crates/graph/src/yen.rs"), FileKind::Lib);
+        assert_eq!(
+            FileKind::classify("crates/graph/src/graph.rs"),
+            FileKind::Lib
+        );
         assert_eq!(
             FileKind::classify("crates/bench/src/bin/fig2_latency.rs"),
             FileKind::Bin

@@ -13,7 +13,7 @@
 //! | 4 | `shard_count` |
 //! | 8 | `pair_lo` (global pair-index range, inclusive start) |
 //! | 8 | `pair_hi` (exclusive end) |
-//! | 1 | `payload_kind` ([`PayloadKind`]) |
+//! | 1 | `payload_kind` (always 1: latency keepers) |
 //! | 8 | `payload_len` |
 //! | 8 | FNV-1a 64 of the payload bytes |
 //! | 8 | FNV-1a 64 of everything above |
@@ -22,8 +22,9 @@
 //! Every read re-verifies both checksums, the magic, the version, and
 //! the internal consistency of the header before a single payload byte
 //! is interpreted, so a truncated or bit-flipped shard file fails with
-//! a diagnostic instead of merging garbage into final outputs. Payload
-//! encodings live in [`crate::keepers`]; this module only moves bytes.
+//! a diagnostic instead of merging garbage into final outputs. The one
+//! payload encoding, [`crate::keepers::LatencyKeepers`], lives in
+//! [`crate::keepers`]; this module only moves bytes.
 
 use leo_util::buf::{BufError, ByteReader, ByteWriter};
 use leo_util::telemetry::fnv1a_64;
@@ -38,31 +39,10 @@ pub const MAGIC: &[u8; 8] = b"LEOSHARD";
 
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 4 + 4 + 8 + 8 + 1 + 8 + 8 + 8;
 
-/// What the payload encodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PayloadKind {
-    /// Per-pair latency keepers ([`crate::keepers::LatencyKeepers`]).
-    Latency,
-    /// Per-pair routed path sets ([`crate::keepers::FlowPathsKeepers`]).
-    FlowPaths,
-}
-
-impl PayloadKind {
-    fn to_u8(self) -> u8 {
-        match self {
-            PayloadKind::Latency => 1,
-            PayloadKind::FlowPaths => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<PayloadKind, ShardError> {
-        match v {
-            1 => Ok(PayloadKind::Latency),
-            2 => Ok(PayloadKind::FlowPaths),
-            _ => Err(ShardError::Corrupt(format!("unknown payload kind {v}"))),
-        }
-    }
-}
+/// The header's payload-kind byte. Latency keepers are the only
+/// payload; the byte stays so files keep their version-1 layout, and any
+/// other value is corrupt.
+const PAYLOAD_KIND_LATENCY: u8 = 1;
 
 /// Everything a merge needs to prove shard compatibility before
 /// touching payload bytes.
@@ -82,8 +62,6 @@ pub struct ShardHeader {
     pub pair_lo: u64,
     /// Global pair-index range end (exclusive).
     pub pair_hi: u64,
-    /// Payload encoding.
-    pub kind: PayloadKind,
 }
 
 /// Why a shard file could not be written, read, or merged.
@@ -129,7 +107,7 @@ pub fn encode_shard(header: &ShardHeader, payload: &[u8]) -> Vec<u8> {
     w.u32(header.shard_count);
     w.u64(header.pair_lo);
     w.u64(header.pair_hi);
-    w.u8(header.kind.to_u8());
+    w.u8(PAYLOAD_KIND_LATENCY);
     w.u64(payload.len() as u64);
     w.u64(fnv1a_64(payload));
     let header_fnv = fnv1a_64(w.as_slice());
@@ -165,7 +143,10 @@ pub fn decode_shard(bytes: &[u8]) -> Result<(ShardHeader, &[u8]), ShardError> {
     let shard_count = r.u32()?;
     let pair_lo = r.u64()?;
     let pair_hi = r.u64()?;
-    let kind = PayloadKind::from_u8(r.u8()?)?;
+    let kind = r.u8()?;
+    if kind != PAYLOAD_KIND_LATENCY {
+        return Err(ShardError::Corrupt(format!("unknown payload kind {kind}")));
+    }
     let payload_len = r.u64()?;
     let payload_fnv = r.u64()?;
     let header_fnv = r.u64()?;
@@ -206,7 +187,6 @@ pub fn decode_shard(bytes: &[u8]) -> Result<(ShardHeader, &[u8]), ShardError> {
             shard_count,
             pair_lo,
             pair_hi,
-            kind,
         },
         payload,
     ))
@@ -242,7 +222,6 @@ mod tests {
             shard_count: 4,
             pair_lo: 250,
             pair_hi: 500,
-            kind: PayloadKind::Latency,
         }
     }
 
@@ -262,6 +241,22 @@ mod tests {
             let mut bad = bytes.clone();
             bad[i] ^= 0x10;
             assert!(decode_shard(&bad).is_err(), "flip at header byte {i}");
+        }
+    }
+
+    #[test]
+    fn any_payload_kind_but_latency_is_corrupt() {
+        // Re-seal the header checksum after the edit, so the kind byte
+        // is the only fault left in the file.
+        let mut bytes = encode_shard(&header(), b"payload bytes");
+        let kind_at = HEADER_LEN - 8 - 8 - 8 - 1;
+        assert_eq!(bytes[kind_at], PAYLOAD_KIND_LATENCY);
+        bytes[kind_at] = 2;
+        let sealed = fnv1a_64(&bytes[..HEADER_LEN - 8]);
+        bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&sealed.to_le_bytes());
+        match decode_shard(&bytes) {
+            Err(ShardError::Corrupt(m)) => assert!(m.contains("payload kind 2"), "{m}"),
+            other => panic!("kind byte 2 was not rejected as corrupt: {other:?}"),
         }
     }
 

@@ -1,18 +1,13 @@
-//! Shard payloads: the per-pair keepers a worker spills and the exact
-//! associative merges that reassemble full-run results.
+//! The shard payload: the per-pair latency keepers a worker spills and
+//! the exact associative merge that reassembles a full run.
 //!
-//! Two payload kinds exist, mirroring the two sharded drivers:
-//!
-//! * [`LatencyKeepers`] — fig2's per-pair `{min RTT, max RTT, reachable}`
-//!   fold plus whole-shard keeper aggregates (a [`QuantileSketch`] and a
-//!   [`FixedSum`] over the reachable pairs' min RTTs). Merging
-//!   concatenates the disjoint pair ranges and merges the sketches with
-//!   the exact associative merges `leo_util::sketch` guarantees, so the
-//!   merged result is bit-identical to a single-process run.
-//! * [`FlowPathsKeepers`] — fig4's routed per-pair path sets (snapshot
-//!   edge ids). Routing is per-pair independent; the *solve* is global,
-//!   so shards spill paths and the merge concatenates them in global
-//!   pair order before one max-min solve.
+//! [`LatencyKeepers`] hold fig2's per-pair `{min RTT, max RTT,
+//! reachable}` fold plus whole-shard keeper aggregates (a
+//! [`QuantileSketch`] and a [`FixedSum`] over the reachable pairs' min
+//! RTTs). Merging concatenates the disjoint pair ranges and merges the
+//! sketches with the exact associative merges `leo_util::sketch`
+//! guarantees, so the merged result is bit-identical to a
+//! single-process run.
 //!
 //! Every decode is total: malformed bytes produce
 //! [`ShardError::Corrupt`], never a panic, and cross-field invariants
@@ -20,11 +15,10 @@
 //! re-verified so a corrupted payload that slips past the checksum still
 //! cannot mis-merge silently.
 
-use crate::codec::{PayloadKind, ShardError, ShardHeader};
+use crate::codec::{ShardError, ShardHeader};
 use leo_core::experiments::latency::PairStats;
 use leo_core::Mode;
 use leo_data::traffic::CityPair;
-use leo_graph::EdgeId;
 use leo_util::buf::{ByteReader, ByteWriter};
 use leo_util::sketch::{FixedSum, QuantileSketch};
 
@@ -323,113 +317,6 @@ impl LatencyKeepers {
     }
 }
 
-/// One routed (mode, k) combination's per-pair path sets over this
-/// shard's pair range: `paths[pair][path]` is a list of snapshot edge
-/// ids, exactly what `throughput_from_path_edges` consumes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowCombo {
-    /// Human-readable combo tag (e.g. `Hybrid/k4`); merge requires
-    /// shards to agree on tags and their order.
-    pub tag: String,
-    /// Per-pair routed paths, each a list of snapshot edge ids.
-    pub paths: Vec<Vec<Vec<EdgeId>>>,
-}
-
-/// The throughput shard payload: every routed combination over this
-/// shard's pair range.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowPathsKeepers {
-    /// One entry per routed (mode, k) combination, in driver order.
-    pub combos: Vec<FlowCombo>,
-}
-
-impl FlowPathsKeepers {
-    /// Number of pairs this payload covers.
-    pub fn num_pairs(&self) -> usize {
-        self.combos.first().map_or(0, |c| c.paths.len())
-    }
-
-    /// Encode as a shard payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u32(self.combos.len() as u32);
-        for c in &self.combos {
-            w.str(&c.tag);
-            w.u64(c.paths.len() as u64);
-            for pair in &c.paths {
-                w.u32(pair.len() as u32);
-                for path in pair {
-                    w.u32(path.len() as u32);
-                    for &e in path {
-                        w.u32(e);
-                    }
-                }
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decode a shard payload (structural validation only — edge ids
-    /// are snapshot-relative and validated when the merge loads them
-    /// into the flow simulation).
-    pub fn decode(bytes: &[u8]) -> Result<FlowPathsKeepers, ShardError> {
-        let mut r = ByteReader::new(bytes);
-        let n_combos = r.u32()? as usize;
-        if n_combos > 256 {
-            return Err(ShardError::Corrupt(format!(
-                "implausible combo count {n_combos}"
-            )));
-        }
-        let mut combos = Vec::with_capacity(n_combos);
-        let mut n_pairs: Option<usize> = None;
-        for _ in 0..n_combos {
-            let tag = r.str()?;
-            let n = r.u64()? as usize;
-            if bytes.len() < n {
-                return Err(ShardError::Corrupt(format!("implausible pair count {n}")));
-            }
-            match n_pairs {
-                None => n_pairs = Some(n),
-                Some(p) if p != n => {
-                    return Err(ShardError::Corrupt(format!(
-                        "combo pair counts disagree: {p} vs {n}"
-                    )));
-                }
-                Some(_) => {}
-            }
-            let mut paths = Vec::with_capacity(n);
-            for _ in 0..n {
-                let n_paths = r.u32()? as usize;
-                if n_paths > 1024 {
-                    return Err(ShardError::Corrupt(format!(
-                        "implausible path count {n_paths}"
-                    )));
-                }
-                let mut pair = Vec::with_capacity(n_paths);
-                for _ in 0..n_paths {
-                    let n_edges = r.u32()? as usize;
-                    if bytes.len() < n_edges.saturating_mul(4) {
-                        return Err(ShardError::Corrupt(format!(
-                            "implausible edge count {n_edges}"
-                        )));
-                    }
-                    let mut path = Vec::with_capacity(n_edges);
-                    for _ in 0..n_edges {
-                        path.push(r.u32()?);
-                    }
-                    pair.push(path);
-                }
-                paths.push(pair);
-            }
-            combos.push(FlowCombo { tag, paths });
-        }
-        if !r.is_exhausted() {
-            return Err(ShardError::Corrupt("trailing bytes after payload".into()));
-        }
-        Ok(FlowPathsKeepers { combos })
-    }
-}
-
 /// Provenance of a completed merge, for manifests and reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MergedRun {
@@ -444,15 +331,13 @@ pub struct MergedRun {
 }
 
 /// Verify that `shards` are exactly the `K` shards of one run: same
-/// config hash, seed, declared count and payload kind; indices a
-/// permutation of `0..K`; pair ranges tiling `0..n` contiguously after
-/// sorting; per-shard payload sizes matching their header ranges.
-/// Returns the shards sorted by `pair_lo` plus the run provenance.
-fn validate_shard_set<T>(
-    mut shards: Vec<(ShardHeader, T)>,
-    kind: PayloadKind,
-    payload_pairs: impl Fn(&T) -> usize,
-) -> Result<(MergedRun, Vec<(ShardHeader, T)>), ShardError> {
+/// config hash, seed and declared count; indices a permutation of
+/// `0..K`; pair ranges tiling `0..n` contiguously after sorting;
+/// per-shard payload sizes matching their header ranges. Returns the
+/// shards sorted by `pair_lo` plus the run provenance.
+fn validate_shard_set(
+    mut shards: Vec<(ShardHeader, LatencyKeepers)>,
+) -> Result<(MergedRun, Vec<(ShardHeader, LatencyKeepers)>), ShardError> {
     let Some(first) = shards.first() else {
         return Err(ShardError::Incompatible("no shards to merge".into()));
     };
@@ -471,12 +356,6 @@ fn validate_shard_set<T>(
         )));
     }
     for (h, payload) in &shards {
-        if h.kind != kind {
-            return Err(ShardError::Incompatible(format!(
-                "payload kind {:?}, expected {kind:?}",
-                h.kind
-            )));
-        }
         if h.config_hash != run.config_hash {
             return Err(ShardError::Incompatible(format!(
                 "config hash {:#018x} != {:#018x} — shards from different runs",
@@ -496,11 +375,11 @@ fn validate_shard_set<T>(
             )));
         }
         let declared = (h.pair_hi - h.pair_lo) as usize;
-        if payload_pairs(payload) != declared {
+        if payload.num_pairs() != declared {
             return Err(ShardError::Corrupt(format!(
                 "shard {} payload covers {} pairs, header says {declared}",
                 h.shard_index,
-                payload_pairs(payload)
+                payload.num_pairs()
             )));
         }
     }
@@ -542,8 +421,7 @@ pub fn merge_latency_shards(
     shards: Vec<(ShardHeader, LatencyKeepers)>,
 ) -> Result<(MergedRun, LatencyKeepers), ShardError> {
     let t0 = leo_util::telemetry::now_ns();
-    let (run, shards) =
-        validate_shard_set(shards, PayloadKind::Latency, LatencyKeepers::num_pairs)?;
+    let (run, shards) = validate_shard_set(shards)?;
     let total = shards[0].1.total;
     let mode_seq: Vec<Mode> = shards[0].1.modes.iter().map(|m| m.mode).collect();
     for (h, k) in &shards {
@@ -582,43 +460,6 @@ pub fn merge_latency_shards(
             out.reachable.extend_from_slice(&m.reachable);
             out.min_rtt_sketch.merge(&m.min_rtt_sketch);
             out.min_rtt_sum.merge(&m.min_rtt_sum);
-        }
-    }
-    crate::SHARD_MERGE_NS.add(leo_util::telemetry::now_ns() - t0);
-    Ok((run, merged))
-}
-
-/// Merge throughput shards into the full run's per-pair path sets, in
-/// global pair order. Order-invariant like [`merge_latency_shards`];
-/// combo tags must agree across shards in the same order.
-pub fn merge_flow_shards(
-    shards: Vec<(ShardHeader, FlowPathsKeepers)>,
-) -> Result<(MergedRun, FlowPathsKeepers), ShardError> {
-    let t0 = leo_util::telemetry::now_ns();
-    let (run, shards) =
-        validate_shard_set(shards, PayloadKind::FlowPaths, FlowPathsKeepers::num_pairs)?;
-    let tags: Vec<&str> = shards[0].1.combos.iter().map(|c| c.tag.as_str()).collect();
-    for (h, k) in &shards {
-        let seq: Vec<&str> = k.combos.iter().map(|c| c.tag.as_str()).collect();
-        if seq != tags {
-            return Err(ShardError::Incompatible(format!(
-                "shard {} combos {seq:?}, expected {tags:?}",
-                h.shard_index
-            )));
-        }
-    }
-    let mut merged = FlowPathsKeepers {
-        combos: tags
-            .iter()
-            .map(|t| FlowCombo {
-                tag: t.to_string(),
-                paths: Vec::with_capacity(run.n_pairs as usize),
-            })
-            .collect(),
-    };
-    for (_, k) in shards {
-        for (out, c) in merged.combos.iter_mut().zip(k.combos) {
-            out.paths.extend(c.paths);
         }
     }
     crate::SHARD_MERGE_NS.add(leo_util::telemetry::now_ns() - t0);

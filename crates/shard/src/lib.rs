@@ -1,10 +1,10 @@
 //! # leo-shard — out-of-core pair-sharded execution
 //!
-//! The snapshot studies are embarrassingly parallel in the *pair*
-//! dimension: latency folds are per-pair independent, and fig4's
-//! routing depends only on the snapshot graph (the global max-min solve
-//! happens after routing). This crate exploits that to run studies
-//! whose per-pair state would not fit one process:
+//! The latency studies are embarrassingly parallel in the *pair*
+//! dimension: each pair's min/max RTT fold depends only on the snapshot
+//! graphs, never on another pair. This crate exploits that to run
+//! latency studies (fig2, `ext_million_pairs`) whose per-pair state
+//! would not fit one process:
 //!
 //! 1. **Partition** ([`partition`]): the sampled traffic matrix is
 //!    split into `K` balanced contiguous index ranges — a pure function
@@ -15,16 +15,20 @@
 //!    memory for pair-dimension state is `O(n/K)`. Each shard runs as a
 //!    separate OS process speaking the `--shard i/K` CLI protocol.
 //! 3. **Spill** ([`codec`], [`keepers`]): each worker writes its
-//!    keepers — per-pair min/max RTT, reachability counts, a
-//!    [`QuantileSketch`] + [`FixedSum`] over min RTTs, or routed path
-//!    sets — to a compact versioned binary file whose checksummed
-//!    header carries `(config_hash, seed, shard range)` provenance.
-//! 4. **Merge** ([`keepers::merge_latency_shards`],
-//!    [`keepers::merge_flow_shards`]): shard payloads concatenate in
-//!    global pair order and keeper aggregates merge with the exact
-//!    associative merges `leo_util::sketch` guarantees, so the final
-//!    output is **bit-identical** to a single-process run and invariant
-//!    to shard arrival order.
+//!    keepers — per-pair min/max RTT, reachability counts, and a
+//!    [`QuantileSketch`] + [`FixedSum`] over min RTTs — to a compact
+//!    versioned binary file whose checksummed header carries
+//!    `(config_hash, seed, shard range)` provenance.
+//! 4. **Merge** ([`keepers::merge_latency_shards`]): shard payloads
+//!    concatenate in global pair order and keeper aggregates merge with
+//!    the exact associative merges `leo_util::sketch` guarantees, so the
+//!    final output is **bit-identical** to a single-process run and
+//!    invariant to shard arrival order.
+//!
+//! Fig. 4's throughput is not sharded: its max-min-fair allocation is
+//! one solve over every pair's sub-flows, so each worker would rebuild
+//! the whole context and snapshots only to route a slice of the pairs,
+//! and the coordinator would still hold every path (DESIGN.md §5.3).
 //!
 //! Telemetry: spills bump [`static@SHARD_SPILL_BYTES`], merges bump
 //! [`static@SHARD_MERGE_NS`]; both ride the standard counter snapshot
@@ -41,8 +45,8 @@ pub mod keepers;
 pub mod partition;
 pub mod runner;
 
-pub use codec::{PayloadKind, ShardError, ShardHeader};
-pub use keepers::{FlowPathsKeepers, LatencyKeepers, MergedRun};
+pub use codec::{ShardError, ShardHeader};
+pub use keepers::{LatencyKeepers, MergedRun};
 pub use partition::ShardSpec;
 
 use leo_util::telemetry::Counter;

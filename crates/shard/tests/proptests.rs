@@ -1,4 +1,4 @@
-//! Property-based tests for the shard payload codecs and merges (on
+//! Property-based tests for the shard payload codec and merge (on
 //! `leo_util::check`): encode→decode identity on random keepers, total
 //! (panic-free) decoding of mutated bytes, and merge invariance across
 //! random shard-arrival permutations.
@@ -6,10 +6,8 @@
 use leo_core::experiments::latency::PairStats;
 use leo_core::Mode;
 use leo_data::traffic::CityPair;
-use leo_shard::codec::{decode_shard, encode_shard, PayloadKind, ShardHeader};
-use leo_shard::keepers::{
-    merge_flow_shards, merge_latency_shards, FlowCombo, FlowPathsKeepers, LatencyKeepers,
-};
+use leo_shard::codec::{decode_shard, encode_shard, ShardHeader};
+use leo_shard::keepers::{merge_latency_shards, LatencyKeepers};
 use leo_shard::partition::ShardSpec;
 use leo_util::check::{check, CaseError, Gen};
 use leo_util::{check_assert, check_assert_eq};
@@ -57,25 +55,7 @@ fn arb_stats(g: &mut Gen, n_pairs: usize, total: usize) -> Vec<Vec<PairStats>> {
         .collect()
 }
 
-fn arb_flow_keepers(g: &mut Gen, n_pairs: usize) -> FlowPathsKeepers {
-    let n_combos = g.usize(1..4);
-    let combos = (0..n_combos)
-        .map(|c| FlowCombo {
-            tag: format!("combo/k{c}"),
-            paths: (0..n_pairs)
-                .map(|_| {
-                    g.vec(0..4, |g| {
-                        let len = g.usize(1..12);
-                        g.vec(len..len + 1, |g| g.u32(0..10_000))
-                    })
-                })
-                .collect(),
-        })
-        .collect();
-    FlowPathsKeepers { combos }
-}
-
-fn header(spec: ShardSpec, lo: u64, hi: u64, kind: PayloadKind) -> ShardHeader {
+fn header(spec: ShardSpec, lo: u64, hi: u64) -> ShardHeader {
     ShardHeader {
         config_hash: 0xabcd_ef01_2345_6789,
         seed: 7,
@@ -83,7 +63,6 @@ fn header(spec: ShardSpec, lo: u64, hi: u64, kind: PayloadKind) -> ShardHeader {
         shard_count: spec.count as u32,
         pair_lo: lo,
         pair_hi: hi,
-        kind,
     }
 }
 
@@ -122,19 +101,6 @@ fn latency_keepers_roundtrip() {
     });
 }
 
-/// Flow-path keepers survive encode→decode exactly.
-#[test]
-fn flow_keepers_roundtrip() {
-    check("flow_keepers_roundtrip", |g| {
-        let n_pairs = g.usize(0..30);
-        let keepers = arb_flow_keepers(g, n_pairs);
-        let back = FlowPathsKeepers::decode(&keepers.encode())
-            .map_err(|e| CaseError::fail(e.to_string()))?;
-        check_assert_eq!(back, keepers);
-        Ok(())
-    });
-}
-
 /// Decoding is total: random byte mutations (flips and truncations) of
 /// a valid payload either decode or error, never panic — and a mutated
 /// *file image* never decodes at all (the checksums catch it).
@@ -147,10 +113,7 @@ fn mutated_bytes_never_panic_and_mutated_files_never_pass() {
         let keepers = LatencyKeepers::from_stats(&stats, &MODES, total as u64);
         let payload = keepers.encode();
         let spec = ShardSpec::new(0, 1).map_err(CaseError::fail)?;
-        let image = encode_shard(
-            &header(spec, 0, stats[0].len() as u64, PayloadKind::Latency),
-            &payload,
-        );
+        let image = encode_shard(&header(spec, 0, stats[0].len() as u64), &payload);
 
         // Raw payload mutation: decode() must stay total.
         let mut bytes = payload.clone();
@@ -159,7 +122,6 @@ fn mutated_bytes_never_panic_and_mutated_files_never_pass() {
         let _ = LatencyKeepers::decode(&bytes);
         let cut = g.usize(0..bytes.len());
         let _ = LatencyKeepers::decode(&bytes[..cut]);
-        let _ = FlowPathsKeepers::decode(&bytes);
 
         // File-image mutation: the container must reject it outright.
         let mut img = image.clone();
@@ -189,7 +151,7 @@ fn latency_merge_is_order_invariant() {
             let r = spec.range(n_pairs);
             let slice: Vec<Vec<PairStats>> = stats.iter().map(|m| m[r.clone()].to_vec()).collect();
             shards.push((
-                header(spec, r.start as u64, r.end as u64, PayloadKind::Latency),
+                header(spec, r.start as u64, r.end as u64),
                 LatencyKeepers::from_stats(&slice, &MODES, total as u64),
             ));
         }
@@ -205,46 +167,6 @@ fn latency_merge_is_order_invariant() {
         let (run_b, merged_b) =
             merge_latency_shards(shuffled).map_err(|e| CaseError::fail(e.to_string()))?;
         check_assert_eq!(run_a, run_b);
-        check_assert_eq!(merged_a, merged_b);
-        check_assert_eq!(merged_a, full);
-        check_assert_eq!(run_a.n_pairs, n_pairs as u64);
-        Ok(())
-    });
-}
-
-/// Flow-path merges are order-invariant too, and reassemble the global
-/// pair order exactly.
-#[test]
-fn flow_merge_is_order_invariant() {
-    check("flow_merge_is_order_invariant", |g| {
-        let n_pairs = g.usize(0..50);
-        let k = g.usize(1..6);
-        let full = arb_flow_keepers(g, n_pairs);
-
-        let mut shards = Vec::new();
-        for spec in ShardSpec::all(k) {
-            let r = spec.range(n_pairs);
-            let combos = full
-                .combos
-                .iter()
-                .map(|c| FlowCombo {
-                    tag: c.tag.clone(),
-                    paths: c.paths[r.clone()].to_vec(),
-                })
-                .collect();
-            shards.push((
-                header(spec, r.start as u64, r.end as u64, PayloadKind::FlowPaths),
-                FlowPathsKeepers { combos },
-            ));
-        }
-        let mut shuffled = shards.clone();
-        for i in (1..shuffled.len()).rev() {
-            shuffled.swap(i, g.usize(0..i + 1));
-        }
-        let (run_a, merged_a) =
-            merge_flow_shards(shards).map_err(|e| CaseError::fail(e.to_string()))?;
-        let (_, merged_b) =
-            merge_flow_shards(shuffled).map_err(|e| CaseError::fail(e.to_string()))?;
         check_assert_eq!(merged_a, merged_b);
         check_assert_eq!(merged_a, full);
         check_assert_eq!(run_a.n_pairs, n_pairs as u64);
@@ -279,7 +201,7 @@ fn merge_rejects_incompatible_sets() {
         let r = spec.range(n);
         let slice: Vec<Vec<PairStats>> = stats.iter().map(|m| m[r.clone()].to_vec()).collect();
         (
-            header(spec, r.start as u64, r.end as u64, PayloadKind::Latency),
+            header(spec, r.start as u64, r.end as u64),
             LatencyKeepers::from_stats(&slice, &MODES, total as u64),
         )
     };

@@ -1,186 +1,30 @@
 //! Hand-rolled sectioned `key = value` config text (replaces `serde`
-//! derive for the handful of config structs the workspace serializes).
+//! derive for the one config the workspace serializes): the canonical
+//! form of a `StudyConfig`, whose FNV-1a hash names a run in manifests
+//! and shard headers. Nothing reads the text back, so only the writer
+//! exists.
 //!
 //! Format, by example:
 //!
 //! ```text
-//! # comment
-//! [network]
-//! gt_link_gbps = 20
-//! isl_gbps = 100
-//!
 //! [study]
 //! constellation = starlink
 //! snapshot_times_s = 0,21600,43200,64800
 //! relay_grid_deg = none
+//!
+//! [network]
+//! gt_link_gbps = 20
+//! isl_gbps = 100
 //! ```
 //!
-//! * Sections are `[name]` headers; keys before any header live in the
-//!   `""` (root) section.
-//! * Values are everything after the first `=`, trimmed. Lists are
+//! * Sections are `[name]` headers, separated by a blank line.
+//! * Each field is `key = value`, values written with `Display` (so
+//!   floats use shortest round-trip formatting). Lists are
 //!   comma-separated. Optional values use the literal `none`.
-//! * `#` starts a comment only at the beginning of a line (values never
-//!   contain `#` in practice, and this keeps parsing trivial).
-//! * Duplicate keys within a section: last one wins (documented, tested).
 
 use std::fmt::Display;
 
-/// Errors from [`KvDoc::parse`] and the typed getters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KvError {
-    /// A non-empty, non-comment line had no `=` and was not a `[section]`.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-    },
-    /// A `[section` header was not closed with `]`.
-    UnclosedSection {
-        /// 1-based line number.
-        line: usize,
-    },
-    /// A required key was absent.
-    Missing {
-        /// Section name.
-        section: String,
-        /// Key name.
-        key: String,
-    },
-    /// A value failed to parse as the requested type.
-    BadValue {
-        /// Section name.
-        section: String,
-        /// Key name.
-        key: String,
-        /// The offending raw value.
-        value: String,
-    },
-}
-
-impl Display for KvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KvError::Malformed { line } => write!(f, "line {line}: expected `key = value`"),
-            KvError::UnclosedSection { line } => write!(f, "line {line}: unclosed [section"),
-            KvError::Missing { section, key } => {
-                write!(f, "missing key `{key}` in section [{section}]")
-            }
-            KvError::BadValue {
-                section,
-                key,
-                value,
-            } => {
-                write!(f, "bad value `{value}` for `{key}` in section [{section}]")
-            }
-        }
-    }
-}
-
-impl std::error::Error for KvError {}
-
-/// A parsed config document: ordered `(section, key, value)` triples.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct KvDoc {
-    entries: Vec<(String, String, String)>,
-}
-
-impl KvDoc {
-    /// Parse config text.
-    pub fn parse(text: &str) -> Result<KvDoc, KvError> {
-        let mut entries = Vec::new();
-        let mut section = String::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('[') {
-                match rest.strip_suffix(']') {
-                    Some(name) => section = name.trim().to_string(),
-                    None => return Err(KvError::UnclosedSection { line: i + 1 }),
-                }
-                continue;
-            }
-            let Some((k, v)) = line.split_once('=') else {
-                return Err(KvError::Malformed { line: i + 1 });
-            };
-            entries.push((section.clone(), k.trim().to_string(), v.trim().to_string()));
-        }
-        Ok(KvDoc { entries })
-    }
-
-    /// Raw string lookup; last duplicate wins.
-    pub fn get(&self, section: &str, key: &str) -> Option<&str> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|(s, k, _)| s == section && k == key)
-            .map(|(_, _, v)| v.as_str())
-    }
-
-    /// Required string value.
-    pub fn require(&self, section: &str, key: &str) -> Result<&str, KvError> {
-        self.get(section, key).ok_or_else(|| KvError::Missing {
-            section: section.to_string(),
-            key: key.to_string(),
-        })
-    }
-
-    fn typed<T: std::str::FromStr>(&self, section: &str, key: &str) -> Result<T, KvError> {
-        let v = self.require(section, key)?;
-        v.parse().map_err(|_| KvError::BadValue {
-            section: section.to_string(),
-            key: key.to_string(),
-            value: v.to_string(),
-        })
-    }
-
-    /// Required `f64` value.
-    pub fn get_f64(&self, section: &str, key: &str) -> Result<f64, KvError> {
-        self.typed(section, key)
-    }
-
-    /// Required `u64` value.
-    pub fn get_u64(&self, section: &str, key: &str) -> Result<u64, KvError> {
-        self.typed(section, key)
-    }
-
-    /// Required `usize` value.
-    pub fn get_usize(&self, section: &str, key: &str) -> Result<usize, KvError> {
-        self.typed(section, key)
-    }
-
-    /// Required comma-separated `f64` list (empty string = empty list).
-    pub fn get_f64_list(&self, section: &str, key: &str) -> Result<Vec<f64>, KvError> {
-        let v = self.require(section, key)?;
-        if v.is_empty() {
-            return Ok(Vec::new());
-        }
-        v.split(',')
-            .map(|s| {
-                s.trim().parse().map_err(|_| KvError::BadValue {
-                    section: section.to_string(),
-                    key: key.to_string(),
-                    value: v.to_string(),
-                })
-            })
-            .collect()
-    }
-
-    /// Required optional-`f64`: the literal `none` maps to `None`.
-    pub fn get_opt_f64(&self, section: &str, key: &str) -> Result<Option<f64>, KvError> {
-        let v = self.require(section, key)?;
-        if v.eq_ignore_ascii_case("none") {
-            return Ok(None);
-        }
-        v.parse().map(Some).map_err(|_| KvError::BadValue {
-            section: section.to_string(),
-            key: key.to_string(),
-            value: v.to_string(),
-        })
-    }
-}
-
-/// Builder for config text in the [`KvDoc`] format.
+/// Builder for config text in the format above.
 #[derive(Debug, Default)]
 pub struct KvWriter {
     out: String,
@@ -241,83 +85,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_basic() {
-        let doc = KvDoc::parse("a = 1\n[s]\nb = two\nc=3.5\n").unwrap();
-        assert_eq!(doc.get("", "a"), Some("1"));
-        assert_eq!(doc.get("s", "b"), Some("two"));
-        assert_eq!(doc.get_f64("s", "c").unwrap(), 3.5);
-        assert_eq!(doc.get("s", "nope"), None);
-    }
-
-    #[test]
-    fn comments_and_blanks_ignored() {
-        let doc = KvDoc::parse("# header\n\n  \nx = 1\n# trailing\n").unwrap();
-        assert_eq!(doc.get_u64("", "x").unwrap(), 1);
-    }
-
-    #[test]
-    fn duplicate_last_wins() {
-        let doc = KvDoc::parse("x = 1\nx = 2\n").unwrap();
-        assert_eq!(doc.get("", "x"), Some("2"));
-    }
-
-    #[test]
-    fn malformed_line_errors() {
-        assert_eq!(
-            KvDoc::parse("just words\n").unwrap_err(),
-            KvError::Malformed { line: 1 }
-        );
-        assert_eq!(
-            KvDoc::parse("a = 1\n[oops\n").unwrap_err(),
-            KvError::UnclosedSection { line: 2 }
-        );
-    }
-
-    #[test]
-    fn typed_getters_and_errors() {
-        let doc = KvDoc::parse("[s]\nn = 42\nf = 1.5\nlist = 1, 2,3\nopt = none\n").unwrap();
-        assert_eq!(doc.get_usize("s", "n").unwrap(), 42);
-        assert_eq!(doc.get_f64("s", "f").unwrap(), 1.5);
-        assert_eq!(doc.get_f64_list("s", "list").unwrap(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(doc.get_opt_f64("s", "opt").unwrap(), None);
-        assert!(matches!(
-            doc.get_u64("s", "f").unwrap_err(),
-            KvError::BadValue { .. }
-        ));
-        assert!(matches!(
-            doc.get_f64("s", "missing").unwrap_err(),
-            KvError::Missing { .. }
-        ));
-    }
-
-    #[test]
-    fn writer_parses_back() {
+    fn writer_emits_sections_lists_and_none() {
         let mut w = KvWriter::new();
         w.section("net")
             .field("cap", 20.5)
             .field("name", "starlink")
             .field_f64_list("times", &[0.0, 900.0])
-            .field_opt_f64("grid", None);
-        let text = w.finish();
-        let doc = KvDoc::parse(&text).unwrap();
-        assert_eq!(doc.get_f64("net", "cap").unwrap(), 20.5);
-        assert_eq!(doc.get("net", "name"), Some("starlink"));
-        assert_eq!(doc.get_f64_list("net", "times").unwrap(), vec![0.0, 900.0]);
-        assert_eq!(doc.get_opt_f64("net", "grid").unwrap(), None);
-    }
-
-    #[test]
-    fn values_may_contain_equals() {
-        let doc = KvDoc::parse("k = a=b\n").unwrap();
-        assert_eq!(doc.get("", "k"), Some("a=b"));
-    }
-
-    #[test]
-    fn error_display() {
-        let e = KvError::Missing {
-            section: "s".into(),
-            key: "k".into(),
-        };
-        assert!(e.to_string().contains("`k`"));
+            .field_opt_f64("grid", None)
+            .field_opt_f64("step", Some(0.5));
+        w.section("run").field("seed", 42);
+        assert_eq!(
+            w.finish(),
+            "[net]\ncap = 20.5\nname = starlink\ntimes = 0,900\ngrid = none\nstep = 0.5\n\n[run]\nseed = 42\n"
+        );
     }
 }

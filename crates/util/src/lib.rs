@@ -5,7 +5,8 @@
 //!
 //! * [`rng`] — seedable SplitMix64 + xoshiro256++ PRNG (replaces `rand`)
 //! * [`buf`] — little-endian byte reader/writer (replaces `bytes`)
-//! * [`config`] — `key = value` sectioned config text (replaces `serde`)
+//! * [`config`] — writer for the `key = value` config text a run's hash
+//!   is taken over (replaces `serde`)
 //! * [`check`] — seeded property-testing harness (replaces `proptest`)
 //! * [`mod@bench`] — warmup + median/p95 timing harness (replaces `criterion`)
 //! * [`telemetry`] — spans/counters/histograms + JSONL run manifests

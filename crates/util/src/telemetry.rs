@@ -50,6 +50,20 @@
 //! Library code may record spans/counters without any setup: if the
 //! level is enabled but no sink was [`init`]ialized, events go to
 //! stderr, so unit tests and ad-hoc runs still see them.
+//!
+//! ## Run scope
+//!
+//! The level is process-wide, but the open sink belongs to one run:
+//! [`init_at`] draws a fresh run id and stamps it on the sink and on the
+//! calling thread, and [`adopt_run`] hands it to worker threads
+//! (`leo_core::par` does so for every worker it spawns). `span`,
+//! `series`, `heartbeat` and `log` events reach the sink, and spans
+//! reach the manifest's phase table, only from threads of that run; a
+//! thread outside it (say, a concurrent study in the same test binary)
+//! writes nothing while another run's sink is open. Counters and
+//! histograms stay process-wide: a manifest's `counters` and `hists`
+//! total every thread of the process since start (or since
+//! [`reset_for_tests`]).
 #![expect(
     clippy::disallowed_methods,
     reason = "span timing is the clock's one home; measurement fields are excluded from determinism comparisons"
@@ -104,11 +118,16 @@ impl Level {
 const LEVEL_UNSET: u8 = 0xFF;
 static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNSET);
 
+/// First read: take `LEO_LOG` unless a level was set meanwhile. Another
+/// thread's [`set_level`] can land between this thread's unset load and
+/// the env read, and must win.
 #[cold]
 fn level_slow() -> u8 {
     let l = std::env::var("LEO_LOG").map_or(Level::Off, |v| Level::parse(&v)) as u8;
-    LEVEL.store(l, Ordering::Relaxed);
-    l
+    match LEVEL.compare_exchange(LEVEL_UNSET, l, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => l,
+        Err(set) => set,
+    }
 }
 
 /// The current level (reads `LEO_LOG` once, lazily).
@@ -155,9 +174,12 @@ pub fn now_ns() -> u64 {
 }
 
 static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
+/// Run ids handed out by [`init_at`]; 0 means "no run".
+static NEXT_RUN: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     static THREAD_ID: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
     static SPAN_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    static RUN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Small dense id of the calling thread (assigned on first use).
@@ -165,9 +187,23 @@ pub fn thread_id() -> usize {
     THREAD_ID.with(|t| *t)
 }
 
+/// The run the calling thread belongs to: the id [`init_at`] drew on
+/// this thread, or the one [`adopt_run`] handed it; 0 if neither.
+pub fn run_id() -> u64 {
+    RUN.get()
+}
+
+/// Make the calling thread part of run `id` (from [`run_id`] on the
+/// thread that spawned it), so its events reach that run's sink.
+pub fn adopt_run(id: u64) {
+    RUN.set(id);
+}
+
 struct Sink {
     out: std::io::BufWriter<std::fs::File>,
     path: PathBuf,
+    /// The run that opened the sink; only its threads write to it.
+    run: u64,
 }
 
 static SINK: Mutex<Option<Sink>> = Mutex::new(None);
@@ -190,15 +226,22 @@ impl<T> LockRecover<T> for Mutex<T> {
     }
 }
 
-/// Write one already-formatted JSON line to the sink (or stderr if no
-/// sink is installed). Callers must pass a complete JSON object.
-fn emit(line: &str) {
+/// Write one already-formatted JSON line to the sink when the calling
+/// thread belongs to the sink's run, or to stderr if no sink is open.
+/// While another run's sink is open the line is dropped. Returns whether
+/// the line was written. Callers must pass a complete JSON object.
+fn emit(line: &str) -> bool {
     let mut guard = SINK.lock_recover();
     match guard.as_mut() {
-        Some(sink) => {
+        Some(sink) if sink.run == RUN.get() => {
             let _ = writeln!(sink.out, "{line}");
+            true
         }
-        None => eprintln!("{line}"),
+        Some(_) => false,
+        None => {
+            eprintln!("{line}");
+            true
+        }
     }
 }
 
@@ -207,6 +250,8 @@ fn emit(line: &str) {
 /// Directory: `LEO_LOG_DIR` env var, else the current directory. Returns
 /// `None` (and creates nothing) when the level is `Off`. A `run_start`
 /// record is written immediately. Re-initializing replaces the sink.
+/// The calling thread becomes the run's first thread (see the module's
+/// "Run scope").
 pub fn init(label: &str) -> Option<PathBuf> {
     if !enabled(Level::Info) {
         return None;
@@ -256,10 +301,13 @@ pub fn init_at(dir: &std::path::Path, label: &str) -> Option<PathBuf> {
             let p = dir.join(format!("RUN_{label}.jsonl"));
             std::fs::File::create(&p).ok().map(|f| (f, p))
         })?;
+    let run = NEXT_RUN.fetch_add(1, Ordering::Relaxed);
+    RUN.set(run);
     let mut guard = SINK.lock_recover();
     *guard = Some(Sink {
         out: std::io::BufWriter::new(file),
         path: path.clone(),
+        run,
     });
     drop(guard);
     emit(&format!(
@@ -313,8 +361,9 @@ static PHASES: Mutex<Vec<(&'static str, u64, u64, u64)>> = Mutex::new(Vec::new()
 /// RAII span guard; create via [`span!`](crate::span) (or [`Span::enter`]).
 ///
 /// On drop (when the telemetry level is enabled) it emits a `span`
-/// event carrying wall-time ns, nesting depth, and thread id, and folds
-/// the duration into the per-phase totals reported by the manifest.
+/// event carrying wall-time ns, nesting depth, and thread id, and, if
+/// the event was written, folds the duration into the per-phase totals
+/// reported by the manifest.
 #[must_use = "a span measures the scope it is bound to; binding to _ drops it immediately"]
 pub struct Span {
     /// `None` when telemetry was disabled at entry (zero-cost drop).
@@ -366,23 +415,12 @@ impl Drop for Span {
         };
         let dur_ns = inner.start.elapsed().as_nanos() as u64;
         SPAN_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        {
-            let mut phases = PHASES.lock_recover();
-            match phases.iter_mut().find(|(n, ..)| *n == inner.name) {
-                Some(entry) => {
-                    entry.1 += 1;
-                    entry.2 += dur_ns;
-                    entry.3 = entry.3.max(dur_ns);
-                }
-                None => phases.push((inner.name, 1, dur_ns, dur_ns)),
-            }
-        }
         let kv = if inner.kv.is_empty() {
             String::new()
         } else {
             format!(",\"kv\":{{{}}}", inner.kv)
         };
-        emit(&format!(
+        let written = emit(&format!(
             "{{\"type\":\"span\",\"t_ns\":{},\"name\":{},\"dur_ns\":{},\"depth\":{},\"thread\":{}{}}}",
             inner.start_ns,
             json_string(inner.name),
@@ -391,6 +429,18 @@ impl Drop for Span {
             thread_id(),
             kv
         ));
+        if !written {
+            return;
+        }
+        let mut phases = PHASES.lock_recover();
+        match phases.iter_mut().find(|(n, ..)| *n == inner.name) {
+            Some(entry) => {
+                entry.1 += 1;
+                entry.2 += dur_ns;
+                entry.3 = entry.3.max(dur_ns);
+            }
+            None => phases.push((inner.name, 1, dur_ns, dur_ns)),
+        }
     }
 }
 
@@ -1413,6 +1463,17 @@ mod tests {
         assert_eq!(Level::parse("garbage"), Level::Off);
         assert_eq!(Level::parse(" 1 "), Level::Info);
         assert!(Level::Debug > Level::Info && Level::Info > Level::Off);
+    }
+
+    #[test]
+    fn env_read_never_overrides_a_set_level() {
+        let _g = lock();
+        // A thread whose first probe found the level unset reads the env
+        // after another thread set the level; the set level stays.
+        set_level(Level::Debug);
+        assert_eq!(level_slow(), Level::Debug as u8);
+        assert_eq!(level(), Level::Debug);
+        set_level(Level::Off);
     }
 
     #[test]

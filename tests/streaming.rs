@@ -7,9 +7,12 @@
 //!   chunk merges are exact, so results are bit-identical however the
 //!   sweep is split.
 //!
-//! Telemetry level and sink are process-global, so the sketch-vs-exact
-//! check lives in one `#[test]`; the thread-invariance checks never
-//! raise the level.
+//! The telemetry level is process-wide, but a run log takes events only
+//! from its own run's threads, so the thread-invariance checks here may
+//! run while the sketch-vs-exact check captures its log; that test also
+//! runs a study of its own beside the capture to pin this. It is the
+//! binary's one test that opens a run log: a second `init_at` would
+//! replace the sink.
 
 use leo_core::experiments::latency::{latency_studies, snapshot_rtts};
 use leo_core::experiments::weather::weather_study;
@@ -42,15 +45,33 @@ fn bench_scale_fig2_sketches_match_exact_pipeline_within_bound() {
 
     telemetry::set_level(Level::Info);
     let path = telemetry::init_at(&dir, "streaming_fig2").expect("open run log");
+    // A concurrent study outside the run: none of its events may reach
+    // the run log.
+    let noise = std::thread::spawn(|| {
+        let tiny = StudyContext::build(ExperimentScale::Tiny.config());
+        latency_studies(&tiny, &[Mode::BpOnly, Mode::Hybrid], 2)
+    });
     let ctx = StudyContext::build(ExperimentScale::Bench.config());
     let modes = [Mode::BpOnly, Mode::Hybrid];
     let studies = latency_studies(&ctx, &modes, 0);
+    noise.join().expect("concurrent study");
     let manifest = telemetry::RunManifest::new("streaming_fig2", 0, ctx.config.seed, 0);
     telemetry::finish_run(&manifest).expect("close run log");
     telemetry::set_level(Level::Off);
 
     let text = std::fs::read_to_string(&path).expect("run log readable");
     let lines: Vec<&str> = text.lines().collect();
+    let manifest = Json::parse(lines.last().expect("manifest line")).unwrap();
+    let study_phase = manifest
+        .get("phases")
+        .and_then(|p| p.get("latency_study"))
+        .and_then(|p| p.get("count"))
+        .and_then(Json::as_num);
+    assert_eq!(
+        study_phase,
+        Some(1.0),
+        "latency_study spans in the manifest"
+    );
 
     for (mode, series_name, stats) in [
         (Mode::BpOnly, "rtt_ms_bp", &studies[0]),

@@ -4,9 +4,10 @@
 //! pipeline present, and the closing manifest carrying the right config
 //! hash and seed.
 //!
-//! Telemetry level and sink are process-global, so everything lives in
-//! one `#[test]` (this file is its own test binary; other integration
-//! tests never see the raised level).
+//! The telemetry level is process-wide, and a second `init_at` would
+//! replace the open sink, so everything lives in one `#[test]` (this
+//! file is its own test binary). Counters are process-wide too; the
+//! log's spans and series come only from this run's threads.
 
 use leo_core::experiments::latency::latency_study;
 use leo_core::experiments::throughput::throughput;
