@@ -26,8 +26,8 @@
 //!   what a graph's first goal-directed `run_multi` pays.
 //! * `many_targets_sources` — the other side of the goal-direction cap:
 //!   one early-exit search per source of a 15,500-pair bench-scale set
-//!   (~62 destinations per source, `ext_million_pairs`' per-shard
-//!   shape) on one Hybrid snapshot. These searches run as plain
+//!   (~62 destinations per source, a quarter of `ext_million_pairs`'
+//!   fan-out) on one Hybrid snapshot. These searches run as plain
 //!   Dijkstra, so this arm should not move with the bound.
 //! * `maxflow_fresh` vs `maxflow_workspace` — one Dinic run with
 //!   per-call scratch vs a warm [`MaxFlowWorkspace`] (both pay the same

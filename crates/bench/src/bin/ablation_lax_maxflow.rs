@@ -11,7 +11,7 @@ use leo_core::{Mode, StudyContext};
 use leo_util::diag;
 
 fn main() {
-    let (scale, _) = scale_from_args();
+    let (scale, _) = scale_from_args(&[]);
     init_run("ablation_lax_maxflow");
     let ctx = StudyContext::build(scale.config());
 

@@ -12,7 +12,7 @@ use leo_core::{Mode, StudyContext};
 use leo_util::diag;
 
 fn main() {
-    let (scale, _) = scale_from_args();
+    let (scale, _) = scale_from_args(&[]);
     init_run("ext_packet_delay");
     let ctx = StudyContext::build(config_with_cities(scale, 340));
     let (src, dst) = ("New York", "London");

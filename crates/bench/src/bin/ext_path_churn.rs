@@ -12,7 +12,7 @@ use leo_orbit::{find_passes, pass_stats};
 use leo_util::diag;
 
 fn main() {
-    let (scale, _) = scale_from_args();
+    let (scale, _) = scale_from_args(&[]);
     init_run("ext_path_churn");
     let ctx = StudyContext::build(scale.config());
 

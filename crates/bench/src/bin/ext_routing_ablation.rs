@@ -10,7 +10,7 @@ use leo_core::{Mode, StudyContext};
 use leo_util::diag;
 
 fn main() {
-    let (scale, _) = scale_from_args();
+    let (scale, _) = scale_from_args(&[]);
     init_run("ext_routing_ablation");
     let ctx = StudyContext::build(scale.config());
     let schemes = [

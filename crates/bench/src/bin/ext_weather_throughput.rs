@@ -12,7 +12,7 @@ use leo_util::diag;
 use leo_util::telemetry::Heartbeat;
 
 fn main() {
-    let (scale, _) = scale_from_args();
+    let (scale, _) = scale_from_args(&[]);
     init_run("ext_weather_throughput");
     let ctx = StudyContext::build(scale.config());
 

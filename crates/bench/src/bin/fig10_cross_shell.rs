@@ -10,7 +10,7 @@ use leo_core::output::CsvWriter;
 use leo_util::diag;
 
 fn main() {
-    let (scale, _) = scale_from_args();
+    let (scale, _) = scale_from_args(&[]);
     init_run("fig10_cross_shell");
     let ctx = two_shell_context(config_with_cities(scale, 340));
     diag!(

@@ -9,7 +9,7 @@ use leo_core::StudyContext;
 use leo_util::diag;
 
 fn main() {
-    let (scale, _) = scale_from_args();
+    let (scale, _) = scale_from_args(&[]);
     init_run("fig11_fiber");
     let ctx = StudyContext::build(scale.config());
     let (paris, sites) = paris_satellite_sites();

@@ -11,7 +11,7 @@ use leo_core::{Mode, StudyContext};
 use leo_util::diag;
 
 fn main() {
-    let (scale, _) = scale_from_args();
+    let (scale, _) = scale_from_args(&[]);
     init_run("fig3_path_variability");
     let ctx = StudyContext::build(config_with_cities(scale, 340));
     let (src, dst) = ("Maceió", "Durban");

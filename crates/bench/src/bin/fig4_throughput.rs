@@ -3,8 +3,7 @@
 //! statistic (pass `--disconnected`).
 //!
 //! Each combo is one network-wide max-min-fair allocation over every
-//! pair's k sub-flows, so the figure runs in one process: it has no
-//! `--shards` mode (DESIGN.md §5.3 gives the measurements).
+//! pair's k sub-flows, solved in one process (DESIGN.md §5.3).
 
 use leo_bench::{finish_run, init_run, print_table, results_dir, scale_from_args};
 use leo_core::experiments::throughput::{disconnected_satellite_fraction, throughput};
@@ -23,9 +22,9 @@ const COMBOS: [(Mode, usize); 4] = [
 const T_S: f64 = 0.0;
 
 fn main() {
-    let (scale, rest) = scale_from_args();
+    let (scale, flags) = scale_from_args(&["--disconnected"]);
     init_run(LABEL);
-    let want_disconnected = rest.iter().any(|a| a == "--disconnected");
+    let want_disconnected = !flags.is_empty();
 
     let mut rows = Vec::new();
     let mut csv_rows: Vec<(String, String, usize, f64)> = Vec::new();

@@ -9,7 +9,7 @@ use leo_core::StudyContext;
 use leo_util::diag;
 
 fn main() {
-    let (scale, _) = scale_from_args();
+    let (scale, _) = scale_from_args(&[]);
     init_run("fig5_isl_sweep");
     let ctx = StudyContext::build(scale.config());
     let ratios = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0];

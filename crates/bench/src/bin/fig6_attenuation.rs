@@ -10,7 +10,7 @@ use leo_core::StudyContext;
 use leo_util::diag;
 
 fn main() {
-    let (scale, _) = scale_from_args();
+    let (scale, _) = scale_from_args(&[]);
     init_run("fig6_attenuation");
     let ctx = StudyContext::build(scale.config());
     diag!(

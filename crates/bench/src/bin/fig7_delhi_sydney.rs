@@ -13,7 +13,7 @@ use leo_graph::{dijkstra, extract_path};
 use leo_util::diag;
 
 fn main() {
-    let (scale, _) = scale_from_args();
+    let (scale, _) = scale_from_args(&[]);
     init_run("fig7_delhi_sydney");
     let ctx = StudyContext::build(config_with_cities(scale, 340));
     let src = ctx.ground.city_index("Delhi").expect("Delhi loaded");

@@ -11,7 +11,7 @@ use leo_core::StudyContext;
 use leo_util::diag;
 
 fn main() {
-    let (scale, _) = scale_from_args();
+    let (scale, _) = scale_from_args(&[]);
     init_run("fig8_exceedance");
     let ctx = StudyContext::build(config_with_cities(scale, 340));
     let curve = exceedance_curve(&ctx, "Delhi", "Sydney", 0.0)

@@ -9,7 +9,7 @@ use leo_core::StudyContext;
 use leo_util::diag;
 
 fn main() {
-    let (scale, _) = scale_from_args();
+    let (scale, _) = scale_from_args(&[]);
     init_run("fig9_gso_arc");
     let ctx = StudyContext::build(scale.config());
     let lats: Vec<f64> = (0..=60).step_by(5).map(|l| l as f64).collect();

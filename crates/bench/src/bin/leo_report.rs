@@ -23,28 +23,10 @@
 //! inherently machine-noisy: they are always reported
 //! informational-only and never fail the diff.
 //!
-//! Merge mode (`--merge`) treats every input path as one shard-worker
-//! log of a single sharded run (`leo-shard`'s `--shards` protocol writes
-//! `RUN_<label>.s<i>of<K>.jsonl` per worker) and analyzes the union:
-//!
-//! ```text
-//! leo-report --merge RUN_fig2_latency.s*.jsonl
-//! ```
-//!
-//! Counters and phase tallies sum across workers, series sketches merge
-//! exactly (bucket counts and fixed-point sums — the merged quantiles
-//! are bit-identical to a single-process run over the same samples; the
-//! `snaps` column sums, since every worker emits its own per-snapshot
-//! events), and wall time / peak RSS take the per-worker max. Workers
-//! must agree on `config_hash` and seed; extras are kept only where all
-//! workers agree.
-//!
 //! `--assert-peak-rss-mb <N>` additionally fails (exit 1) if the run's
 //! peak resident set — the max over heartbeat `peak_rss_kb` samples and
 //! the manifest's `peak_rss_kb` — exceeds `N` MiB. CI uses this to pin
-//! the streaming pipeline's O(1)-in-snapshots memory ceiling. With
-//! `--merge` the assertion bounds the *per-worker* peak, which is the
-//! out-of-core guarantee `ext_million_pairs` ships.
+//! the streaming pipeline's O(1)-in-snapshots memory ceiling.
 
 use leo_bench::print_table;
 use leo_util::sketch::QuantileSketch;
@@ -213,83 +195,6 @@ fn parse_run(path: &str) -> Run {
         }
     }
     run
-}
-
-/// Strip a `.s<i>of<K>` shard-worker suffix off a run label
-/// (`fig2_latency.s0of4` → `fig2_latency`).
-fn base_label(label: &str) -> &str {
-    if let Some(pos) = label.rfind(".s") {
-        if let Some((i, k)) = label[pos + 2..].split_once("of") {
-            let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
-            if digits(i) && digits(k) {
-                return &label[..pos];
-            }
-        }
-    }
-    label
-}
-
-/// Merge shard-worker runs of one sharded study into a single logical
-/// run. Counters and phase tallies sum, series sketches merge exactly,
-/// wall time and peak RSS take the per-worker max (workers run
-/// concurrently), extras survive only where all workers agree.
-fn merge_runs(mut runs: Vec<Run>) -> Run {
-    let mut m = runs.remove(0);
-    let others = runs.len();
-    m.label = base_label(&m.label).to_string();
-    for r in runs {
-        if r.config_hash != m.config_hash {
-            fail(&format!(
-                "--merge: {} has config_hash {} but {} has {} — not shards of one run",
-                r.path, r.config_hash, m.path, m.config_hash
-            ));
-        }
-        let seeds_differ = r.seed != m.seed && !(r.seed.is_nan() && m.seed.is_nan());
-        if seeds_differ {
-            fail(&format!(
-                "--merge: {} has seed {} but {} has {}",
-                r.path, r.seed, m.path, m.seed
-            ));
-        }
-        m.wall_ns = m.wall_ns.max(r.wall_ns);
-        m.threads = m.threads.max(r.threads);
-        for (name, count, total_ns, max_ns) in r.phases {
-            match m.phases.iter_mut().find(|(n, _, _, _)| *n == name) {
-                Some((_, c, t, mx)) => {
-                    *c += count;
-                    *t += total_ns;
-                    *mx = mx.max(max_ns);
-                }
-                None => m.phases.push((name, count, total_ns, max_ns)),
-            }
-        }
-        for (name, value) in r.counters {
-            match m.counters.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, v)) => *v += value,
-                None => m.counters.push((name, value)),
-            }
-        }
-        for (name, snaps, sketch) in r.series {
-            match m.series.iter_mut().find(|(n, _, _)| *n == name) {
-                Some((_, sn, sk)) => {
-                    *sn += snaps;
-                    sk.merge(&sketch);
-                }
-                None => m.series.push((name, snaps, sketch)),
-            }
-        }
-        m.extras
-            .retain(|(k, v)| r.extras.iter().any(|(rk, rv)| rk == k && rv == v));
-        m.heartbeats += r.heartbeats;
-        m.last_rate_per_s = None;
-        m.peak_rss_kb = m.peak_rss_kb.max(r.peak_rss_kb);
-    }
-    if others > 0 {
-        m.path = format!("{} + {others} more shard log(s)", m.path);
-    }
-    m.extras
-        .push(("merged_shard_logs".to_string(), format!("{}", others + 1)));
-    m
 }
 
 fn ms(ns: f64) -> String {
@@ -568,17 +473,15 @@ fn report_diff(a: &Run, b: &Run, threshold_pct: f64) -> usize {
 }
 
 const USAGE: &str = "usage: leo-report [--threshold-pct P] [--assert-peak-rss-mb N] \
-                     <RUN_a.jsonl> [RUN_b.jsonl] | --merge <RUN_shard.jsonl>...";
+                     <RUN_a.jsonl> [RUN_b.jsonl]";
 
 fn main() {
     let mut threshold_pct = 0.0f64;
     let mut assert_peak_rss_mb: Option<f64> = None;
-    let mut merge = false;
     let mut paths: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--merge" => merge = true,
             "--threshold-pct" => {
                 threshold_pct = args
                     .next()
@@ -600,15 +503,11 @@ fn main() {
             other => paths.push(other.to_string()),
         }
     }
-    if paths.is_empty() || (!merge && paths.len() > 2) {
+    if paths.is_empty() || paths.len() > 2 {
         fail(USAGE);
     }
 
-    let mut runs: Vec<Run> = paths.iter().map(|p| parse_run(p)).collect();
-    if merge {
-        let merged = merge_runs(runs);
-        runs = vec![merged];
-    }
+    let runs: Vec<Run> = paths.iter().map(|p| parse_run(p)).collect();
     let mut failures = 0usize;
     if runs.len() == 2 {
         failures += report_diff(&runs[0], &runs[1], threshold_pct);

@@ -26,7 +26,7 @@ fn path_nodes(
 }
 
 fn main() {
-    let (scale, _) = scale_from_args();
+    let (scale, _) = scale_from_args(&[]);
     init_run("render_maps");
     let ctx = StudyContext::build(config_with_cities(scale, 340));
     let dir = results_dir();

@@ -175,140 +175,6 @@ fn report_diff_one_sided_counter_is_deterministic_regression() {
 }
 
 #[test]
-fn report_merges_shard_logs_into_one_run() {
-    // Two synthetic worker logs of one sharded run: counters sum, series
-    // sketches merge (count 2+2), heartbeats sum, the `.s<i>of<K>` label
-    // suffix strips, and per-shard extras that disagree are dropped.
-    let mk = |i: usize| {
-        format!(
-            r#"{{"type":"manifest","label":"t.s{i}of2","config_hash":"0xabc","seed":1,"threads":2,"wall_ns":10,"level":"info","phases":{{"p":{{"count":1,"total_ns":5,"max_ns":5}}}},"counters":{{"c":3}},"hists":{{}},"peak_rss_kb":"{}","shard":"{i}/2"}}"#,
-            3072 * (i + 1)
-        )
-    };
-    let start =
-        |i: usize| format!(r#"{{"type":"run_start","label":"t.s{i}of2","level":"info","t_ns":1}}"#);
-    let (s0, m0) = (start(0), mk(0));
-    let (s1, m1) = (start(1), mk(1));
-    let a = write_log("merge_s0.jsonl", &[&s0, SERIES, HEARTBEAT, &m0]);
-    let b = write_log("merge_s1.jsonl", &[&s1, SERIES, HEARTBEAT, &m1]);
-    let out = report(&["--merge", a.to_str().unwrap(), b.to_str().unwrap()]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    assert!(
-        stdout.contains("run t "),
-        "label suffix must strip: {stdout}"
-    );
-    assert!(stdout.contains("c        6"), "counters must sum: {stdout}");
-    assert!(stdout.contains("heartbeats: 2"), "{stdout}");
-    // Peak RSS is the per-worker max: 6144 kB = 6 MiB.
-    assert!(stdout.contains("6.0 MiB"), "{stdout}");
-    // The per-shard `shard` extra disagrees across workers → dropped.
-    assert!(!stdout.contains("shard = "), "{stdout}");
-    assert!(stdout.contains("merged_shard_logs = 2"), "{stdout}");
-    // Merged series: two events of count 2 each.
-    assert!(
-        stdout.contains("m       2      4"),
-        "series must merge: {stdout}"
-    );
-
-    // The RSS assertion bounds the per-worker peak.
-    let ok = report(&[
-        "--merge",
-        "--assert-peak-rss-mb",
-        "7",
-        a.to_str().unwrap(),
-        b.to_str().unwrap(),
-    ]);
-    assert!(ok.status.success());
-    let bad = report(&[
-        "--merge",
-        "--assert-peak-rss-mb",
-        "5",
-        a.to_str().unwrap(),
-        b.to_str().unwrap(),
-    ]);
-    assert_eq!(bad.status.code(), Some(1));
-}
-
-#[test]
-fn report_merge_rejects_mixed_configs() {
-    let m_other = r#"{"type":"manifest","label":"t.s1of2","config_hash":"0xdef","seed":1,"threads":2,"wall_ns":10,"level":"info","phases":{},"counters":{},"hists":{}}"#;
-    let m = manifest(3);
-    let a = write_log("mixed_a.jsonl", &[RUN_START, &m]);
-    let b = write_log("mixed_b.jsonl", &[RUN_START, m_other]);
-    let out = report(&["--merge", a.to_str().unwrap(), b.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("config_hash"), "{stderr}");
-}
-
-/// The sketch-derived columns of every `rtt_ms_*` series row, with the
-/// `snaps` column dropped (a sharded run emits per-worker snapshot
-/// events, so snap *counts* differ while every derived statistic is
-/// bit-identical).
-fn rtt_series_stats(stdout: &str) -> Vec<Vec<String>> {
-    stdout
-        .lines()
-        .filter(|l| l.trim_start().starts_with("rtt_ms_"))
-        .map(|l| {
-            let mut cells: Vec<String> = l.split_whitespace().map(str::to_string).collect();
-            cells.remove(1);
-            cells
-        })
-        .collect()
-}
-
-#[test]
-fn merged_shard_run_logs_match_single_run_series() {
-    // End to end through the real driver: fig2 at tiny scale, once
-    // sharded over 2 spawned workers, once unsharded. The merged worker
-    // series must reproduce the single-process series statistics
-    // exactly.
-    let dir = std::env::temp_dir().join(format!("leo_report_merge_fig2_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let fig2 = env!("CARGO_BIN_EXE_fig2_latency");
-    let run = |args: &[&str]| {
-        let out = Command::new(fig2)
-            .args(["--scale", "tiny"])
-            .args(args)
-            .current_dir(&dir)
-            .env("LEO_LOG", "info")
-            .env("LEO_LOG_DIR", &dir)
-            .output()
-            .expect("spawn fig2_latency");
-        assert!(
-            out.status.success(),
-            "fig2 {args:?}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    };
-    // Unsharded first: telemetry never overwrites, so a second run with
-    // the same label lands in `RUN_<label>-01.jsonl` — the sharded
-    // coordinator's log, which this test doesn't read.
-    run(&[]);
-    let shards = dir.join("shards");
-    run(&["--shards", "2", "--shard-dir", shards.to_str().unwrap()]);
-    let single = report(&[dir.join("RUN_fig2_latency.jsonl").to_str().unwrap()]);
-    assert!(single.status.success());
-    let merged = report(&[
-        "--merge",
-        dir.join("RUN_fig2_latency.s0of2.jsonl").to_str().unwrap(),
-        dir.join("RUN_fig2_latency.s1of2.jsonl").to_str().unwrap(),
-    ]);
-    assert!(
-        merged.status.success(),
-        "{}",
-        String::from_utf8_lossy(&merged.stderr)
-    );
-    let s = rtt_series_stats(&String::from_utf8_lossy(&single.stdout));
-    let m = rtt_series_stats(&String::from_utf8_lossy(&merged.stdout));
-    assert!(!s.is_empty(), "single run must report rtt_ms_* series");
-    assert_eq!(s, m, "merged shard series must equal the single-run series");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn report_asserts_peak_rss_budget() {
     let m = manifest(3);
     let p = write_log("rss.jsonl", &[RUN_START, HEARTBEAT, &m]);

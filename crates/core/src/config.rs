@@ -113,9 +113,9 @@ impl StudyConfig {
 
     /// Serialize to the workspace's `key = value` config text
     /// (`leo_util::config` format): the canonical form whose FNV-1a hash
-    /// names a run in manifests and shard headers. Every float is
-    /// written with shortest-exact formatting, so configs that differ in
-    /// any field write different text.
+    /// names a run in manifests. Every float is written with
+    /// shortest-exact formatting, so configs that differ in any field
+    /// write different text.
     pub fn to_kv_string(&self) -> String {
         let mut w = KvWriter::new();
         w.section("study")

@@ -250,30 +250,6 @@ impl StudyContext {
         &self.pairs_by_src
     }
 
-    /// Narrow the traffic matrix to the global pair-index range
-    /// `lo..hi` — one shard of a pair-sharded run — rebuilding the
-    /// per-source fan-out for the kept slice.
-    ///
-    /// Everything else is untouched: the configuration (and therefore
-    /// the config hash), the constellation, the ground segment, and the
-    /// pair *sampling* are those of the full run, so every shard shares
-    /// provenance and shard workers see exactly the pairs a
-    /// single-process run indexes as `lo..hi`, in the same order. Local
-    /// pair index `j` in the restricted context is global pair `lo + j`
-    /// — the offset shard files record so merges can reassemble global
-    /// order.
-    pub fn restrict_pair_range(&mut self, lo: usize, hi: usize) {
-        // lint: allow(panic-reachable) API misuse trap: an out-of-range shard window would silently drop traffic
-        assert!(
-            lo <= hi && hi <= self.pairs.len(),
-            "pair range {lo}..{hi} outside 0..{}",
-            self.pairs.len()
-        );
-        self.pairs.truncate(hi);
-        self.pairs.drain(..lo);
-        self.pairs_by_src = group_pairs_by_src(&self.pairs);
-    }
-
     /// Number of satellites (node ids `0..S` in every snapshot).
     pub fn num_satellites(&self) -> usize {
         self.constellation.num_satellites()

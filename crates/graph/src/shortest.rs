@@ -667,7 +667,7 @@ impl DijkstraWorkspace {
 /// hybrid snapshots over three real pair sets. Goal direction changed
 /// search time by −87…−52% on `latency_day`'s (1 to 6 targets); by
 /// −89…−33% at 1 to 12 targets and −18…−17% at 13 to 16 on paper-scale
-/// fig2's; and on an `ext_million_pairs` shard's by −83…−24% at 1 to 8,
+/// fig2's; and on a quarter of `ext_million_pairs`' by −83…−24% at 1 to 8,
 /// −26…−1% at 9 to 12, −3…+25% at 13 to 16 and +150…+155% past 16. A cap
 /// of 12 gave the smallest BP + hybrid total on the million-pair set and
 /// came within 2% of the best (no cap) on paper-scale fig2; every cap

@@ -1,8 +1,7 @@
 //! Hand-rolled sectioned `key = value` config text (replaces `serde`
 //! derive for the one config the workspace serializes): the canonical
-//! form of a `StudyConfig`, whose FNV-1a hash names a run in manifests
-//! and shard headers. Nothing reads the text back, so only the writer
-//! exists.
+//! form of a `StudyConfig`, whose FNV-1a hash names a run in
+//! manifests. Nothing reads the text back, so only the writer exists.
 //!
 //! Format, by example:
 //!

@@ -4,7 +4,6 @@
 //! lives here as a small, documented, dependency-free implementation:
 //!
 //! * [`rng`] — seedable SplitMix64 + xoshiro256++ PRNG (replaces `rand`)
-//! * [`buf`] — little-endian byte reader/writer (replaces `bytes`)
 //! * [`config`] — writer for the `key = value` config text a run's hash
 //!   is taken over (replaces `serde`)
 //! * [`check`] — seeded property-testing harness (replaces `proptest`)
@@ -24,7 +23,6 @@
 //! workspace may depend on it (it is the bottom of the layer diagram).
 
 pub mod bench;
-pub mod buf;
 pub mod check;
 pub mod config;
 pub mod rng;

@@ -143,8 +143,8 @@ impl FixedSum {
     /// This is the *lossless* form: [`FixedSum::value`] rounds the
     /// accumulator once to `f64`, which can drop low-order grid units
     /// for large sums. Serializers that need bit-exact round-trips
-    /// (the shard codec, the `fsum` field of `series` events) persist
-    /// this integer instead.
+    /// (the `fsum` field of `series` events) persist this integer
+    /// instead.
     pub fn raw(&self) -> i128 {
         self.acc
     }
@@ -416,73 +416,6 @@ impl QuantileSketch {
             .collect()
     }
 
-    /// Reassemble a sketch from raw parts (the inverse of reading
-    /// [`QuantileSketch::count`] / [`QuantileSketch::low_count`] /
-    /// [`QuantileSketch::sum_fixed`] / [`QuantileSketch::min`] /
-    /// [`QuantileSketch::max`] / [`QuantileSketch::nonzero_buckets`]).
-    ///
-    /// Bit-exact: the rebuilt sketch merges and answers quantiles
-    /// identically to the original — this is the constructor binary
-    /// codecs (the shard file format) decode into. Rejects internally
-    /// inconsistent parts so corrupted payloads cannot build a sketch
-    /// that later panics or silently mis-merges:
-    /// * `count == 0` requires `low == 0` and no buckets;
-    /// * `count > 0` requires finite `min ≤ max`;
-    /// * bucket indices must be `< NUM_BUCKETS` and strictly increasing;
-    /// * `low` plus bucket occupancies must equal `count`.
-    pub fn from_raw_parts(
-        count: u64,
-        low: u64,
-        sum: FixedSum,
-        min: f64,
-        max: f64,
-        buckets: &[(usize, u64)],
-    ) -> Result<QuantileSketch, String> {
-        if count == 0 {
-            if low != 0 || !buckets.is_empty() {
-                return Err("sketch: empty sketch with nonzero low/buckets".into());
-            }
-            let mut s = QuantileSketch::new();
-            s.sum = sum;
-            return Ok(s);
-        }
-        if !(min.is_finite() && max.is_finite() && min <= max) {
-            return Err(format!("sketch: invalid min/max {min}/{max}"));
-        }
-        let mut occupancy = low;
-        let mut s = QuantileSketch {
-            count,
-            low,
-            sum,
-            min,
-            max,
-            buckets: Vec::new(),
-        };
-        if !buckets.is_empty() {
-            s.buckets = vec![0u64; NUM_BUCKETS];
-            let mut prev: Option<usize> = None;
-            for &(k, c) in buckets {
-                if k >= NUM_BUCKETS {
-                    return Err(format!("sketch: bucket index {k} out of range"));
-                }
-                if prev.is_some_and(|p| k <= p) {
-                    return Err("sketch: bucket indices not strictly increasing".into());
-                }
-                prev = Some(k);
-                s.buckets[k] = c;
-                occupancy = occupancy
-                    .checked_add(c)
-                    .ok_or("sketch: bucket occupancy overflow")?;
-            }
-        }
-        if occupancy != count {
-            return Err(format!(
-                "sketch: occupancy {occupancy} does not match count {count}"
-            ));
-        }
-        Ok(s)
-    }
-
     /// Serialize as a JSON object *fragment* (no surrounding braces):
     /// the `series` telemetry event embeds this inline.
     pub fn to_json_fragment(&self) -> String {
@@ -531,12 +464,12 @@ impl QuantileSketch {
         let mut s = QuantileSketch::new();
         s.count = count;
         s.low = low;
-        // Prefer the exact fixed-point accumulator (`fsum`, emitted
-        // since the shard-merge work): re-fixing the rounded decimal
-        // `sum` of several partial sketches can disagree with the
-        // single-stream accumulator in the last grid units, and shard
-        // merges must be bit-exact. Older logs without `fsum` fall back
-        // to the decimal field.
+        // Prefer the exact fixed-point accumulator (`fsum`): re-fixing
+        // the rounded decimal `sum` of several partial sketches can
+        // disagree with the single-stream accumulator in the last grid
+        // units, and `leo-report`'s roll-up of a run's per-snapshot
+        // `series` events must be bit-exact. Older logs without `fsum`
+        // fall back to the decimal field.
         s.sum = match v.get("fsum").and_then(Json::as_str) {
             Some(raw) => FixedSum::from_raw(
                 raw.parse::<i128>()
@@ -754,7 +687,7 @@ mod tests {
     fn json_fsum_restores_exact_accumulator() {
         // Large accumulators lose sub-grid residue through the decimal
         // `sum` field; the `fsum` string must restore them bit-exactly
-        // so shard merges of partial sketches stay associative.
+        // so merges of partial sketches stay associative.
         let mut s = QuantileSketch::new();
         for i in 0..5000u32 {
             s.record(1e9 + i as f64 * 0.0137);
@@ -771,54 +704,6 @@ mod tests {
         // A malformed fsum is a hard error, not a silent fallback.
         let bad = text.replacen(&format!("\"{}\"", s.sum_fixed().raw()), "\"12x\"", 1);
         assert!(QuantileSketch::from_json(&Json::parse(&bad).unwrap()).is_err());
-    }
-
-    #[test]
-    fn from_raw_parts_roundtrips_and_rejects_corruption() {
-        let mut s = QuantileSketch::new();
-        s.record(0.0);
-        for i in 0..400u32 {
-            s.record(0.5 + i as f64 * 2.3);
-        }
-        let parts = s.nonzero_buckets();
-        let back = QuantileSketch::from_raw_parts(
-            s.count(),
-            s.low_count(),
-            s.sum_fixed(),
-            s.min(),
-            s.max(),
-            &parts,
-        )
-        .unwrap();
-        assert_eq!(back.count(), s.count());
-        assert_eq!(back.min().to_bits(), s.min().to_bits());
-        assert_eq!(back.max().to_bits(), s.max().to_bits());
-        assert_eq!(back.sum_fixed(), s.sum_fixed());
-        assert_eq!(back.nonzero_buckets(), s.nonzero_buckets());
-        for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(back.quantile(q).to_bits(), s.quantile(q).to_bits());
-        }
-
-        // Empty sketch: fine, but nonzero low/buckets are rejected.
-        let zero = FixedSum::new();
-        assert!(QuantileSketch::from_raw_parts(0, 0, zero, f64::NAN, f64::NAN, &[]).is_ok());
-        assert!(QuantileSketch::from_raw_parts(0, 1, zero, f64::NAN, f64::NAN, &[]).is_err());
-        // Occupancy must reconcile with count.
-        assert!(QuantileSketch::from_raw_parts(
-            s.count() + 1,
-            s.low_count(),
-            zero,
-            0.0,
-            1.0,
-            &parts
-        )
-        .is_err());
-        // Non-finite or inverted min/max.
-        assert!(QuantileSketch::from_raw_parts(1, 1, zero, f64::NAN, 1.0, &[]).is_err());
-        assert!(QuantileSketch::from_raw_parts(1, 1, zero, 2.0, 1.0, &[]).is_err());
-        // Out-of-range / non-increasing bucket indices.
-        assert!(QuantileSketch::from_raw_parts(1, 0, zero, 1.0, 1.0, &[(NUM_BUCKETS, 1)]).is_err());
-        assert!(QuantileSketch::from_raw_parts(4, 0, zero, 1.0, 2.0, &[(7, 2), (7, 2)]).is_err());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   totals for the final manifest;
 //! * **counters & histograms** — lock-free `static` [`Counter`]s and
 //!   fixed-bucket log₂-scale [`Histogram`]s (Dijkstra calls, max-min
-//!   rounds, packetsim events, shard spill bytes, …);
+//!   rounds, packetsim events, …);
 //! * **a JSON-lines sink** — [`init`] opens `RUN_<label>.jsonl` (in
 //!   `LEO_LOG_DIR`, default cwd) and [`finish_run`] appends counter and
 //!   histogram records plus a final **manifest** record (config hash,
@@ -22,8 +22,9 @@
 //!   instead of every per-pair sample (see DESIGN.md "Streaming
 //!   telemetry");
 //! * **live heartbeats** — [`Heartbeat`] periodically emits progress
-//!   (items/s, ETA), current/peak RSS from `/proc/self/statm`, and a
-//!   counter snapshot, cadence-gated by `LEO_LOG_HEARTBEAT`;
+//!   (items/s, ETA), current RSS (`/proc/self/statm`), peak RSS (the
+//!   kernel's `VmHWM`), and a counter snapshot, cadence-gated by
+//!   `LEO_LOG_HEARTBEAT`;
 //! * **an env-controlled level** — `LEO_LOG=off|info|debug` (default
 //!   `off`). When disabled, every hot-path operation costs exactly one
 //!   relaxed atomic load and a predictable branch (pinned by the
@@ -827,24 +828,26 @@ impl MetricSeries {
 // ---------------------------------------------------------------------------
 // Heartbeats & RSS
 
-/// Peak resident set size observed by any [`rss_kb`] call, in KiB.
-static PEAK_RSS_KB: AtomicU64 = AtomicU64::new(0);
-
 /// Current resident set size in KiB from `/proc/self/statm` (Linux);
-/// `None` where procfs is unavailable. Every successful read also
-/// updates [`peak_rss_kb`].
+/// `None` where procfs is unavailable.
 pub fn rss_kb() -> Option<u64> {
     let text = std::fs::read_to_string("/proc/self/statm").ok()?;
     // statm fields are in pages; field 1 (0-based) is resident.
     let pages: u64 = text.split_whitespace().nth(1)?.parse().ok()?;
-    let kb = pages * (page_size_bytes() / 1024);
-    PEAK_RSS_KB.fetch_max(kb, Ordering::Relaxed);
-    Some(kb)
+    Some(pages * (page_size_bytes() / 1024))
 }
 
-/// Largest RSS seen by any [`rss_kb`] call so far (KiB; 0 if never read).
+/// Peak resident set size of this process so far, in KiB: the kernel's
+/// high-water mark (`VmHWM` in `/proc/self/status`), so it covers the
+/// whole run, not only the moments [`rss_kb`] was read. 0 where procfs
+/// is unavailable.
 pub fn peak_rss_kb() -> u64 {
-    PEAK_RSS_KB.load(Ordering::Relaxed)
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .unwrap_or(0)
 }
 
 fn page_size_bytes() -> u64 {
@@ -1820,6 +1823,21 @@ mod tests {
         assert_eq!(hb.done(), 5);
         set_level(Level::Off);
         reset_for_tests();
+    }
+
+    #[test]
+    fn peak_rss_is_the_kernels_high_water_mark() {
+        // A buffer filled and freed between two reads still counts: the
+        // peak covers the whole process lifetime, not the sampled reads.
+        let Some(before) = rss_kb() else { return };
+        let buf = vec![0xa5u8; 64 << 20];
+        std::hint::black_box(&buf);
+        drop(buf);
+        let peak = peak_rss_kb();
+        assert!(
+            peak >= before + (60 << 10),
+            "peak {peak} KiB after a 64 MiB fill from {before} KiB"
+        );
     }
 
     #[test]

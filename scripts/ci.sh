@@ -59,7 +59,7 @@
 #    heartbeats and require peak RSS under a fixed 512 MiB budget.
 #    The streaming drivers hold per-snapshot samples only inside
 #    fixed-size sketches, so memory is O(1) in snapshot count —
-#    observed peak is ~140 MiB (dominated by the constellation and
+#    observed peak is ~284 MiB (dominated by the constellation and
 #    visibility state, not by samples); the budget is loose for
 #    machine-to-machine noise but fails loudly if anyone reintroduces
 #    per-sample Vec accumulation.
@@ -78,25 +78,15 @@
 #    results/bench_scale_run.log. The tracked results are the
 #    behavioural contract; this makes "byte-reproducible" a gate
 #    instead of a manual check (~30 s on 2 cores).
-# 12. Shard identity lane: bench-scale fig2 run as 4 spawned OS shard
-#    workers (spill + merge); its stdout+stderr must be byte-identical
-#    to the unsharded fig2 run of lane 11, and its CSV to the tracked
-#    results/fig2_latency.csv. This is the out-of-core contract —
-#    sharding is an execution strategy, never a result change.
-# 13. Pinned-digest lane: `leo_benchmark run --seconds 1` times every
+# 12. Pinned-digest lane: `leo_benchmark run --seconds 1` times every
 #    workload of BENCHMARK.json at full size and seed 42 (at least five
 #    repetitions each, ~1.5 min in all) and checks each repetition's
 #    output digest against the one pinned in its workloads.rs. Every
 #    workload must print its JSON result line, and every line must read
 #    "correct":true.
-# 14. Shard-bench smoke: run benches/shard.rs and require the 4-shard
-#    merge (decode + validate + concatenate + sketch merges) to cost
-#    <= 5% of one unsharded latency fold (committed BENCH_shard.json
-#    shows ~0.3%; the loose ceiling is loud if the merge ever turns
-#    into a per-pair recompute).
-# 15. Million-pair smoke (opt-in: LEO_CI_MILLION_PAIRS=1, ~1 min):
-#    ext_million_pairs at full scale — 1,000,000 pairs over 4 workers,
-#    each asserted under a 512 MiB peak-RSS budget via its manifest.
+# 13. Million-pair lane: ext_million_pairs at full scale — 1,000,000
+#    pairs folded in one process (~5 s on 2 cores), which exits 1 when
+#    its peak RSS (the kernel's VmHWM) is over a 512 MiB budget.
 #
 # Usage: scripts/ci.sh   (from anywhere; cd's to the repo root)
 
@@ -223,7 +213,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline
 
 echo "== telemetry schema: Tiny fig2 run under LEO_LOG=info =="
 log_dir=$(mktemp -d)
-trap 'rm -rf "$log_dir" "${paper_dir:-}" "${golden_dir:-}" "${shard_dir:-}" "${million_dir:-}"' EXIT
+trap 'rm -rf "$log_dir" "${paper_dir:-}" "${golden_dir:-}" "${million_dir:-}"' EXIT
 # Figure binaries write results/ into their cwd, so every figure run
 # below happens inside a temp dir: the tracked results/ goldens must
 # stay untouched for the golden-results lane.
@@ -323,10 +313,7 @@ golden_dir=$(mktemp -d)
 (
     cd "$golden_dir"
     {
-        # fig2's output is kept on its own for the shard identity lane.
-        LEO_LOG=off "$repo_root"/target/release/fig2_latency > fig2_latency.out 2>&1
-        cat fig2_latency.out
-        for bin in fig3_path_variability "fig4_throughput --disconnected" \
+        for bin in fig2_latency fig3_path_variability "fig4_throughput --disconnected" \
                    fig5_isl_sweep fig6_attenuation fig7_delhi_sydney fig8_exceedance \
                    fig9_gso_arc fig10_cross_shell fig11_fiber ablation_lax_maxflow \
                    ext_routing_ablation ext_path_churn ext_weather_throughput \
@@ -352,18 +339,7 @@ if [ "$golden_bad" != 0 ] || [ "$csv_count" != 15 ]; then
 fi
 echo "ok: all $csv_count results/*.csv and the run log reproduced byte for byte"
 
-echo "== shard identity: bench-scale fig2, 4 spawned shards vs the unsharded run =="
-shard_dir=$(mktemp -d)
-(cd "$shard_dir" && LEO_LOG=off "$repo_root/target/release/fig2_latency" --scale bench \
-    --shards 4 > fig2_latency.out 2>&1)
-if ! cmp "$golden_dir/fig2_latency.out" "$shard_dir/fig2_latency.out" ||
-    ! cmp results/fig2_latency.csv "$shard_dir/results/fig2_latency.csv"; then
-    echo "ERROR: sharded fig2 output differs from the unsharded run" >&2
-    diff "$golden_dir/fig2_latency.out" "$shard_dir/fig2_latency.out" >&2 || true
-    exit 1
-fi
-echo "ok: output and CSV byte-identical with and without sharding"
-rm -rf "$golden_dir" "$shard_dir"
+rm -rf "$golden_dir"
 
 echo "== pinned digests: every benchmark workload reproduces its seed-42 output =="
 workloads=$(grep -c '{"name": "[a-z_]*", "why"' BENCHMARK.json)
@@ -382,31 +358,9 @@ if [ "$results" != "$workloads" ] || [ "$correct" != "$workloads" ]; then
 fi
 echo "ok: all $workloads workloads reproduced their pinned seed-42 digests"
 
-echo "== shard bench smoke: merge must stay a tiny fraction of the fold =="
-LEO_LOG=off LEO_BENCH_DIR="$log_dir" \
-    cargo bench -q --offline -p leo-bench --bench shard > /dev/null
-awk -F'"median_ns":' '
-    /"bench":"latency_unsharded"/ { split($2, a, /[,}]/); fold = a[1] }
-    /"bench":"merge_4_shards"/    { split($2, a, /[,}]/); merge = a[1] }
-    END {
-        if (fold == "" || merge == "" || fold <= 0) {
-            print "ERROR: shard benches missing from BENCH_shard.json" > "/dev/stderr"
-            exit 1
-        }
-        ratio = merge / fold
-        printf "shard: fold %d ns vs 4-shard merge %d ns  (overhead %.4fx)\n", fold, merge, ratio
-        if (ratio > 0.05) {
-            printf "ERROR: merge overhead %.4fx above the 0.05x ceiling\n", ratio > "/dev/stderr"
-            exit 1
-        }
-    }
-' "$log_dir/BENCH_shard.json"
-
-if [ "${LEO_CI_MILLION_PAIRS:-0}" = "1" ]; then
-    echo "== million-pair smoke: 1M pairs, 4 workers, 512 MiB/worker budget =="
-    million_dir=$(mktemp -d)
-    (cd "$million_dir" && "$repo_root/target/release/ext_million_pairs")
-    rm -rf "$million_dir"
-fi
+echo "== million pairs: 1M pairs in one process, 512 MiB peak-RSS budget =="
+million_dir=$(mktemp -d)
+(cd "$million_dir" && "$repo_root/target/release/ext_million_pairs")
+rm -rf "$million_dir"
 
 echo "tier-1 verify passed"
