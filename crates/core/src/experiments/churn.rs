@@ -7,7 +7,6 @@
 //! shortest path changes its node sequence, and how much the RTT jumps
 //! when it does.
 
-use crate::experiments::spt::SourceSptPool;
 use crate::snapshot::{Mode, StudyContext};
 use leo_graph::with_thread_workspace;
 use leo_util::sketch::FixedSum;
@@ -51,8 +50,6 @@ struct ChurnAcc {
     jump_sum: FixedSum,
     jump_max: f64,
     series: MetricSeries,
-    /// Incremental trees, one per source city (budget permitting).
-    spt: Option<SourceSptPool>,
 }
 
 /// Count one consecutive-snapshot transition for a pair.
@@ -90,10 +87,8 @@ fn count_transition(
 /// the series — they surface only at merge time, after the snapshot's
 /// event has been emitted) and ticks a `churn_study` [`Heartbeat`].
 ///
-/// **Delta path**: when the pair set fits [`SourceSptPool`]'s budget,
-/// per-source shortest-path trees are repaired from the sweep's edge
-/// deltas instead of re-running Dijkstra per snapshot; path hashes and
-/// RTTs are bit-identical either way.
+/// Each snapshot runs one multi-target search per source city and reads
+/// every pair's path off it.
 pub fn churn_study(ctx: &StudyContext, mode: Mode, threads: usize) -> ChurnStats {
     let _span = span!(
         "churn_study",
@@ -102,10 +97,9 @@ pub fn churn_study(ctx: &StudyContext, mode: Mode, threads: usize) -> ChurnStats
     );
     let times = ctx.config.snapshot_times_s.clone();
     let num_pairs = ctx.pairs.len();
-    let pooled = SourceSptPool::fits(ctx, 1);
     let hb = Heartbeat::new("churn_study", times.len() as u64);
 
-    let acc = ctx.sweep_fold_deltas(
+    let acc = ctx.sweep_fold(
         &times,
         &[mode],
         threads,
@@ -123,53 +117,29 @@ pub fn churn_study(ctx: &StudyContext, mode: Mode, threads: usize) -> ChurnStats
             jump_sum: FixedSum::new(),
             jump_max: 0.0,
             series: MetricSeries::new("churn_jump_ms"),
-            spt: pooled.then(|| SourceSptPool::new(ctx)),
         },
-        |acc, ti, snaps, deltas| {
+        |acc, ti, snaps| {
             let snap = &snaps[0];
             // Per snapshot, per pair: (node-sequence hash, rtt).
             let mut obs: Vec<Option<(u64, f64)>> = vec![None; num_pairs];
-            if let Some(pool) = acc.spt.as_mut() {
-                // Delta path: repair each source's tree and read paths
-                // off its canonical parents — bit-identical to the
-                // `run_multi` fallback below (equivalence contract).
-                for (si, (src, idxs)) in ctx.pairs_by_src().iter().enumerate() {
-                    let spt = pool.tree(si, snap.city_node(*src as usize), snap, &deltas[0]);
-                    for &i in idxs {
-                        let d = snap.city_node(ctx.pairs[i].dst as usize);
-                        if let Some(path) = spt.extract_path(d) {
+            let mut targets = Vec::new();
+            with_thread_workspace(|ws| {
+                for (src, idxs) in ctx.pairs_by_src() {
+                    targets.clear();
+                    targets.extend(
+                        idxs.iter()
+                            .map(|&i| snap.city_node(ctx.pairs[i].dst as usize)),
+                    );
+                    let view =
+                        ws.run_multi(&snap.graph, snap.city_node(*src as usize), None, &targets);
+                    for (&i, &d) in idxs.iter().zip(&targets) {
+                        if let Some(path) = view.extract_path(d) {
                             obs[i] =
                                 Some((hash_nodes(&path.nodes), crate::rtt_ms(path.total_weight)));
                         }
                     }
                 }
-            } else {
-                let mut targets = Vec::new();
-                with_thread_workspace(|ws| {
-                    for (src, idxs) in ctx.pairs_by_src() {
-                        targets.clear();
-                        targets.extend(
-                            idxs.iter()
-                                .map(|&i| snap.city_node(ctx.pairs[i].dst as usize)),
-                        );
-                        let view = ws.run_multi(
-                            &snap.graph,
-                            snap.city_node(*src as usize),
-                            None,
-                            &targets,
-                        );
-                        for &i in idxs {
-                            let d = snap.city_node(ctx.pairs[i].dst as usize);
-                            if let Some(path) = view.extract_path(d) {
-                                obs[i] = Some((
-                                    hash_nodes(&path.nodes),
-                                    crate::rtt_ms(path.total_weight),
-                                ));
-                            }
-                        }
-                    }
-                });
-            }
+            });
             let ChurnAcc {
                 started,
                 pairs,
@@ -178,7 +148,6 @@ pub fn churn_study(ctx: &StudyContext, mode: Mode, threads: usize) -> ChurnStats
                 jump_sum,
                 jump_max,
                 series,
-                spt: _,
             } = acc;
             if *started {
                 for (p, o) in pairs.iter_mut().zip(&obs) {
@@ -215,7 +184,6 @@ pub fn churn_study(ctx: &StudyContext, mode: Mode, threads: usize) -> ChurnStats
                 jump_sum,
                 jump_max,
                 series,
-                spt: _,
             } = a;
             *transitions += b.transitions;
             *changes += b.changes;

@@ -7,9 +7,10 @@
 //! the aggregate up/down capacity at the cost of a small fiber detour.
 
 use crate::snapshot::StudyContext;
-use leo_geo::{great_circle_distance_m, GeoPoint, SPEED_OF_LIGHT_M_S};
-use leo_orbit::visibility::subpoint_index;
-use leo_orbit::{visible_satellites, VisibilityParams};
+use leo_geo::{
+    great_circle_distance_m, CellOrder, Ecef, GeoPoint, VisibilityScan, SPEED_OF_LIGHT_M_S,
+};
+use leo_orbit::{VisibilityParams, SUBPOINT_BIN_DEG};
 use leo_util::span;
 use std::collections::HashSet;
 
@@ -63,22 +64,33 @@ pub fn fiber_augmentation(
         t_s = t_s
     );
     let snap = ctx.constellation.positions_at(t_s);
-    let index = subpoint_index(&snap);
+    let grid = snap.cell_grid(SUBPOINT_BIN_DEG);
+    let mut cells = CellOrder::default();
+    grid.flatten_into(snap.xyz(), &mut cells);
     let params = VisibilityParams {
         min_elevation_rad: ctx.constellation.min_elevation_rad(),
         max_altitude_m: ctx.config.constellation.max_altitude_m(),
     };
-    let (mut scratch, mut visible) = (Vec::new(), Vec::new());
+    let scan = VisibilityScan::new(params.min_elevation_rad);
+    let mut segments = Vec::new();
+    let mut visible_from = |gt: GeoPoint| {
+        grid.window_segments(gt, params.query_radius_m(), &mut segments);
+        let g = Ecef::from_geo(gt, 0.0);
+        let mut ids = Vec::new();
+        scan.scan_window(&g, g.norm(), &cells, &segments, &mut |id, _, _| {
+            ids.push(id)
+        });
+        ids
+    };
 
-    visible_satellites(metro, &snap, &index, &params, &mut scratch, &mut visible);
-    let metro_set: HashSet<u32> = visible.iter().copied().collect();
+    let metro_set: HashSet<u32> = visible_from(metro).into_iter().collect();
     let mut union = metro_set.clone();
     let mut total_links = metro_set.len();
     let mut max_detour: f64 = 0.0;
     for (_, site) in satellites_sites {
-        visible_satellites(*site, &snap, &index, &params, &mut scratch, &mut visible);
+        let visible = visible_from(*site);
         total_links += visible.len();
-        union.extend(visible.iter().copied());
+        union.extend(visible);
         let detour_ms = great_circle_distance_m(metro, *site) / FIBER_SPEED_M_S * 1000.0;
         max_detour = max_detour.max(detour_ms);
     }

@@ -7,7 +7,7 @@
 //! shrunken field of view, while ISL paths only care at the endpoints.
 
 use crate::snapshot::StudyContext;
-use leo_geo::{batch_visible_from, deg_to_rad, Ecef, GeoPoint};
+use leo_geo::{deg_to_rad, CellOrder, Ecef, GeoPoint, VisibilityScan};
 use leo_orbit::gso::{gso_compliant, usable_sky_fraction};
 use leo_orbit::{VisibilityParams, SUBPOINT_BIN_DEG};
 use leo_util::span;
@@ -60,7 +60,8 @@ pub fn gso_sweep(
     let mut sats = ctx.constellation.positions_at(t_s);
     let mut grid = sats.cell_grid(SUBPOINT_BIN_DEG);
     let mut transitions = Vec::new();
-    let mut cells = Vec::new();
+    let scan = VisibilityScan::new(e);
+    let (mut cells, mut segments) = (CellOrder::default(), Vec::new());
     for (si, &t) in sample_times.iter().enumerate() {
         if si > 0 {
             sats.advance_to(&ctx.constellation, t, &mut grid, &mut transitions);
@@ -69,29 +70,19 @@ pub fn gso_sweep(
             totals.iter().sum::<usize>(),
             compliant.iter().sum::<usize>(),
         );
-        let (xs, ys, zs) = sats.xyz();
+        grid.flatten_into(sats.xyz(), &mut cells);
         for (li, &lat) in latitudes_deg.iter().enumerate() {
             // Count compliant vs visible satellites from a GT at (lat, 0°)
             // — longitude is immaterial for the (zonally symmetric) arc.
             let gt = GeoPoint::from_degrees(lat, 0.0);
             let g = Ecef::from_geo(gt, 0.0);
-            let g_norm = g.norm();
-            grid.window_cells(gt, radius_m, &mut cells);
-            for &cell in &cells {
-                batch_visible_from(
-                    &g,
-                    g_norm,
-                    (xs, ys, zs),
-                    grid.ids(cell),
-                    e,
-                    &mut |s, _, _| {
-                        totals[li] += 1;
-                        if gso_compliant(gt, &sats.position(s as usize), sep) {
-                            compliant[li] += 1;
-                        }
-                    },
-                );
-            }
+            grid.window_segments(gt, radius_m, &mut segments);
+            scan.scan_window(&g, g.norm(), &cells, &segments, &mut |s, _, _| {
+                totals[li] += 1;
+                if gso_compliant(gt, &sats.position(s as usize), sep) {
+                    compliant[li] += 1;
+                }
+            });
         }
         // Per-sample compliance fraction across all swept latitudes.
         let dt = totals.iter().sum::<usize>() - sample_totals_before;

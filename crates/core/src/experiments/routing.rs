@@ -155,6 +155,7 @@ fn congestion_aware_paths(
             None => break,
         }
     }
+    ws.put_mask(mask);
     out
 }
 

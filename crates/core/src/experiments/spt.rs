@@ -1,12 +1,11 @@
 //! Delta-driven incremental shortest-path trees for per-source sweeps.
 //!
-//! The fig2 latency and churn drivers run one SSSP per unique source
-//! city per snapshot. With [`StudyContext::sweep_fold_deltas`] supplying
-//! per-mode [`EdgeDelta`]s, each source can instead keep a
-//! [`SptWorkspace`] alive across consecutive snapshots and repair it —
-//! bit-identical distances and parents (the workspace's equivalence
-//! contract), at a fraction of a fresh Dijkstra when membership churn
-//! is small.
+//! The fig2 latency driver runs one SSSP per unique source city per
+//! snapshot. With [`StudyContext::sweep_fold_deltas`] supplying per-mode
+//! [`EdgeDelta`]s, each source can instead keep a [`SptWorkspace`] alive
+//! across consecutive snapshots and repair it — bit-identical distances
+//! and parents (the workspace's equivalence contract), at a fraction of
+//! a fresh Dijkstra when membership churn is small.
 //!
 //! Keeping every tree resident costs
 //! `modes × sources × nodes` node-entries per chunk accumulator, so
@@ -67,33 +66,15 @@ impl SourceSptPool {
     }
 
     /// The tree rooted at source-group `si`'s city node, brought up to
-    /// date for `snap`: repaired from `delta` when the tree is warm and
-    /// the delta is incremental, rebuilt from scratch otherwise (first
-    /// step of a chunk, or a `full` delta).
-    pub fn tree(
-        &mut self,
-        si: usize,
-        source: NodeId,
-        snap: &NetworkSnapshot,
-        delta: &EdgeDelta,
-    ) -> &SptWorkspace {
-        let spt = &mut self.spts[si];
-        if !delta.full && spt.is_ready() && spt.source() == source {
-            spt.apply(&snap.graph, &delta.removed, &delta.reweighted);
-        } else {
-            spt.rebuild(&snap.graph, source);
-        }
-        spt
-    }
-
-    /// [`SourceSptPool::tree`] when only `targets` will be queried this
-    /// snapshot: incremental repairs go through
-    /// [`SptWorkspace::apply_for_targets`], which stops the relaxation
-    /// drain as soon as every target settles. Distances and extracted
-    /// paths for the targets are bitwise identical to [`Self::tree`]
-    /// (the workspace's early-exit contract); other nodes may read as
-    /// unreached, so callers must not query beyond `targets` until the
-    /// next call. Full rebuilds are unaffected.
+    /// date for `snap` at `targets`: repaired from `delta` when the tree
+    /// is warm and the delta is incremental, rebuilt from scratch
+    /// otherwise (first step of a chunk, or a `full` delta). Repairs go
+    /// through [`SptWorkspace::apply_for_targets`], which stops the
+    /// relaxation drain as soon as every target settles. Distances and
+    /// extracted paths for the targets are bitwise identical to a full
+    /// rebuild's (the workspace's early-exit contract); other nodes may
+    /// read as unreached, so callers must not query beyond `targets`
+    /// until the next call.
     pub fn tree_for_targets(
         &mut self,
         si: usize,
@@ -149,30 +130,6 @@ mod tests {
                         spt.dist(tgt).to_bits(),
                         fresh.dist[tgt as usize].to_bits(),
                         "t={t} src={src} target {tgt}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_trees_match_fresh_dijkstra_across_sweep() {
-        let ctx = StudyContext::build(ExperimentScale::Tiny.config());
-        let modes = [Mode::Hybrid];
-        let mut sweep = TimeSweep::new(&ctx, &modes);
-        let mut pool = SourceSptPool::new(&ctx);
-        for t in [0.0, 15.0, 90.0, 900.0] {
-            let (snaps, deltas) = sweep.step_with_deltas(t);
-            let snap = &snaps[0];
-            for (si, (src, _)) in ctx.pairs_by_src().iter().enumerate() {
-                let source = snap.city_node(*src as usize);
-                let spt = pool.tree(si, source, snap, &deltas[0]);
-                let fresh = leo_graph::dijkstra(&snap.graph, source);
-                for v in 0..snap.graph.num_nodes() {
-                    assert_eq!(
-                        spt.dist(v as NodeId).to_bits(),
-                        fresh.dist[v].to_bits(),
-                        "t={t} src={src} node {v}"
                     );
                 }
             }

@@ -59,8 +59,8 @@ pub fn throughput_with_isl_capacity(
 /// snapshot's edge ids. Paths depend only on the delay graph, never on
 /// capacities, so one routing pass supports any number of re-solves
 /// under different capacity assumptions.
-struct RoutedFlows {
-    sim: FlowSim,
+pub(crate) struct RoutedFlows {
+    pub(crate) sim: FlowSim,
     routed_pairs: usize,
     flows: usize,
 }
@@ -149,7 +149,12 @@ pub fn throughput_from_path_edges(
 
 /// Route `k` edge-disjoint shortest paths per pair and load them into a
 /// flow simulation with per-edge capacities (ISL capacity overridable).
-fn route_flows(ctx: &StudyContext, snap: &NetworkSnapshot, k: usize, isl_gbps: f64) -> RoutedFlows {
+pub(crate) fn route_flows(
+    ctx: &StudyContext,
+    snap: &NetworkSnapshot,
+    k: usize,
+    isl_gbps: f64,
+) -> RoutedFlows {
     let paths = route_pair_paths(ctx, snap, k);
     let edge_lists: Vec<Vec<Vec<EdgeId>>> = paths
         .into_iter()

@@ -9,10 +9,10 @@
 //! throughput on a stormy day than the hybrid network, which only gets
 //! wet at the first and last hop.
 
+use crate::experiments::throughput::route_flows;
 use crate::snapshot::{EdgeKind, Mode, StudyContext};
 use leo_atmo::{AttenuationModel, Climatology, LinkBudget, SlantPath, WeatherProcess};
-use leo_flow::{FlowSim, FlowWorkspace};
-use leo_graph::k_edge_disjoint_paths;
+use leo_flow::FlowWorkspace;
 use leo_util::span;
 use leo_util::telemetry::MetricSeries;
 
@@ -64,20 +64,16 @@ pub fn weathered_throughput(
     )]
     let best_eff = leo_atmo::modcod_ladder().last().unwrap().bits_per_hz;
 
-    // Per-edge capacities for both scenarios. The per-GT-link MODCOD
+    // Per-edge weather-degraded capacities. The per-GT-link MODCOD
     // retention (wet/clear capacity ratio) streams into a `series`
     // telemetry event so its distribution is visible in `leo-report`
     // without storing per-edge samples.
     let mut retention_series = MetricSeries::new("gt_link_weather_retention");
-    let mut clear_caps = Vec::with_capacity(snap.edges.len());
     let mut wet_caps = Vec::with_capacity(snap.edges.len());
     for (e, kind) in snap.edges.iter().enumerate() {
         let nominal = snap.edge_capacity_gbps(&ctx.config.network, e as u32);
         match kind {
-            EdgeKind::Isl => {
-                clear_caps.push(nominal);
-                wet_caps.push(nominal); // lasers fly above the weather
-            }
+            EdgeKind::Isl => wet_caps.push(nominal), // lasers fly above the weather
             EdgeKind::UpDown {
                 ground,
                 sat: _,
@@ -94,46 +90,30 @@ pub fn weathered_throughput(
                     frequency_ghz: ctx.config.network.downlink_ghz,
                 };
                 let a_db = weather.attenuation_db(&model, &slant, t_s);
-                let (u, v, _) = snap.graph.edge(e as u32);
-                let distance = {
-                    // Slant range from the stored delay weight.
-                    let (_, _, w) = snap.graph.edge(e as u32);
-                    let _ = (u, v);
-                    w * leo_geo::SPEED_OF_LIGHT_M_S
-                };
+                // Slant range from the stored delay weight.
+                let distance = snap.graph.edge(e as u32).2 * leo_geo::SPEED_OF_LIGHT_M_S;
                 let cn = budget.carrier_to_noise_db(distance, a_db);
                 let eff = budget.modcod_efficiency(cn);
                 let retention = (eff / best_eff).min(1.0);
                 retention_series.record(retention);
-                clear_caps.push(nominal);
                 wet_caps.push(nominal * retention);
             }
         }
     }
     retention_series.snapshot_done(0, t_s);
 
-    // Route once (paths don't react to weather — the conservative model),
-    // build the flow structure once, then re-solve the same flows under
-    // both capacity sets on one warm workspace.
-    let mut sim = FlowSim::new();
-    for &c in &clear_caps {
-        sim.add_link(c);
-    }
-    for pair in &ctx.pairs {
-        let s = snap.city_node(pair.src as usize);
-        let d = snap.city_node(pair.dst as usize);
-        for p in k_edge_disjoint_paths(&snap.graph, s, d, k, None) {
-            sim.add_flow(p.edges);
-        }
-    }
+    // Route once under the clear-sky capacities (paths don't react to
+    // weather — the conservative model), then re-solve the same flows
+    // under the wet ones on one warm workspace.
+    let mut routed = route_flows(ctx, &snap, k, ctx.config.network.isl_gbps);
     let mut ws = FlowWorkspace::new();
-    let clear_gbps = sim.solve_with(&mut ws).aggregate;
+    let clear_gbps = routed.sim.solve_with(&mut ws).aggregate;
     for (l, &c) in wet_caps.iter().enumerate() {
-        sim.set_link_capacity(l as u32, c);
+        routed.sim.set_link_capacity(l as u32, c);
     }
     WeatheredThroughput {
         clear_gbps,
-        weathered_gbps: sim.solve_with(&mut ws).aggregate,
+        weathered_gbps: routed.sim.solve_with(&mut ws).aggregate,
     }
 }
 

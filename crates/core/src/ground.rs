@@ -3,7 +3,7 @@
 use crate::config::StudyConfig;
 use leo_data::cities::{load_cities, City};
 use leo_data::landmask::is_land;
-use leo_geo::{GeoPoint, SphereGrid};
+use leo_geo::{CellGrid, GeoPoint, EARTH_RADIUS_M};
 
 /// The static part of the ground segment (aircraft are per-snapshot).
 #[derive(Debug, Clone)]
@@ -35,16 +35,19 @@ impl GroundSegment {
 
 /// Lay a uniform lat/lon grid and keep points that are on land and within
 /// `radius_m` of some city.
+///
+/// The distance test walks the point's window of a cell index over the
+/// cities and stops at the first city in range.
 fn build_relay_grid(cities: &[City], spacing_deg: f64, radius_m: f64) -> Vec<GeoPoint> {
     // lint: allow(panic-reachable) grid validation: a non-positive spacing would loop forever
     assert!(spacing_deg > 0.0);
-    // Spatial index over cities for the distance test.
-    let mut city_index = SphereGrid::new(4.0);
+    let mut city_index = CellGrid::new(4.0);
     for (i, c) in cities.iter().enumerate() {
-        city_index.insert(i as u32, c.pos);
+        city_index.insert(i as u32, city_index.cell_of(&c.pos));
     }
+    let ang = radius_m / EARTH_RADIUS_M;
     let mut relays = Vec::new();
-    let mut scratch = Vec::new();
+    let mut segments = Vec::new();
     let lat_steps = (180.0 / spacing_deg) as i64;
     let lon_steps = (360.0 / spacing_deg) as i64;
     for i in 0..=lat_steps {
@@ -59,8 +62,13 @@ fn build_relay_grid(cities: &[City], spacing_deg: f64, radius_m: f64) -> Vec<Geo
             if !is_land(p) {
                 continue;
             }
-            city_index.query_radius(p, radius_m, &mut scratch);
-            if !scratch.is_empty() {
+            city_index.window_segments(p, radius_m, &mut segments);
+            let near_city = segments
+                .iter()
+                .flat_map(|&(a, b)| a..b)
+                .flat_map(|cell| city_index.ids(cell))
+                .any(|&i| p.central_angle(&cities[i as usize].pos) <= ang);
+            if near_city {
                 relays.push(p);
             }
         }
@@ -101,6 +109,33 @@ mod tests {
                 "relay {r} too remote: {nearest}"
             );
         }
+    }
+
+    #[test]
+    fn relays_are_every_land_point_near_a_city() {
+        // Brute force over the cities: the relays are exactly the land
+        // grid points with some city within the relay radius, in grid
+        // order, bit for bit. A window that dropped cells would lose some.
+        let cfg = ExperimentScale::Tiny.config();
+        let (g, spacing) = (tiny(), cfg.relay_grid_deg.unwrap());
+        let ang = cfg.relay_radius_m / EARTH_RADIUS_M;
+        let mut want = Vec::new();
+        for i in 0..=(180.0 / spacing) as i64 {
+            for j in 0..(360.0 / spacing) as i64 {
+                let p =
+                    GeoPoint::from_degrees(-90.0 + i as f64 * spacing, -180.0 + j as f64 * spacing);
+                if is_land(p) && g.cities.iter().any(|c| p.central_angle(&c.pos) <= ang) {
+                    want.push((p.lat().to_bits(), p.lon().to_bits()));
+                }
+            }
+        }
+        let got: Vec<(u64, u64)> = g
+            .relays
+            .iter()
+            .map(|r| (r.lat().to_bits(), r.lon().to_bits()))
+            .collect();
+        assert!(!want.is_empty());
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -837,11 +837,10 @@ impl<'a> TimeSweep<'a> {
     /// the previous step.
     ///
     /// Enumerating window cells in canonical grid order with id-sorted
-    /// buckets reproduces the satellite order of a fresh
-    /// `SphereGrid::query_radius` pass exactly, and the elevation test
-    /// alone decides membership: any satellite outside the query radius
-    /// is below the minimum elevation by construction, so no great-circle
-    /// prefilter is needed.
+    /// buckets gives the same satellite order as a grid freshly built at
+    /// this instant, and the elevation test alone decides membership: any
+    /// satellite outside the query radius is below the minimum elevation
+    /// by construction, so no great-circle prefilter is needed.
     // lint: hot-path
     fn recompute_static_links(&mut self, count: bool) {
         let num_cities = self.ctx.city_positions.len();
@@ -1148,8 +1147,8 @@ fn scan_into_arena(
         g_norm,
         cells,
         segments,
-        degree,
         &mut |sat, range_m, elevation_rad| {
+            degree[sat as usize] += 1;
             links.push(Link {
                 sat,
                 delay_s: range_m / SPEED_OF_LIGHT_M_S,

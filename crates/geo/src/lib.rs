@@ -3,8 +3,9 @@
 //! This crate provides the geometric substrate used by every other crate in
 //! the workspace: geographic and Earth-centred coordinates, great-circle
 //! (geodesic) math on a spherical Earth, slant-range / elevation geometry
-//! between ground points and satellites, and a spherical grid spatial index
-//! used to make ground-terminal ↔ satellite visibility queries cheap.
+//! between ground points and satellites, and one lat/lon cell index
+//! ([`CellGrid`]) used to make ground-terminal ↔ satellite visibility
+//! queries cheap.
 //!
 //! ## Conventions
 //!
@@ -42,10 +43,10 @@ pub use geodesic::{
 };
 pub use point::GeoPoint;
 pub use slant::{
-    batch_visible_from, coverage_radius_m, elevation_angle_rad, max_slant_range_m, slant_range_m,
-    visible_at_elevation, VisibilityScan,
+    coverage_radius_m, elevation_angle_rad, max_slant_range_m, slant_range_m, visible_at_elevation,
+    VisibilityScan,
 };
-pub use spatial::{CellGrid, CellOrder, SphereGrid};
+pub use spatial::{CellGrid, CellOrder};
 
 /// Convert degrees to radians.
 #[inline]

@@ -39,20 +39,19 @@ pub fn slant_range_m(gt: GeoPoint, sat: &Ecef) -> f64 {
     Ecef::from_geo(gt, 0.0).distance(sat)
 }
 
-/// Batched visibility test over struct-of-arrays satellite positions.
+/// The batched visibility test at a fixed minimum elevation: the one
+/// kernel that decides which satellites a ground point sees.
 ///
-/// For each candidate id, computes the elevation angle and slant range of
-/// the satellite at `(xs[id], ys[id], zs[id])` as seen from the ground
-/// point whose surface ECEF position is `g` (with `g_norm == g.norm()`
-/// precomputed), and calls `emit(id, range_m, elev_rad)` for every
-/// candidate at or above `min_elev_rad`.
-///
-/// The arithmetic replays [`elevation_angle_rad`] and [`slant_range_m`]
-/// operation-for-operation (the slant range *is* the line-of-sight vector
-/// norm both functions share), so membership, ranges, and elevations are
-/// bitwise identical to the scalar helpers — only the per-candidate
-/// `Ecef::from_geo` reconstruction of the ground point is hoisted out of
-/// the loop. Snapshot construction relies on this equivalence.
+/// [`VisibilityScan::scan_window`] tests every satellite of a
+/// [`CellGrid::window_segments`] window of a [`CellOrder`] flattening and
+/// emits each one at or above the minimum elevation, with its slant range
+/// and elevation. The arithmetic replays [`elevation_angle_rad`] and
+/// [`slant_range_m`] operation-for-operation (the slant range *is* the
+/// line-of-sight vector norm both functions share), so membership,
+/// ranges, and elevations are bitwise identical to the scalar helpers —
+/// only the per-candidate `Ecef::from_geo` reconstruction of the ground
+/// point and the threshold's `sin` are hoisted out of the loop. Snapshot
+/// construction relies on this equivalence.
 ///
 /// Internally, candidates whose cosine-of-zenith is below
 /// `sin(min_elev_rad)` by more than a safety margin are rejected with a
@@ -60,29 +59,9 @@ pub fn slant_range_m(gt: GeoPoint, sat: &Ecef) -> f64 {
 /// space) exceeds the few-ulp rounding of both tests by seven orders of
 /// magnitude, so the shortcut can only drop candidates the exact test
 /// would also reject; everything near the boundary falls through to the
-/// exact test above.
-// lint: hot-path
-pub fn batch_visible_from(
-    g: &Ecef,
-    g_norm: f64,
-    sats: (&[f64], &[f64], &[f64]),
-    candidates: &[u32],
-    min_elev_rad: f64,
-    emit: &mut impl FnMut(u32, f64, f64),
-) {
-    VisibilityScan::new(min_elev_rad).scan(g, g_norm, sats, candidates, emit)
-}
-
-/// Precomputed state for repeated [`batch_visible_from`]-style scans at a
-/// fixed minimum elevation.
+/// exact test.
 ///
-/// Snapshot construction tests hundreds of ground points (each over
-/// several candidate slices) against the same elevation threshold every
-/// timestep; this hoists the threshold's `sin` out of all of them. A
-/// scan emits exactly what `batch_visible_from` emits — same membership,
-/// same bits, in candidate order — so callers may split one candidate
-/// set across any number of `scan` calls (e.g. one per spatial-index
-/// row segment) without affecting the result.
+/// [`CellGrid::window_segments`]: crate::CellGrid::window_segments
 #[derive(Debug, Clone, Copy)]
 pub struct VisibilityScan {
     min_elev_rad: f64,
@@ -100,34 +79,14 @@ impl VisibilityScan {
         }
     }
 
-    /// Run the batched visibility test over one candidate slice (see
-    /// [`batch_visible_from`] for the contract). `(xs, ys, zs)` are the
-    /// parallel satellite ECEF component arrays (e.g. a constellation
-    /// snapshot's `xyz()`).
-    // lint: hot-path
-    pub fn scan(
-        &self,
-        g: &Ecef,
-        g_norm: f64,
-        (xs, ys, zs): (&[f64], &[f64], &[f64]),
-        candidates: &[u32],
-        emit: &mut impl FnMut(u32, f64, f64),
-    ) {
-        let quick_sq = self.quick_sq(g_norm);
-        for &id in candidates {
-            let i = id as usize;
-            if let Some((range, elev)) = self.test(g, g_norm, quick_sq, xs[i], ys[i], zs[i]) {
-                emit(id, range, elev);
-            }
-        }
-    }
-
-    /// [`VisibilityScan::scan`] over a window of a [`CellOrder`]: the
-    /// candidates are the ids of each `(start, end)` cell segment in turn
-    /// (a [`CellGrid::window_segments`] window), read with their
-    /// coordinates from the flattening's contiguous arrays. Emits exactly
-    /// what `scan` emits over the same ids — same float operations, same
-    /// order — and adds 1 to `degree[id]` for every id it emits.
+    /// Test the satellites of a window of a [`CellOrder`] as seen from
+    /// the ground point whose surface ECEF position is `g` (with
+    /// `g_norm == g.norm()` precomputed): the candidates are the ids of
+    /// each `(start, end)` cell segment in turn (a
+    /// [`CellGrid::window_segments`] window), read with their
+    /// coordinates from the flattening's contiguous arrays. Calls
+    /// `emit(id, range_m, elev_rad)` for every candidate at or above the
+    /// minimum elevation, in candidate order.
     ///
     /// [`CellGrid::window_segments`]: crate::CellGrid::window_segments
     // lint: hot-path
@@ -137,10 +96,10 @@ impl VisibilityScan {
         g_norm: f64,
         cells: &CellOrder,
         segments: &[(u32, u32)],
-        degree: &mut [u32],
         emit: &mut impl FnMut(u32, f64, f64),
     ) {
-        let quick_sq = self.quick_sq(g_norm);
+        let quick = self.quick;
+        let quick_sq = (quick * g_norm) * (quick * g_norm);
         for &(start, end) in segments {
             let (lo, hi) = (
                 cells.off[start as usize] as usize,
@@ -151,51 +110,27 @@ impl VisibilityScan {
                 .zip(&cells.y[lo..hi])
                 .zip(&cells.z[lo..hi]);
             for (&id, ((&x, &y), &z)) in cells.ids[lo..hi].iter().zip(coords) {
-                if let Some((range, elev)) = self.test(g, g_norm, quick_sq, x, y, z) {
-                    degree[id as usize] += 1;
+                let dx = x - g.x;
+                let dy = y - g.y;
+                let dz = z - g.z;
+                let range_sq = dx * dx + dy * dy + dz * dz;
+                let dot = g.x * dx + g.y * dy + g.z * dz;
+                if quick > 0.0 && range_sq > 0.0 && (dot <= 0.0 || dot * dot < quick_sq * range_sq)
+                {
+                    continue;
+                }
+                let range = range_sq.sqrt();
+                let elev = if range == 0.0 {
+                    std::f64::consts::FRAC_PI_2
+                } else {
+                    let cos_zenith = dot / (g_norm * range);
+                    std::f64::consts::FRAC_PI_2 - cos_zenith.clamp(-1.0, 1.0).acos()
+                };
+                if elev >= self.min_elev_rad {
                     emit(id, range, elev);
                 }
             }
         }
-    }
-
-    /// The squared quick-reject bound for a ground point of norm
-    /// `g_norm`.
-    #[inline]
-    fn quick_sq(&self, g_norm: f64) -> f64 {
-        (self.quick * g_norm) * (self.quick * g_norm)
-    }
-
-    /// Slant range and elevation of the satellite at `(x, y, z)` seen
-    /// from `g`, or `None` below the minimum elevation. The one copy of
-    /// the arithmetic every scan runs.
-    #[inline(always)]
-    fn test(
-        &self,
-        g: &Ecef,
-        g_norm: f64,
-        quick_sq: f64,
-        x: f64,
-        y: f64,
-        z: f64,
-    ) -> Option<(f64, f64)> {
-        let quick = self.quick;
-        let dx = x - g.x;
-        let dy = y - g.y;
-        let dz = z - g.z;
-        let range_sq = dx * dx + dy * dy + dz * dz;
-        let dot = g.x * dx + g.y * dy + g.z * dz;
-        if quick > 0.0 && range_sq > 0.0 && (dot <= 0.0 || dot * dot < quick_sq * range_sq) {
-            return None;
-        }
-        let range = range_sq.sqrt();
-        let elev = if range == 0.0 {
-            std::f64::consts::FRAC_PI_2
-        } else {
-            let cos_zenith = dot / (g_norm * range);
-            std::f64::consts::FRAC_PI_2 - cos_zenith.clamp(-1.0, 1.0).acos()
-        };
-        (elev >= self.min_elev_rad).then_some((range, elev))
     }
 }
 
@@ -285,124 +220,128 @@ mod tests {
         assert!(max < 550_000.0 + coverage_radius_m(550_000.0, deg_to_rad(25.0)) * 1.5);
     }
 
+    /// A grid of `bin_deg` cells holding satellite `id` at `sats[id]`,
+    /// binned by its sub-point, and its flattening.
+    fn binned(bin_deg: f64, sats: &[Ecef]) -> (crate::CellGrid, CellOrder) {
+        let mut grid = crate::CellGrid::new(bin_deg);
+        for (id, s) in sats.iter().enumerate() {
+            grid.insert(id as u32, grid.cell_of(&s.to_geo().0));
+        }
+        let xs: Vec<f64> = sats.iter().map(|s| s.x).collect();
+        let ys: Vec<f64> = sats.iter().map(|s| s.y).collect();
+        let zs: Vec<f64> = sats.iter().map(|s| s.z).collect();
+        let mut cells = CellOrder::default();
+        grid.flatten_into((&xs, &ys, &zs), &mut cells);
+        (grid, cells)
+    }
+
+    /// What `scan_window` emits from `gt` over `segments` of `cells`, as
+    /// `(id, range bits, elevation bits)`.
+    fn window_scan(
+        gt: GeoPoint,
+        cells: &CellOrder,
+        segments: &[(u32, u32)],
+        min_elev: f64,
+    ) -> Vec<(u32, u64, u64)> {
+        let g = Ecef::from_geo(gt, 0.0);
+        let mut got = Vec::new();
+        VisibilityScan::new(min_elev).scan_window(
+            &g,
+            g.norm(),
+            cells,
+            segments,
+            &mut |id, r, e| got.push((id, r.to_bits(), e.to_bits())),
+        );
+        got
+    }
+
+    /// The satellites of `ids`, in order, that the scalar test finds
+    /// visible from `gt`, with the scalar helpers' range and elevation
+    /// bits.
+    fn scalar_scan(
+        gt: GeoPoint,
+        sats: &[Ecef],
+        ids: &[u32],
+        min_elev: f64,
+    ) -> Vec<(u32, u64, u64)> {
+        ids.iter()
+            .map(|&id| (id, &sats[id as usize]))
+            .filter(|(_, s)| visible_at_elevation(gt, s, min_elev))
+            .map(|(id, s)| {
+                let (r, e) = (slant_range_m(gt, s), elevation_angle_rad(gt, s));
+                (id, r.to_bits(), e.to_bits())
+            })
+            .collect()
+    }
+
     #[test]
     fn batch_visible_matches_scalar_helpers_bitwise() {
+        // Every satellite, at varied altitudes, scanned as one segment
+        // spanning the whole flattening: the kernel emits exactly the
+        // satellites the scalar test finds visible, with the scalar
+        // helpers' range and elevation bits.
         let gt = GeoPoint::from_degrees(40.7, -74.0);
-        let g = Ecef::from_geo(gt, 0.0);
-        let g_norm = g.norm();
         let min_elev = deg_to_rad(25.0);
-        let (mut xs, mut ys, mut zs) = (Vec::new(), Vec::new(), Vec::new());
-        let mut sats = Vec::new();
-        for i in 0..120 {
-            let p = GeoPoint::from_degrees(
-                40.7 + (i as f64 - 60.0) * 0.4,
-                -74.0 + (i as f64 % 17.0) * 2.5,
-            );
-            let s = Ecef::from_geo(p, 550_000.0 + (i as f64) * 100.0);
-            xs.push(s.x);
-            ys.push(s.y);
-            zs.push(s.z);
-            sats.push(s);
-        }
-        let candidates: Vec<u32> = (0..sats.len() as u32).collect();
-        let mut got = Vec::new();
-        batch_visible_from(
-            &g,
-            g_norm,
-            (&xs, &ys, &zs),
-            &candidates,
-            min_elev,
-            &mut |id, r, e| {
-                got.push((id, r, e));
-            },
-        );
-        let expect: Vec<(u32, f64, f64)> = candidates
-            .iter()
-            .filter(|&&id| visible_at_elevation(gt, &sats[id as usize], min_elev))
-            .map(|&id| {
-                (
-                    id,
-                    slant_range_m(gt, &sats[id as usize]),
-                    elevation_angle_rad(gt, &sats[id as usize]),
-                )
+        let sats: Vec<Ecef> = (0..120)
+            .map(|i| {
+                let p = GeoPoint::from_degrees(
+                    40.7 + (i as f64 - 60.0) * 0.4,
+                    -74.0 + (i as f64 % 17.0) * 2.5,
+                );
+                Ecef::from_geo(p, 550_000.0 + (i as f64) * 100.0)
             })
             .collect();
-        assert!(!expect.is_empty(), "test must exercise visible satellites");
-        assert!(expect.len() < candidates.len(), "and invisible ones");
-        assert_eq!(got.len(), expect.len());
-        for ((gi, gr, ge), (ei, er, ee)) in got.iter().zip(&expect) {
-            assert_eq!(gi, ei);
-            assert_eq!(gr.to_bits(), er.to_bits(), "range bits for sat {gi}");
-            assert_eq!(ge.to_bits(), ee.to_bits(), "elev bits for sat {gi}");
-        }
+        let (grid, cells) = binned(3.0, &sats);
+        let got = window_scan(gt, &cells, &[(0, grid.num_cells() as u32)], min_elev);
+        let want = scalar_scan(gt, &sats, &cells.ids, min_elev);
+        assert!(!want.is_empty(), "test must exercise visible satellites");
+        assert!(want.len() < sats.len(), "and invisible ones");
+        assert_eq!(got, want);
     }
 
     #[test]
     fn window_scan_over_cell_order_matches_the_id_scan() {
         // Satellites scattered over a 3° grid around one ground point:
         // scanning its window through the flattening (coordinates read
-        // in cell order) must emit what the id-indexed scan emits over
-        // the same ids, bit for bit, and count each emitted id once.
+        // in cell order) must emit what the scalar test emits over the
+        // window's ids read from the grid (coordinates read by id), bit
+        // for bit and in window order.
         let gt = GeoPoint::from_degrees(47.0, 8.0);
-        let (g, min_elev) = (Ecef::from_geo(gt, 0.0), deg_to_rad(25.0));
-        let mut grid = crate::CellGrid::new(3.0);
-        let (mut xs, mut ys, mut zs) = (Vec::new(), Vec::new(), Vec::new());
-        for i in 0..400u32 {
-            let p = GeoPoint::from_degrees(
-                47.0 + (i as f64 * 0.37) % 24.0 - 12.0,
-                8.0 + (i as f64 * 0.61) % 30.0 - 15.0,
-            );
-            let s = Ecef::from_geo(p, 550_000.0 + i as f64 * 37.0);
-            xs.push(s.x);
-            ys.push(s.y);
-            zs.push(s.z);
-            grid.insert(i, grid.cell_of(&p));
-        }
-        let mut cells = CellOrder::default();
-        grid.flatten_into((&xs, &ys, &zs), &mut cells);
-        let mut segments = Vec::new();
-        grid.window_segments(gt, 1_200_000.0, &mut segments);
-        let scan = VisibilityScan::new(min_elev);
-        let mut degree = vec![0u32; xs.len()];
-        let mut got = Vec::new();
-        scan.scan_window(
-            &g,
-            g.norm(),
-            &cells,
-            &segments,
-            &mut degree,
-            &mut |id, r, e| {
-                got.push((id, r.to_bits(), e.to_bits()));
-            },
-        );
-        let ids: Vec<u32> = segments
-            .iter()
-            .flat_map(|&(a, b)| {
-                cells.ids[cells.off[a as usize] as usize..cells.off[b as usize] as usize].to_vec()
+        let min_elev = deg_to_rad(25.0);
+        let sats: Vec<Ecef> = (0..400u32)
+            .map(|i| {
+                let p = GeoPoint::from_degrees(
+                    47.0 + (i as f64 * 0.37) % 24.0 - 12.0,
+                    8.0 + (i as f64 * 0.61) % 30.0 - 15.0,
+                );
+                Ecef::from_geo(p, 550_000.0 + i as f64 * 37.0)
             })
             .collect();
-        let mut want = Vec::new();
-        scan.scan(&g, g.norm(), (&xs, &ys, &zs), &ids, &mut |id, r, e| {
-            want.push((id, r.to_bits(), e.to_bits()));
-        });
+        let (grid, cells) = binned(3.0, &sats);
+        let mut segments = Vec::new();
+        grid.window_segments(gt, 1_200_000.0, &mut segments);
+        let got = window_scan(gt, &cells, &segments, min_elev);
+        let ids: Vec<u32> = segments
+            .iter()
+            .flat_map(|&(a, b)| a..b)
+            .flat_map(|c| grid.ids(c))
+            .copied()
+            .collect();
+        let want = scalar_scan(gt, &sats, &ids, min_elev);
         assert!(
             want.len() > 10 && want.len() < ids.len(),
-            "{} of {}",
+            "test must exercise visible and invisible satellites: {} of {}",
             want.len(),
             ids.len()
         );
         assert_eq!(got, want);
-        for (id, &d) in degree.iter().enumerate() {
-            let emitted = want.iter().filter(|w| w.0 == id as u32).count();
-            assert_eq!(d as usize, emitted, "degree of {id}");
-        }
         // Cell order: each cell's ids ascend, and every coordinate sits
         // beside its id.
         for (k, &id) in cells.ids.iter().enumerate() {
-            let i = id as usize;
-            assert_eq!([cells.x[k], cells.y[k], cells.z[k]], [xs[i], ys[i], zs[i]]);
+            let s = &sats[id as usize];
+            assert_eq!([cells.x[k], cells.y[k], cells.z[k]], [s.x, s.y, s.z]);
         }
-        assert_eq!(cells.ids.len(), xs.len());
+        assert_eq!(cells.ids.len(), sats.len());
     }
 
     #[test]

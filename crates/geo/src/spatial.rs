@@ -9,20 +9,19 @@
 //! angular window — including longitude wrap-around and the widening of the
 //! window near the poles.
 //!
-//! Two indexes share the same grid geometry ([`GridShape`] internally):
-//!
-//! * [`SphereGrid`] — the classic build-once-per-snapshot index storing
-//!   `(id, GeoPoint)` pairs, answering exact radius queries.
-//! * [`CellGrid`] — an id-only index maintained *incrementally* across a
-//!   time sweep: satellites are [`CellGrid::relocate`]d between cells as
-//!   they move, buckets stay sorted by id, and candidate enumeration via
-//!   [`CellGrid::window_cells`] + [`CellGrid::ids`] visits satellites in
-//!   exactly the order a freshly built [`SphereGrid::query_radius`] scan
-//!   would — the property the TimeSweep engine's byte-identity rests on.
+//! [`CellGrid`] is the one such index. It stores ids only and can be kept
+//! current *incrementally* across a time sweep: satellites are
+//! [`CellGrid::relocate`]d between cells as they move and buckets stay
+//! sorted by id, so a window ([`CellGrid::window_segments`]) visits its
+//! candidates in the same order however the grid reached its contents —
+//! the property the TimeSweep engine's byte-identity rests on. Callers
+//! apply the exact test (an elevation angle through
+//! [`crate::VisibilityScan::scan_window`], or a central angle) to the
+//! window's ids.
 
 use crate::{GeoPoint, EARTH_RADIUS_M};
 
-/// Shared lat/lon bucket geometry: bin size and row/column layout.
+/// Lat/lon bucket geometry: bin size and row/column layout.
 #[derive(Debug, Clone, Copy)]
 struct GridShape {
     /// Bin size in radians.
@@ -77,9 +76,8 @@ impl GridShape {
     /// ascending; within a row, columns ascending, with a date-line wrap
     /// split into `lo..cols` followed by `0..=hi`.
     ///
-    /// This is the *only* cell-enumeration order in the crate — both
-    /// [`SphereGrid::query_radius`] and [`CellGrid::window_cells`] are built
-    /// on it, so candidate order is identical between the two indexes.
+    /// This is the *only* cell-enumeration order in the crate:
+    /// [`CellGrid::window_segments`] is built on it.
     fn for_each_window_cell(&self, center: GeoPoint, ang: f64, mut f: impl FnMut(usize)) {
         if ang >= std::f64::consts::PI {
             // Whole sphere.
@@ -143,68 +141,6 @@ impl GridShape {
     }
 }
 
-/// A spatial index mapping items (by `u32` id) to lat/lon buckets.
-///
-/// Build once per snapshot with the current sub-satellite points, then run
-/// [`SphereGrid::query_radius`] per ground terminal.
-#[derive(Debug, Clone)]
-pub struct SphereGrid {
-    shape: GridShape,
-    /// Bucket contents: `buckets[row * cols + col]` → items.
-    buckets: Vec<Vec<(u32, GeoPoint)>>,
-    len: usize,
-}
-
-impl SphereGrid {
-    /// Create an empty grid with bins of `bin_deg` degrees.
-    ///
-    /// # Panics
-    /// Panics if `bin_deg` is not in `(0, 90]`.
-    pub fn new(bin_deg: f64) -> Self {
-        let shape = GridShape::new(bin_deg);
-        Self {
-            buckets: vec![Vec::new(); shape.num_cells()],
-            shape,
-            len: 0,
-        }
-    }
-
-    /// Number of items in the index.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the index holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Insert an item at a position.
-    pub fn insert(&mut self, id: u32, pos: GeoPoint) {
-        let idx = self.shape.cell_of(&pos);
-        self.buckets[idx].push((id, pos));
-        self.len += 1;
-    }
-
-    /// Collect the ids of all items within `radius_m` (surface great-circle
-    /// distance) of `center` into `out`. `out` is cleared first.
-    ///
-    /// The scan visits every bucket intersecting the bounding lat/lon window
-    /// of the query disc and then applies the exact central-angle test, so
-    /// results are exact (no false positives or negatives).
-    pub fn query_radius(&self, center: GeoPoint, radius_m: f64, out: &mut Vec<u32>) {
-        out.clear();
-        let ang = radius_m / EARTH_RADIUS_M;
-        self.shape.for_each_window_cell(center, ang, |idx| {
-            for (id, p) in &self.buckets[idx] {
-                if center.central_angle(p) <= ang {
-                    out.push(*id);
-                }
-            }
-        });
-    }
-}
-
 /// A [`CellGrid`] flattened for scanning, by [`CellGrid::flatten_into`]:
 /// every cell's ids in CSR form, with each id's x/y/z coordinates
 /// gathered into the same order (struct of arrays). A scan over a run of
@@ -221,17 +157,17 @@ pub struct CellOrder {
     pub(crate) z: Vec<f64>,
 }
 
-/// An id-only bucket index maintained incrementally across a time sweep.
+/// An id-only bucket index, which a time sweep keeps current.
 ///
-/// Unlike [`SphereGrid`] (rebuilt from scratch per instant), a `CellGrid`
-/// is built once and then kept current by [`CellGrid::relocate`]-ing only
-/// the items that crossed a cell boundary. Buckets are kept **sorted by
-/// id**, which makes incremental maintenance produce the same enumeration
-/// order as a from-scratch build inserting ids `0..n` in order.
+/// A `CellGrid` is built once and then kept current by
+/// [`CellGrid::relocate`]-ing only the items that crossed a cell
+/// boundary. Buckets are kept **sorted by id**, which makes incremental
+/// maintenance produce the same enumeration order as a from-scratch
+/// build inserting ids `0..n` in order.
 ///
 /// The grid stores no positions: callers resolve candidate ids against
-/// their own (struct-of-arrays) position store and apply the exact
-/// visibility test there.
+/// their own position store (or a [`CellOrder`] flattening) and apply
+/// the exact test there.
 #[derive(Debug, Clone)]
 pub struct CellGrid {
     shape: GridShape,
@@ -427,28 +363,16 @@ impl CellGrid {
     }
 
     /// Collect the cells whose buckets may intersect the disc of radius
-    /// `radius_m` around `center` into `out` (cleared first), in the same
-    /// canonical scan order [`SphereGrid::query_radius`] uses.
+    /// `radius_m` around `center` into `out` (cleared first), as maximal
+    /// runs of consecutive cell indices: half-open `(start, end)` pairs.
     ///
     /// The window is conservative: scanning these cells and applying an
-    /// exact per-item test visits a superset of any exact radius query.
-    pub fn window_cells(&self, center: GeoPoint, radius_m: f64, out: &mut Vec<u32>) {
-        out.clear();
-        let ang = radius_m / EARTH_RADIUS_M;
-        self.shape
-            .for_each_window_cell(center, ang, |idx| out.push(idx as u32));
-    }
-
-    /// [`CellGrid::window_cells`], but compressed into maximal runs of
-    /// consecutive cell indices, as half-open `(start, end)` pairs.
-    ///
-    /// Because the canonical scan order emits each row's columns as one
-    /// ascending run (two when the window wraps the date line), a window
-    /// of `R` rows compresses to at most `2R` segments — and against a
-    /// flattening ([`CellGrid::flatten_into`]) each segment resolves to
-    /// **one** contiguous slice of its arrays.
-    /// Concatenating the segment slices visits exactly the ids of
-    /// `window_cells` in the same canonical order.
+    /// exact per-item test finds everything an exact radius query finds.
+    /// The cells come in the canonical scan order, which emits each row's
+    /// columns as one ascending run (two when the window wraps the date
+    /// line), so a window of `R` rows compresses to at most `2R` segments
+    /// — and against a flattening ([`CellGrid::flatten_into`]) each
+    /// segment resolves to **one** contiguous slice of its arrays.
     pub fn window_segments(&self, center: GeoPoint, radius_m: f64, out: &mut Vec<(u32, u32)>) {
         out.clear();
         let ang = radius_m / EARTH_RADIUS_M;
@@ -467,92 +391,111 @@ mod tests {
     use super::*;
     use crate::destination_point;
 
-    fn brute_force(items: &[(u32, GeoPoint)], center: GeoPoint, radius_m: f64) -> Vec<u32> {
+    fn brute_force(points: &[GeoPoint], center: GeoPoint, radius_m: f64) -> Vec<u32> {
         let ang = radius_m / EARTH_RADIUS_M;
-        let mut v: Vec<u32> = items
+        (0..points.len() as u32)
+            .filter(|&id| center.central_angle(&points[id as usize]) <= ang)
+            .collect()
+    }
+
+    /// A grid holding `points[id]` under id `id`.
+    fn grid_of(bin_deg: f64, points: &[GeoPoint]) -> CellGrid {
+        let mut g = CellGrid::new(bin_deg);
+        for (id, p) in points.iter().enumerate() {
+            g.insert(id as u32, g.cell_of(p));
+        }
+        g
+    }
+
+    /// The ids of `center`'s window, in window order, that pass the
+    /// exact central-angle test.
+    fn window_query(
+        g: &CellGrid,
+        points: &[GeoPoint],
+        center: GeoPoint,
+        radius_m: f64,
+    ) -> Vec<u32> {
+        let ang = radius_m / EARTH_RADIUS_M;
+        let mut segments = Vec::new();
+        g.window_segments(center, radius_m, &mut segments);
+        segments
             .iter()
-            .filter(|(_, p)| center.central_angle(p) <= ang)
-            .map(|(id, _)| *id)
-            .collect();
-        v.sort_unstable();
-        v
+            .flat_map(|&(a, b)| a..b)
+            .flat_map(|cell| g.ids(cell))
+            .copied()
+            .filter(|&id| center.central_angle(&points[id as usize]) <= ang)
+            .collect()
     }
 
     #[test]
     fn finds_nearby_item() {
-        let mut g = SphereGrid::new(5.0);
-        g.insert(1, GeoPoint::from_degrees(47.0, 8.0));
-        g.insert(2, GeoPoint::from_degrees(-33.0, 151.0));
-        let mut out = Vec::new();
-        g.query_radius(GeoPoint::from_degrees(47.5, 8.5), 200_000.0, &mut out);
-        assert_eq!(out, vec![1]);
+        let points = [
+            GeoPoint::from_degrees(47.0, 8.0),
+            GeoPoint::from_degrees(-33.0, 151.0),
+        ];
+        let g = grid_of(5.0, &points);
+        let center = GeoPoint::from_degrees(47.5, 8.5);
+        assert_eq!(window_query(&g, &points, center, 200_000.0), vec![0]);
     }
 
     #[test]
     fn wraps_across_date_line() {
-        let mut g = SphereGrid::new(5.0);
-        g.insert(7, GeoPoint::from_degrees(0.0, 179.5));
-        let mut out = Vec::new();
-        g.query_radius(GeoPoint::from_degrees(0.0, -179.5), 500_000.0, &mut out);
-        assert_eq!(out, vec![7]);
+        let points = [GeoPoint::from_degrees(0.0, 179.5)];
+        let g = grid_of(5.0, &points);
+        let center = GeoPoint::from_degrees(0.0, -179.5);
+        assert_eq!(window_query(&g, &points, center, 500_000.0), vec![0]);
     }
 
     #[test]
     fn handles_poles() {
-        let mut g = SphereGrid::new(5.0);
-        g.insert(3, GeoPoint::from_degrees(89.0, 10.0));
-        g.insert(4, GeoPoint::from_degrees(89.0, -170.0));
-        let mut out = Vec::new();
-        g.query_radius(GeoPoint::from_degrees(88.0, 100.0), 600_000.0, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![3, 4]);
+        let points = [
+            GeoPoint::from_degrees(89.0, 10.0),
+            GeoPoint::from_degrees(89.0, -170.0),
+        ];
+        let g = grid_of(5.0, &points);
+        let mut got = window_query(&g, &points, GeoPoint::from_degrees(88.0, 100.0), 600_000.0);
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1]);
     }
 
     #[test]
     fn matches_brute_force_on_ring() {
-        let mut g = SphereGrid::new(4.0);
         let center = GeoPoint::from_degrees(10.0, 20.0);
-        let mut items = Vec::new();
+        let mut points = Vec::new();
         for i in 0..72 {
             let bearing = crate::deg_to_rad(i as f64 * 5.0);
-            for (j, d) in [500_000.0, 900_000.0, 1_500_000.0].iter().enumerate() {
-                let id = (i * 3 + j) as u32;
-                let p = destination_point(center, bearing, *d);
-                items.push((id, p));
-                g.insert(id, p);
+            for d in [500_000.0, 900_000.0, 1_500_000.0] {
+                points.push(destination_point(center, bearing, d));
             }
         }
-        let mut out = Vec::new();
-        g.query_radius(center, 941_000.0, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, brute_force(&items, center, 941_000.0));
+        let g = grid_of(4.0, &points);
+        let mut got = window_query(&g, &points, center, 941_000.0);
+        got.sort_unstable();
+        assert_eq!(got, brute_force(&points, center, 941_000.0));
     }
 
     #[test]
     fn whole_sphere_query_returns_everything() {
-        let mut g = SphereGrid::new(10.0);
-        for i in 0..50u32 {
-            g.insert(
-                i,
-                GeoPoint::from_degrees(-80.0 + (i as f64) * 3.0, (i as f64) * 7.0 - 180.0),
-            );
-        }
-        let mut out = Vec::new();
-        g.query_radius(
-            GeoPoint::from_degrees(0.0, 0.0),
-            std::f64::consts::PI * EARTH_RADIUS_M,
-            &mut out,
-        );
-        assert_eq!(out.len(), 50);
+        let points: Vec<GeoPoint> = (0..50)
+            .map(|i| GeoPoint::from_degrees(-80.0 + i as f64 * 3.0, i as f64 * 7.0 - 180.0))
+            .collect();
+        let g = grid_of(10.0, &points);
+        let radius = std::f64::consts::PI * EARTH_RADIUS_M;
+        let center = GeoPoint::from_degrees(0.0, 0.0);
+        let mut segments = Vec::new();
+        g.window_segments(center, radius, &mut segments);
+        assert_eq!(segments, vec![(0, g.num_cells() as u32)]);
+        assert_eq!(window_query(&g, &points, center, radius).len(), 50);
     }
 
     #[test]
     fn empty_grid_returns_nothing() {
-        let g = SphereGrid::new(5.0);
+        let g = CellGrid::new(5.0);
         assert!(g.is_empty());
-        let mut out = vec![99];
-        g.query_radius(GeoPoint::from_degrees(0.0, 0.0), 1e7, &mut out);
-        assert!(out.is_empty(), "out must be cleared");
+        let mut segments = vec![(7, 9)];
+        g.window_segments(GeoPoint::from_degrees(0.0, 0.0), 1e7, &mut segments);
+        assert!(!segments.contains(&(7, 9)), "out must be cleared");
+        assert!(window_query(&g, &[], GeoPoint::from_degrees(0.0, 0.0), 1e7).is_empty());
     }
 
     #[test]
@@ -577,37 +520,38 @@ mod tests {
     }
 
     #[test]
-    fn cell_grid_window_matches_sphere_grid_scan_order() {
-        // Same items in both indexes: the CellGrid window scan (cells in
-        // order, ids per bucket in order, exact test applied by the caller)
-        // must reproduce query_radius output *in order*, not just as a set.
-        let mut sphere = SphereGrid::new(4.0);
-        let mut cells = CellGrid::new(4.0);
-        let mut points = Vec::new();
-        let center = GeoPoint::from_degrees(48.0, 175.0); // near the date line
-        for i in 0..200u32 {
-            let bearing = crate::deg_to_rad(i as f64 * 23.0);
-            let dist = 100_000.0 + (i as f64) * 9_000.0;
-            let p = destination_point(center, bearing, dist);
-            sphere.insert(i, p);
-            cells.insert(i, cells.cell_of(&p));
-            points.push(p);
-        }
+    fn window_segments_scan_each_cell_once_and_match_brute_force() {
+        // Near the date line the window wraps: a row is one run from its
+        // low column to the row's end, then one from column 0. Every cell
+        // comes once, each cell's ids ascend, and the exact test over
+        // them finds what brute force finds.
+        let center = GeoPoint::from_degrees(48.0, 175.0);
+        let points: Vec<GeoPoint> = (0..200)
+            .map(|i| {
+                let bearing = crate::deg_to_rad(i as f64 * 23.0);
+                destination_point(center, bearing, 100_000.0 + i as f64 * 9_000.0)
+            })
+            .collect();
+        let g = grid_of(4.0, &points);
+        let cols = g.shape.cols as u32;
         for radius in [300_000.0, 941_000.0, 2_500_000.0] {
-            let mut expect = Vec::new();
-            sphere.query_radius(center, radius, &mut expect);
-            let ang = radius / EARTH_RADIUS_M;
-            let mut window = Vec::new();
-            cells.window_cells(center, radius, &mut window);
-            let mut got = Vec::new();
-            for &cell in &window {
-                for &id in cells.ids(cell) {
-                    if center.central_angle(&points[id as usize]) <= ang {
-                        got.push(id);
-                    }
-                }
+            let mut segments = Vec::new();
+            g.window_segments(center, radius, &mut segments);
+            assert!(
+                segments.windows(2).any(|w| w[1].0 + cols == w[0].1),
+                "radius {radius}: no row wraps from its end to column 0"
+            );
+            let mut cells: Vec<u32> = segments.iter().flat_map(|&(a, b)| a..b).collect();
+            for &c in &cells {
+                assert!(g.ids(c).windows(2).all(|w| w[0] < w[1]), "cell {c}");
             }
-            assert_eq!(got, expect, "radius {radius}");
+            let n = cells.len();
+            cells.sort_unstable();
+            cells.dedup();
+            assert_eq!(cells.len(), n, "radius {radius}: a cell came twice");
+            let mut got = window_query(&g, &points, center, radius);
+            got.sort_unstable();
+            assert_eq!(got, brute_force(&points, center, radius), "radius {radius}");
         }
     }
 
@@ -616,9 +560,9 @@ mod tests {
         let cells = CellGrid::new(5.0);
         let center = GeoPoint::from_degrees(88.5, 30.0);
         let mut window = Vec::new();
-        cells.window_cells(center, 900_000.0, &mut window);
+        cells.window_segments(center, 900_000.0, &mut window);
         // Pole-touching windows must cover every column of the top rows.
-        let covered = window.len();
+        let covered: u32 = window.iter().map(|&(a, b)| b - a).sum();
         assert!(covered >= 72, "only {covered} cells near the pole");
     }
 

@@ -106,29 +106,36 @@ fn visibility_matches_coverage_radius() {
     });
 }
 
-/// SphereGrid query matches a brute-force scan.
+/// A CellGrid window scan with the exact central-angle test matches a
+/// brute-force scan.
 #[test]
 fn grid_matches_brute_force() {
     check("grid_matches_brute_force", |g| {
         let pts = g.vec(1..120, arb_point);
         let center = arb_point(g);
         let radius_km = g.f64(10.0..5000.0);
-        let mut grid = SphereGrid::new(5.0);
+        let mut grid = CellGrid::new(5.0);
         for (i, p) in pts.iter().enumerate() {
-            grid.insert(i as u32, *p);
+            grid.insert(i as u32, grid.cell_of(p));
         }
         let radius = radius_km * 1000.0;
-        let mut got = Vec::new();
-        grid.query_radius(center, radius, &mut got);
-        got.sort_unstable();
         let ang = radius / EARTH_RADIUS_M;
-        let mut want: Vec<u32> = pts
+        let mut segments = Vec::new();
+        grid.window_segments(center, radius, &mut segments);
+        let mut got: Vec<u32> = segments
+            .iter()
+            .flat_map(|&(a, b)| a..b)
+            .flat_map(|cell| grid.ids(cell))
+            .copied()
+            .filter(|&i| center.central_angle(&pts[i as usize]) <= ang)
+            .collect();
+        got.sort_unstable();
+        let want: Vec<u32> = pts
             .iter()
             .enumerate()
             .filter(|(_, p)| center.central_angle(p) <= ang)
             .map(|(i, _)| i as u32)
             .collect();
-        want.sort_unstable();
         check_assert_eq!(got, want);
         Ok(())
     });

@@ -97,15 +97,13 @@ impl PropConst {
 /// function, so repeated calls are bitwise identical).
 ///
 /// A snapshot can be *advanced in place* to a later instant with
-/// [`ConstellationSnapshot::advance`] / [`advance_to`], which also keeps an
-/// id-sorted [`CellGrid`] current and reports which satellites crossed a
-/// cell boundary — the primitive the TimeSweep engine builds on.
-/// Propagation is closed-form (circular orbits), so advancing recomputes
-/// each position analytically at the target time: there is no integration
-/// drift, and advancing to `t` is bitwise identical to building a fresh
-/// snapshot at `t`.
-///
-/// [`advance_to`]: ConstellationSnapshot::advance_to
+/// [`ConstellationSnapshot::advance_to`], which also keeps an id-sorted
+/// [`CellGrid`] current and reports which satellites crossed a cell
+/// boundary — the primitive the TimeSweep engine builds on. Propagation
+/// is closed-form (circular orbits), so advancing recomputes each position
+/// analytically at the target time: there is no integration drift, and
+/// advancing to `t` is bitwise identical to building a fresh snapshot at
+/// `t`.
 #[derive(Debug, Clone, Default)]
 pub struct ConstellationSnapshot {
     /// Simulation time of this snapshot, seconds since epoch.
@@ -168,11 +166,6 @@ impl ConstellationSnapshot {
     /// Iterator over all ECEF positions in satellite-id order.
     pub fn positions(&self) -> impl Iterator<Item = Ecef> + '_ {
         (0..self.len()).map(|i| self.position(i))
-    }
-
-    /// Iterator over all sub-points in satellite-id order.
-    pub fn subpoints(&self) -> impl Iterator<Item = GeoPoint> + '_ {
-        (0..self.len()).map(|i| self.subpoint(i))
     }
 
     /// Build the id-sorted cell index of this snapshot's sub-points, for
@@ -241,23 +234,6 @@ impl ConstellationSnapshot {
             self.z[i] = p.z;
         }
         self.t_s = t_s;
-    }
-
-    /// Advance the snapshot by `dt_s` seconds (see
-    /// [`ConstellationSnapshot::advance_to`]).
-    ///
-    /// Note for uniform sweeps: repeated `advance(dt)` accumulates
-    /// `t += dt` floating-point rounding; drivers that need instants
-    /// bitwise equal to an externally computed time list should call
-    /// `advance_to` with the exact target times instead.
-    pub fn advance(
-        &mut self,
-        constellation: &Constellation,
-        dt_s: f64,
-        grid: &mut CellGrid,
-        transitions: &mut Vec<CellTransition>,
-    ) {
-        self.advance_to(constellation, self.t_s + dt_s, grid, transitions);
     }
 }
 
@@ -392,8 +368,9 @@ mod tests {
     fn subpoints_match_positions() {
         let c = Constellation::kuiper();
         let snap = c.positions_at(500.0);
-        for (p, sp) in snap.positions().zip(snap.subpoints()) {
+        for (i, p) in snap.positions().enumerate() {
             let (g, alt) = p.to_geo();
+            let sp = snap.subpoint(i);
             assert!(g.central_angle(&sp) < 1e-12);
             assert!((alt - 630_000.0).abs() < 1e-3);
         }
@@ -483,7 +460,7 @@ mod tests {
         let mut grid = snap.cell_grid(3.0);
         let mut moves = Vec::new();
         // ~7.6 km/s for 120 s ≈ 900 km ≫ a 3° cell, so many sats move.
-        snap.advance(&c, 120.0, &mut grid, &mut moves);
+        snap.advance_to(&c, 120.0, &mut grid, &mut moves);
         assert!(!moves.is_empty(), "2-minute step must cross cells");
         for m in &moves {
             assert_ne!(m.from, m.to);

@@ -46,6 +46,4 @@ pub use isl::{plus_grid_isls, IslLink};
 pub use kepler::{orbital_period_s, OrbitalElements, EARTH_J2, EARTH_MU, EARTH_ROTATION_RAD_S};
 pub use passes::{find_passes, pass_stats, Pass, PassStats};
 pub use shell::{SatelliteId, Shell};
-pub use visibility::{
-    isl_line_of_sight, subpoint_index, visible_satellites, VisibilityParams, SUBPOINT_BIN_DEG,
-};
+pub use visibility::{isl_line_of_sight, VisibilityParams, SUBPOINT_BIN_DEG};

@@ -1,23 +1,21 @@
 //! Visibility computations: GT↔satellite and satellite↔satellite.
 
-use crate::constellation::ConstellationSnapshot;
-use leo_geo::{
-    coverage_radius_m, visible_at_elevation, Ecef, GeoPoint, SphereGrid, EARTH_RADIUS_M,
-};
+use leo_geo::{coverage_radius_m, Ecef, EARTH_RADIUS_M};
 
-/// Parameters controlling GT–satellite visibility.
+/// Parameters controlling GT–satellite visibility: the elevation
+/// threshold of a [`leo_geo::VisibilityScan`] and the radius of the
+/// [`leo_geo::CellGrid::window_segments`] window it scans.
 #[derive(Debug, Clone, Copy)]
 pub struct VisibilityParams {
     /// Minimum elevation angle for a usable GT link, radians.
     pub min_elevation_rad: f64,
-    /// Satellite altitude (used only to size the spatial-index query
-    /// window), meters. For multi-shell constellations pass the highest
-    /// shell's altitude.
+    /// Satellite altitude (used only to size the cell window), meters.
+    /// For multi-shell constellations pass the highest shell's altitude.
     pub max_altitude_m: f64,
 }
 
 impl VisibilityParams {
-    /// Conservative surface-radius bound for the spatial-index query: no
+    /// Conservative surface-radius bound for the cell window: no
     /// satellite whose sub-point lies farther than this can be visible.
     pub fn query_radius_m(&self) -> f64 {
         // 2% slack over the analytic coverage radius guards against float
@@ -26,49 +24,15 @@ impl VisibilityParams {
     }
 }
 
-/// Sub-point spatial-index bin size, degrees.
+/// Sub-point cell-index bin size, degrees.
 ///
 /// 3° keeps buckets small for 1,000–4,000-satellite shells while the
-/// ~8–10° query windows still touch only a handful of bins. Shared by
-/// [`subpoint_index`] and the incremental [`leo_geo::CellGrid`] kept by
-/// [`ConstellationSnapshot::advance_to`]-based sweeps, so both indexes
-/// have identical cell geometry.
+/// ~8–10° windows still touch only a handful of bins. Every
+/// [`leo_geo::CellGrid`] over satellite sub-points uses it: the one kept
+/// by [`crate::ConstellationSnapshot::advance_to`]-based sweeps and the
+/// ones [`crate::ConstellationSnapshot::cell_grid`] builds for a single
+/// instant.
 pub const SUBPOINT_BIN_DEG: f64 = 3.0;
-
-/// Build a spatial index over a snapshot's sub-satellite points.
-pub fn subpoint_index(snapshot: &ConstellationSnapshot) -> SphereGrid {
-    let mut grid = SphereGrid::new(SUBPOINT_BIN_DEG);
-    for (i, sp) in snapshot.subpoints().enumerate() {
-        grid.insert(i as u32, sp);
-    }
-    grid
-}
-
-/// Ids of all satellites visible from ground point `gt` (elevation ≥
-/// the minimum), using a pre-built sub-point index.
-///
-/// `scratch` is a reusable buffer for the index query to avoid per-call
-/// allocation in hot snapshot-construction loops.
-pub fn visible_satellites(
-    gt: GeoPoint,
-    snapshot: &ConstellationSnapshot,
-    index: &SphereGrid,
-    params: &VisibilityParams,
-    scratch: &mut Vec<u32>,
-    out: &mut Vec<u32>,
-) {
-    out.clear();
-    index.query_radius(gt, params.query_radius_m(), scratch);
-    for &id in scratch.iter() {
-        if visible_at_elevation(
-            gt,
-            &snapshot.position(id as usize),
-            params.min_elevation_rad,
-        ) {
-            out.push(id);
-        }
-    }
-}
 
 /// True iff the straight line between two satellites stays above
 /// `min_clearance_m` over the Earth's surface.
@@ -108,21 +72,51 @@ pub fn isl_line_of_sight(a: &Ecef, b: &Ecef, min_clearance_m: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Constellation, Shell};
-    use leo_geo::deg_to_rad;
+    use crate::{Constellation, ConstellationSnapshot, Shell};
+    use leo_geo::{deg_to_rad, visible_at_elevation, CellOrder, GeoPoint, VisibilityScan};
+
+    /// Ids visible from `gt` by the snapshot builder's path (the
+    /// sub-point cell grid, flattened, scanned over `gt`'s window), and
+    /// by the scalar test over every satellite; asserted equal.
+    fn visible_ids(
+        snap: &ConstellationSnapshot,
+        gt: GeoPoint,
+        params: &VisibilityParams,
+    ) -> Vec<u32> {
+        let grid = snap.cell_grid(SUBPOINT_BIN_DEG);
+        let mut cells = CellOrder::default();
+        grid.flatten_into(snap.xyz(), &mut cells);
+        let mut segments = Vec::new();
+        grid.window_segments(gt, params.query_radius_m(), &mut segments);
+        let g = Ecef::from_geo(gt, 0.0);
+        let mut got = Vec::new();
+        VisibilityScan::new(params.min_elevation_rad).scan_window(
+            &g,
+            g.norm(),
+            &cells,
+            &segments,
+            &mut |id, _, _| got.push(id),
+        );
+        got.sort_unstable();
+        let brute: Vec<u32> = (0..snap.len() as u32)
+            .filter(|&i| {
+                visible_at_elevation(gt, &snap.position(i as usize), params.min_elevation_rad)
+            })
+            .collect();
+        assert_eq!(got, brute, "window scan vs brute force from {gt}");
+        got
+    }
 
     #[test]
     fn some_satellite_visible_from_mid_latitude() {
         let c = Constellation::starlink();
         let snap = c.positions_at(0.0);
-        let index = subpoint_index(&snap);
         let params = VisibilityParams {
             min_elevation_rad: c.min_elevation_rad(),
             max_altitude_m: 550_000.0,
         };
         let gt = GeoPoint::from_degrees(40.7, -74.0); // New York
-        let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        visible_satellites(gt, &snap, &index, &params, &mut scratch, &mut out);
+        let out = visible_ids(&snap, gt, &params);
         assert!(
             !out.is_empty(),
             "NYC must see at least one Starlink satellite"
@@ -136,41 +130,24 @@ mod tests {
         // minimum elevation the pole sees nothing.
         let c = Constellation::starlink();
         let snap = c.positions_at(0.0);
-        let index = subpoint_index(&snap);
         let params = VisibilityParams {
             min_elevation_rad: c.min_elevation_rad(),
             max_altitude_m: 550_000.0,
         };
         let pole = GeoPoint::from_degrees(89.9, 0.0);
-        let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        visible_satellites(pole, &snap, &index, &params, &mut scratch, &mut out);
-        assert!(out.is_empty());
+        assert!(visible_ids(&snap, pole, &params).is_empty());
     }
 
     #[test]
     fn visible_set_matches_brute_force() {
         let c = Constellation::kuiper();
         let snap = c.positions_at(7200.0);
-        let index = subpoint_index(&snap);
         let params = VisibilityParams {
             min_elevation_rad: c.min_elevation_rad(),
             max_altitude_m: 630_000.0,
         };
         let gt = GeoPoint::from_degrees(-23.55, -46.63); // São Paulo
-        let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        visible_satellites(gt, &snap, &index, &params, &mut scratch, &mut out);
-        out.sort_unstable();
-        let mut brute: Vec<u32> = (0..snap.len() as u32)
-            .filter(|&i| {
-                leo_geo::visible_at_elevation(
-                    gt,
-                    &snap.position(i as usize),
-                    params.min_elevation_rad,
-                )
-            })
-            .collect();
-        brute.sort_unstable();
-        assert_eq!(out, brute);
+        assert!(!visible_ids(&snap, gt, &params).is_empty());
     }
 
     #[test]

@@ -117,10 +117,13 @@ fn isl_los_symmetric_monotone() {
     });
 }
 
-/// Every satellite visible from a ground point is within the
-/// analytic coverage radius of it (sub-point distance). The
-/// constellation is built once and shared across cases (the original
-/// rebuilt it per case; propagation per case is the meaningful part).
+/// The snapshot builder's visibility path (the sub-point cell grid,
+/// flattened and scanned over the ground point's window) finds exactly
+/// the satellites the scalar elevation test finds over the whole
+/// constellation, and every one lies within the analytic coverage radius
+/// (sub-point distance). The constellation is built once and shared
+/// across cases (the original rebuilt it per case; propagation per case
+/// is the meaningful part).
 #[test]
 fn visibility_inside_coverage() {
     let c = Constellation::starlink();
@@ -129,14 +132,36 @@ fn visibility_inside_coverage() {
         let lon = g.f64(-180.0..180.0);
         let t = g.f64(0.0..6000.0);
         let snap = c.positions_at(t);
-        let index = leo_orbit::visibility::subpoint_index(&snap);
         let params = VisibilityParams {
             min_elevation_rad: c.min_elevation_rad(),
             max_altitude_m: 550_000.0,
         };
         let gt = leo_geo::GeoPoint::from_degrees(lat, lon);
-        let (mut scratch, mut vis) = (Vec::new(), Vec::new());
-        visible_satellites(gt, &snap, &index, &params, &mut scratch, &mut vis);
+        let grid = snap.cell_grid(SUBPOINT_BIN_DEG);
+        let mut cells = leo_geo::CellOrder::default();
+        grid.flatten_into(snap.xyz(), &mut cells);
+        let mut segments = Vec::new();
+        grid.window_segments(gt, params.query_radius_m(), &mut segments);
+        let ground = leo_geo::Ecef::from_geo(gt, 0.0);
+        let mut vis = Vec::new();
+        leo_geo::VisibilityScan::new(params.min_elevation_rad).scan_window(
+            &ground,
+            ground.norm(),
+            &cells,
+            &segments,
+            &mut |id, _, _| vis.push(id),
+        );
+        vis.sort_unstable();
+        let brute: Vec<u32> = (0..snap.len() as u32)
+            .filter(|&i| {
+                leo_geo::visible_at_elevation(
+                    gt,
+                    &snap.position(i as usize),
+                    params.min_elevation_rad,
+                )
+            })
+            .collect();
+        check_assert_eq!(vis, brute);
         let cov = leo_geo::coverage_radius_m(550_000.0, c.min_elevation_rad());
         for &s in &vis {
             let d = gt.central_angle(&snap.subpoint(s as usize)) * EARTH_RADIUS_M;

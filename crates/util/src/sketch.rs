@@ -298,12 +298,6 @@ impl QuantileSketch {
         self.sum.value()
     }
 
-    /// The sum as its exact fixed-point accumulator (see
-    /// [`FixedSum::raw`]); the lossless form serializers persist.
-    pub fn sum_fixed(&self) -> FixedSum {
-        self.sum
-    }
-
     /// Exact minimum (NaN when empty).
     pub fn min(&self) -> f64 {
         if self.count == 0 {
@@ -694,15 +688,17 @@ mod tests {
         }
         let text = format!("{{{}}}", s.to_json_fragment());
         let back = QuantileSketch::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.sum_fixed(), s.sum_fixed());
-        assert_eq!(back.sum_fixed().raw(), s.sum_fixed().raw());
+        // The fragment carries the exact `fsum`, so equal text means an
+        // equal accumulator.
+        assert_eq!(back.to_json_fragment(), s.to_json_fragment());
         // The legacy path (no fsum) still parses, with decimal fidelity.
-        let legacy = text.replacen(&format!(",\"fsum\":\"{}\"", s.sum_fixed().raw()), "", 1);
+        let fsum = format!("\"{}\"", s.sum.raw());
+        let legacy = text.replacen(&format!(",\"fsum\":{fsum}"), "", 1);
         assert_ne!(legacy, text);
         let old = QuantileSketch::from_json(&Json::parse(&legacy).unwrap()).unwrap();
         assert_eq!(old.count(), s.count());
         // A malformed fsum is a hard error, not a silent fallback.
-        let bad = text.replacen(&format!("\"{}\"", s.sum_fixed().raw()), "\"12x\"", 1);
+        let bad = text.replacen(&fsum, "\"12x\"", 1);
         assert!(QuantileSketch::from_json(&Json::parse(&bad).unwrap()).is_err());
     }
 

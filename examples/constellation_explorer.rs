@@ -6,9 +6,8 @@
 //! cargo run -p leo-examples --bin constellation_explorer -- "New York"
 //! ```
 
-use leo_geo::{coverage_radius_m, deg_to_rad, GeoPoint};
-use leo_orbit::visibility::subpoint_index;
-use leo_orbit::{orbital_period_s, visible_satellites, Constellation, VisibilityParams};
+use leo_geo::{coverage_radius_m, deg_to_rad, CellOrder, Ecef, GeoPoint, VisibilityScan};
+use leo_orbit::{orbital_period_s, Constellation, VisibilityParams, SUBPOINT_BIN_DEG};
 
 fn main() {
     let city = std::env::args().nth(1).unwrap_or_else(|| "Zurich".into());
@@ -34,14 +33,19 @@ fn main() {
             min_elevation_rad: c.min_elevation_rad(),
             max_altitude_m: alt,
         };
-        let (mut scratch, mut vis) = (Vec::new(), Vec::new());
+        let scan = VisibilityScan::new(params.min_elevation_rad);
+        let g = Ecef::from_geo(gt, 0.0);
+        let (mut cells, mut segments) = (CellOrder::default(), Vec::new());
         print!("visible from {city} ({gt}) over 1 h: ");
         let mut counts = Vec::new();
         for minute in (0..60).step_by(5) {
             let snap = c.positions_at(minute as f64 * 60.0);
-            let index = subpoint_index(&snap);
-            visible_satellites(gt, &snap, &index, &params, &mut scratch, &mut vis);
-            counts.push(vis.len());
+            let grid = snap.cell_grid(SUBPOINT_BIN_DEG);
+            grid.flatten_into(snap.xyz(), &mut cells);
+            grid.window_segments(gt, params.query_radius_m(), &mut segments);
+            let mut visible = 0;
+            scan.scan_window(&g, g.norm(), &cells, &segments, &mut |_, _, _| visible += 1);
+            counts.push(visible);
         }
         println!(
             "{counts:?} (min {}, max {})",

@@ -68,23 +68,29 @@
 #    (the committed BENCH_routing.json shows ~2.2x; the smoke threshold
 #    is loose to tolerate CI noise but loud when the optimisation
 #    regresses to parity).
-# 10. Snapshot-bench smoke: run benches/snapshot.rs and require a
+# 10. Delta equivalence: the Tiny sweep test in tests/sweep.rs that
+#    repairs shortest-path trees from the sweep's edge deltas and checks
+#    at least 1,000 repairs bit for bit against fresh Dijkstra.
+# 11. Delta-bench smoke: run benches/delta.rs and require the delta
+#    step of the fig2 inner loop to beat full per-instant Dijkstra by
+#    >= 1.2x (same loose-floor rationale as the routing gate).
+# 12. Snapshot-bench smoke: run benches/snapshot.rs and require a
 #    consecutive-instant TimeSweep step to beat the per-instant
 #    snapshot_bundle rebuild by >= 1.5x (committed BENCH_snapshot.json
 #    shows ~2.2x; same loose-floor rationale as the routing gate).
-# 11. Golden results: run EXPERIMENTS.md's bench-scale regeneration loop
+# 13. Golden results: run EXPERIMENTS.md's bench-scale regeneration loop
 #    (all 15 figure/extension binaries) in a temp dir and `cmp` every
 #    results/*.csv, and the loop's combined output against
 #    results/bench_scale_run.log. The tracked results are the
 #    behavioural contract; this makes "byte-reproducible" a gate
 #    instead of a manual check (~30 s on 2 cores).
-# 12. Pinned-digest lane: `leo_benchmark run --seconds 1` times every
+# 14. Pinned-digest lane: `leo_benchmark run --seconds 1` times every
 #    workload of BENCHMARK.json at full size and seed 42 (at least five
 #    repetitions each, ~1.5 min in all) and checks each repetition's
 #    output digest against the one pinned in its workloads.rs. Every
 #    workload must print its JSON result line, and every line must read
 #    "correct":true.
-# 13. Million-pair lane: ext_million_pairs at full scale — 1,000,000
+# 15. Million-pair lane: ext_million_pairs at full scale — 1,000,000
 #    pairs folded in one process (~5 s on 2 cores), which exits 1 when
 #    its peak RSS (the kernel's VmHWM) is over a 512 MiB budget.
 #
