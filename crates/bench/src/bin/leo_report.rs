@@ -27,6 +27,10 @@
 //! peak resident set — the max over heartbeat `peak_rss_kb` samples and
 //! the manifest's `peak_rss_kb` — exceeds `N` MiB. CI uses this to pin
 //! the streaming pipeline's O(1)-in-snapshots memory ceiling.
+//!
+//! `N` must be finite and positive and `P` finite and non-negative; a
+//! bad value, an unknown flag or a third path exits 2 with the usage
+//! line.
 
 use leo_bench::print_table;
 use leo_util::sketch::QuantileSketch;
@@ -475,6 +479,21 @@ fn report_diff(a: &Run, b: &Run, threshold_pct: f64) -> usize {
 const USAGE: &str = "usage: leo-report [--threshold-pct P] [--assert-peak-rss-mb N] \
                      <RUN_a.jsonl> [RUN_b.jsonl]";
 
+/// The value after `flag`: a finite number that `ok` accepts. A NaN
+/// budget or threshold never compares past any value, so it would pass
+/// every run.
+fn number_arg(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+    ok: fn(f64) -> bool,
+) -> f64 {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .filter(|&x: &f64| x.is_finite() && ok(x))
+        .unwrap_or_else(|| fail(&format!("{flag} needs a finite {what} number\n{USAGE}")))
+}
+
 fn main() {
     let mut threshold_pct = 0.0f64;
     let mut assert_peak_rss_mb: Option<f64> = None;
@@ -483,17 +502,10 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--threshold-pct" => {
-                threshold_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("--threshold-pct needs a number"));
+                threshold_pct = number_arg(&mut args, &a, "non-negative", |x| x >= 0.0);
             }
             "--assert-peak-rss-mb" => {
-                assert_peak_rss_mb = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| fail("--assert-peak-rss-mb needs a number")),
-                );
+                assert_peak_rss_mb = Some(number_arg(&mut args, &a, "positive", |x| x > 0.0));
             }
             "--help" | "-h" => {
                 println!("{USAGE}");

@@ -5,7 +5,9 @@
 //!
 //! Usage: `validate_run [--require-lint-clean] <path/to/RUN_label.jsonl>`
 //! — exits 0 and prints a one-line summary on success, exits 1 with the
-//! offending line on failure.
+//! offending line on failure, and exits 2 with the usage line on an
+//! unknown flag, a missing path or a second one (a misspelt flag must not
+//! turn the lint gate off).
 //!
 //! The manifest's `lint_clean` field records whether the producing tree
 //! passed both clippy lanes of `scripts/ci.sh` and `leo-lint --deny`
@@ -19,9 +21,16 @@
 
 use leo_util::telemetry::{validate_event_line, Json};
 
+const USAGE: &str = "usage: validate_run [--require-lint-clean] <RUN_label.jsonl>";
+
 fn fail(msg: &str) -> ! {
     eprintln!("validate_run: {msg}");
     std::process::exit(1);
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("validate_run: {msg}\n{USAGE}");
+    std::process::exit(2);
 }
 
 fn main() {
@@ -30,12 +39,12 @@ fn main() {
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--require-lint-clean" => require_lint_clean = true,
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag}")),
+            _ if path.is_some() => usage_error(&format!("more than one run log ({arg})")),
             _ => path = Some(arg),
         }
     }
-    let path = path.unwrap_or_else(|| {
-        fail("usage: validate_run [--require-lint-clean] <RUN_label.jsonl>");
-    });
+    let path = path.unwrap_or_else(|| usage_error("no run log given"));
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();

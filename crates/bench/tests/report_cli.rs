@@ -186,3 +186,55 @@ fn report_asserts_peak_rss_budget() {
     let stderr = String::from_utf8_lossy(&bad.stderr);
     assert!(stderr.contains("exceeds budget"), "{stderr}");
 }
+
+#[test]
+fn validate_rejects_unknown_flags_and_a_second_path() {
+    let m = manifest(3);
+    let p = write_log("args.jsonl", &[RUN_START, SERIES, HEARTBEAT, COUNTER, &m]);
+    let p = p.to_str().unwrap();
+    // A misspelt flag must not pass as the path and switch the gate off.
+    for args in [
+        vec!["--require-lint-cleen", p],
+        vec![p, "--require-lint-cleen"],
+        vec![p, p],
+        vec![],
+    ] {
+        let out = validate(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: validate_run"), "{args:?}: {stderr}");
+    }
+    // The flag itself is still taken: this log carries no lint_clean.
+    let gated = validate(&["--require-lint-clean", p]);
+    assert_eq!(gated.status.code(), Some(1));
+}
+
+#[test]
+fn report_rejects_budgets_and_thresholds_that_pass_everything() {
+    let m = manifest(3);
+    let p = write_log("nan.jsonl", &[RUN_START, HEARTBEAT, &m]);
+    let p = p.to_str().unwrap();
+    for (flag, value) in [
+        ("--assert-peak-rss-mb", "nan"),
+        ("--assert-peak-rss-mb", "inf"),
+        ("--assert-peak-rss-mb", "0"),
+        ("--assert-peak-rss-mb", "-4"),
+        ("--threshold-pct", "nan"),
+        ("--threshold-pct", "inf"),
+        ("--threshold-pct", "-1"),
+    ] {
+        let out = report(&[flag, value, p]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag) && stderr.contains("usage:"),
+            "{stderr}"
+        );
+    }
+    // Valid values still pass.
+    assert!(
+        report(&["--threshold-pct", "0", "--assert-peak-rss-mb", "4", p, p])
+            .status
+            .success()
+    );
+}

@@ -547,7 +547,6 @@ mod tests {
                 } else {
                     EdgeKind::UpDown {
                         ground: v,
-                        sat: u,
                         elevation_rad: 0.5,
                     }
                 }

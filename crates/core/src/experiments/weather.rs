@@ -27,7 +27,6 @@ fn link_attenuation_db(
     let e = path.edges[hop];
     let EdgeKind::UpDown {
         ground,
-        sat: _,
         elevation_rad,
     } = snap.edges[e as usize]
     else {

@@ -76,7 +76,6 @@ pub fn weathered_throughput(
             EdgeKind::Isl => wet_caps.push(nominal), // lasers fly above the weather
             EdgeKind::UpDown {
                 ground,
-                sat: _,
                 elevation_rad,
             } => {
                 #[expect(

@@ -31,6 +31,7 @@ use leo_orbit::{
 };
 use leo_util::telemetry::{enabled, Counter, Level};
 use leo_util::{debug_span, span};
+use std::borrow::Cow;
 
 /// Telemetry: snapshots frozen across all experiments (the unit of work
 /// the pipeline fans out over).
@@ -135,6 +136,10 @@ impl NodeKind {
 }
 
 /// What a graph edge represents.
+///
+/// 16 bytes. The satellite end of an `UpDown` edge is the edge's other
+/// endpoint: snapshot graphs write every ground link as
+/// `(ground, satellite)`, so [`leo_graph::Graph::edge`] returns it second.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EdgeKind {
     /// Laser inter-satellite link.
@@ -144,8 +149,6 @@ pub enum EdgeKind {
     UpDown {
         /// Ground-side node.
         ground: NodeId,
-        /// Satellite node.
-        sat: NodeId,
         /// Elevation of the satellite as seen from the ground node,
         /// radians.
         elevation_rad: f64,
@@ -173,7 +176,8 @@ pub struct StudyContext {
     /// Static relay node kinds (appended after cities in non-ISL-only
     /// snapshots).
     relay_nodes: Vec<NodeKind>,
-    /// City positions — the ground-position prefix of every snapshot.
+    /// City positions — the ground-position prefix of every snapshot;
+    /// the relays' positions follow in `ground.relays`.
     city_positions: Vec<GeoPoint>,
     /// Pair indices grouped by source city, sorted by source id (the
     /// Dijkstra fan-out unit: one SSSP per entry per snapshot).
@@ -253,6 +257,14 @@ impl StudyContext {
     /// Number of satellites (node ids `0..S` in every snapshot).
     pub fn num_satellites(&self) -> usize {
         self.constellation.num_satellites()
+    }
+
+    /// The GT-link visibility rule of this study's constellation.
+    fn visibility_params(&self) -> VisibilityParams {
+        VisibilityParams {
+            min_elevation_rad: self.constellation.min_elevation_rad(),
+            max_altitude_m: self.config.constellation.max_altitude_m(),
+        }
     }
 
     /// Graph node id of city `i` (valid in every snapshot of this
@@ -428,8 +440,9 @@ impl StudyContext {
             .step_by(chunk)
             .map(|lo| (lo, (lo + chunk).min(n)))
             .collect(); // lint: allow(hot-path-alloc) one tiny Vec of chunk bounds per sweep fan-out, not per step
+        let ground = StaticGround::new(self, modes);
         let per_chunk = crate::par::parallel_map(&ranges, threads, |&(lo, hi)| {
-            let mut sweep = TimeSweep::new(self, modes);
+            let mut sweep = TimeSweep::with_ground(self, modes, Cow::Borrowed(&ground));
             let mut acc = make();
             for (i, &t) in times.iter().enumerate().take(hi).skip(lo) {
                 advance(&mut sweep, &mut acc, i, t);
@@ -449,6 +462,64 @@ impl StudyContext {
     }
 }
 
+/// The geometry of a sweep's static ground points — every city, then
+/// every relay when some mode uses relays — that the visibility scans
+/// read each step. It depends only on the context and on whether relays
+/// are scanned, so the chunks of one [`StudyContext::sweep_fold`] fan-out
+/// share one, and a [`TimeSweep::new`] builds its own.
+#[derive(Debug, Clone)]
+struct StaticGround {
+    /// Surface ECEF position + norm per point, hoisted out of the
+    /// per-step visibility loops.
+    ecef: Vec<(Ecef, f64)>,
+    /// Cell window per point as consecutive-cell segments (see
+    /// [`CellGrid::window_segments`]) — window geometry depends only on
+    /// the grid shape, not its contents. Point `gi`'s segments are
+    /// `segments[seg_off[gi]..seg_off[gi + 1]]`.
+    segments: Vec<(u32, u32)>,
+    seg_off: Vec<u32>,
+}
+
+impl StaticGround {
+    /// The static ground of a sweep over `ctx` producing `modes`.
+    fn new(ctx: &StudyContext, modes: &[Mode]) -> Self {
+        let relays: &[GeoPoint] = if modes.iter().any(|&m| m != Mode::IslOnly) {
+            &ctx.ground.relays
+        } else {
+            &[]
+        };
+        let points = ctx.city_positions.iter().chain(relays);
+        let ecef = points
+            .clone()
+            .map(|&g| {
+                let e = Ecef::from_geo(g, 0.0);
+                let norm = e.norm();
+                (e, norm)
+            })
+            .collect();
+        let grid = CellGrid::new(SUBPOINT_BIN_DEG);
+        let query_radius_m = ctx.visibility_params().query_radius_m();
+        let (mut segments, mut seg_off) = (Vec::new(), vec![0u32]);
+        let mut window = Vec::new();
+        for &g in points {
+            grid.window_segments(g, query_radius_m, &mut window);
+            segments.extend_from_slice(&window);
+            seg_off.push(segments.len() as u32);
+        }
+        Self {
+            ecef,
+            segments,
+            seg_off,
+        }
+    }
+
+    /// Point `gi`'s cell window.
+    #[inline]
+    fn window(&self, gi: usize) -> &[(u32, u32)] {
+        &self.segments[self.seg_off[gi] as usize..self.seg_off[gi + 1] as usize]
+    }
+}
+
 /// Incremental snapshot engine: walks a time series keeping satellite
 /// state, the sub-point [`CellGrid`], the previous step's links, and all
 /// output buffers alive between instants.
@@ -459,7 +530,8 @@ impl StudyContext {
 /// advances the same state in place — satellites are *relocated* between
 /// cells only when their sub-point crosses a cell boundary (reported by
 /// [`ConstellationSnapshot::advance_to`]), ground-point cell windows are
-/// precomputed once, and link/edge/node vectors are recycled.
+/// precomputed once (and shared by the chunks of a parallel sweep), and
+/// link/edge/node vectors are recycled.
 ///
 /// A step writes every GT–satellite link into one flat **link arena**
 /// (ground point by ground point, in node order), counting each
@@ -497,17 +569,8 @@ pub struct TimeSweep<'a> {
     transitions: Vec<CellTransition>,
     started: bool,
     /// Static ground points: cities, then relays (relays only when some
-    /// mode uses them).
-    static_ground: Vec<GeoPoint>,
-    /// Surface ECEF position + norm per static ground point, hoisted out
-    /// of the per-step visibility loops.
-    static_ecef: Vec<(Ecef, f64)>,
-    /// Cell window per static ground point as consecutive-cell segments
-    /// (see [`CellGrid::window_segments`]), precomputed once — window
-    /// geometry depends only on the grid shape, not its contents. Point
-    /// `gi`'s segments are `static_segments[static_seg_off[gi]..static_seg_off[gi + 1]]`.
-    static_segments: Vec<(u32, u32)>,
-    static_seg_off: Vec<u32>,
+    /// mode uses them). Their positions are the context's.
+    ground: Cow<'a, StaticGround>,
     aircraft: Vec<Aircraft>,
     /// Surface ECEF position per aircraft, this step (the point its link
     /// delays are measured from).
@@ -592,33 +655,15 @@ impl<'a> TimeSweep<'a> {
     /// `modes` at every step. No orbital work happens until the first
     /// [`TimeSweep::step`].
     pub fn new(ctx: &'a StudyContext, modes: &[Mode]) -> Self {
+        Self::with_ground(ctx, modes, Cow::Owned(StaticGround::new(ctx, modes)))
+    }
+
+    /// [`TimeSweep::new`] over a static ground built for `ctx` and
+    /// `modes` by [`StaticGround::new`].
+    fn with_ground(ctx: &'a StudyContext, modes: &[Mode], ground: Cow<'a, StaticGround>) -> Self {
         let needs_full_ground = modes.iter().any(|&m| m != Mode::IslOnly);
         let needs_isls = modes.iter().any(|&m| m != Mode::BpOnly);
-        let params = VisibilityParams {
-            min_elevation_rad: ctx.constellation.min_elevation_rad(),
-            max_altitude_m: ctx.config.constellation.max_altitude_m(),
-        };
-        let query_radius_m = params.query_radius_m();
-        let mut static_ground = ctx.city_positions.clone();
-        if needs_full_ground {
-            static_ground.extend(ctx.ground.relays.iter().copied());
-        }
-        let grid = CellGrid::new(SUBPOINT_BIN_DEG);
-        let static_ecef: Vec<(Ecef, f64)> = static_ground
-            .iter()
-            .map(|&g| {
-                let e = Ecef::from_geo(g, 0.0);
-                let norm = e.norm();
-                (e, norm)
-            })
-            .collect();
-        let (mut static_segments, mut static_seg_off) = (Vec::new(), vec![0u32]);
-        let mut segments = Vec::new();
-        for &g in &static_ground {
-            grid.window_segments(g, query_radius_m, &mut segments);
-            static_segments.extend_from_slice(&segments);
-            static_seg_off.push(static_segments.len() as u32);
-        }
+        let params = ctx.visibility_params();
         let s = ctx.num_satellites();
         let snapshots = modes
             .iter()
@@ -638,17 +683,14 @@ impl<'a> TimeSweep<'a> {
             modes: modes.to_vec(),
             needs_full_ground,
             needs_isls,
-            query_radius_m,
+            query_radius_m: params.query_radius_m(),
             sats: ConstellationSnapshot::default(),
-            grid,
+            grid: CellGrid::new(SUBPOINT_BIN_DEG),
             cells: CellOrder::default(),
             vis: VisibilityScan::new(params.min_elevation_rad),
             transitions: Vec::new(),
             started: false,
-            static_ground,
-            static_ecef,
-            static_segments,
-            static_seg_off,
+            ground,
             aircraft: Vec::new(),
             air_ecef: Vec::new(),
             air_cells: Vec::new(),
@@ -848,7 +890,7 @@ impl<'a> TimeSweep<'a> {
         self.deg_rest.fill(0);
         let (mut reused, mut recomputed) = (0u64, 0u64);
         let links = &mut self.links;
-        for (gi, &(g, g_norm)) in self.static_ecef.iter().enumerate() {
+        for (gi, &(g, g_norm)) in self.ground.ecef.iter().enumerate() {
             if count {
                 self.prev_ids.clear();
                 for l in arena_block(&self.prev_links, &self.prev_link_off, gi) {
@@ -862,13 +904,11 @@ impl<'a> TimeSweep<'a> {
             } else {
                 &mut self.deg_rest
             };
-            let segments = &self.static_segments
-                [self.static_seg_off[gi] as usize..self.static_seg_off[gi + 1] as usize];
             scan_into_arena(
                 &self.vis,
                 (&g, g_norm),
                 &self.cells,
-                segments,
+                self.ground.window(gi),
                 degree,
                 (links, &mut self.link_off),
             );
@@ -928,7 +968,7 @@ impl<'a> TimeSweep<'a> {
         let mode = self.modes[mi];
         let s = self.ctx.num_satellites();
         let num_cities = self.ctx.city_positions.len();
-        let num_static = self.static_ground.len();
+        let num_static = self.ground.ecef.len();
         let num_ground = if mode == Mode::IslOnly {
             num_cities
         } else {
@@ -967,7 +1007,6 @@ impl<'a> TimeSweep<'a> {
             fill.append_edges(ground, block.iter().map(|l| (l.sat, l.delay_s)));
             snap.edges.extend(block.iter().map(|l| EdgeKind::UpDown {
                 ground,
-                sat: l.sat,
                 elevation_rad: l.elevation_rad,
             }));
         }
@@ -975,7 +1014,7 @@ impl<'a> TimeSweep<'a> {
         debug_assert_eq!(snap.graph.num_edges(), snap.edges.len());
         let (xs, ys, zs) = self.sats.xyz();
         let num_air = num_ground - num_ground.min(num_static);
-        let ground = self.static_ecef[..num_ground - num_air]
+        let ground = self.ground.ecef[..num_ground - num_air]
             .iter()
             .map(|(e, _)| e)
             .chain(&self.air_ecef[..num_air]);
@@ -987,8 +1026,10 @@ impl<'a> TimeSweep<'a> {
 
         snap.ground_positions.clear();
         snap.ground_positions
-            .extend_from_slice(&self.static_ground[..num_ground.min(num_static)]);
+            .extend_from_slice(&self.ctx.city_positions);
         if mode != Mode::IslOnly {
+            snap.ground_positions
+                .extend_from_slice(&self.ctx.ground.relays);
             snap.ground_positions
                 .extend(self.aircraft.iter().map(|a| a.pos));
         }
@@ -1042,7 +1083,7 @@ impl<'a> TimeSweep<'a> {
         self.link_matched.clear();
         self.link_removed.clear();
         self.link_added.clear();
-        let num_static = self.static_ground.len();
+        let num_static = self.ground.ecef.len();
         let census_stable = self.prev_air_ids.len() == self.aircraft.len()
             && self
                 .aircraft
@@ -1340,25 +1381,45 @@ mod tests {
 
     #[test]
     fn updown_metadata_consistent() {
+        // Every edge of every mode, cold and at sweep steps, comes back
+        // from the derived edge table as it was written: ISLs lower id
+        // first, ground links as (ground, satellite) with the ground end
+        // the metadata names.
         let c = ctx();
-        let snap = c.snapshot(0.0, Mode::Hybrid);
-        for (e, kind) in snap.edges.iter().enumerate() {
-            if let EdgeKind::UpDown {
-                ground,
-                sat,
-                elevation_rad,
-            } = kind
-            {
+        let s = c.num_satellites() as NodeId;
+        let modes = [Mode::BpOnly, Mode::Hybrid, Mode::IslOnly];
+        let check = |snap: &NetworkSnapshot, what: &str| {
+            assert_eq!(snap.edges.len(), snap.graph.num_edges(), "{what}");
+            for (e, kind) in snap.edges.iter().enumerate() {
                 let (u, v, _) = snap.graph.edge(e as EdgeId);
-                assert!(
-                    (u == *ground && v == *sat) || (u == *sat && v == *ground),
-                    "edge endpoints disagree with metadata"
-                );
-                assert!(*elevation_rad >= c.constellation.min_elevation_rad() - 1e-9);
-                assert!((*sat as usize) < snap.num_satellites);
-                assert!((*ground as usize) >= snap.num_satellites);
+                match *kind {
+                    EdgeKind::Isl => assert!(u < v && v < s, "{what}: ISL {e} is ({u}, {v})"),
+                    EdgeKind::UpDown {
+                        ground,
+                        elevation_rad,
+                    } => {
+                        assert!(
+                            u == ground && u >= s && v < s,
+                            "{what}: ground link {e} is ({u}, {v}), metadata ground {ground}"
+                        );
+                        assert!(elevation_rad >= c.constellation.min_elevation_rad() - 1e-9);
+                    }
+                }
+            }
+        };
+        let mut sweep = TimeSweep::new(&c, &modes);
+        for t in [0.0, 900.0, 947.3, 30_000.0] {
+            for (cold, warm) in c.snapshot_bundle(t, &modes).iter().zip(sweep.step(t)) {
+                check(cold, &format!("t={t} {:?} cold", cold.mode));
+                check(warm, &format!("t={t} {:?} sweep", warm.mode));
             }
         }
+    }
+
+    #[test]
+    fn edge_kind_is_sixteen_bytes() {
+        // One per snapshot edge: the satellite end is the graph's.
+        assert_eq!(std::mem::size_of::<EdgeKind>(), 16);
     }
 
     #[test]

@@ -2,6 +2,10 @@
 //! with optional per-node coordinates that give targeted searches a
 //! straight-line lower bound (see [`Graph::lambda`]), and a lazily built
 //! table of landmark distances that tightens it (see [`LANDMARKS`]).
+//!
+//! Each edge is stored as its two half-edges and one orientation bit; the
+//! `(u, v, w)` edge table behind [`Graph::edge`] is derived from them on
+//! first use.
 
 use std::sync::OnceLock;
 
@@ -84,7 +88,8 @@ impl GraphBuilder {
         let mut g = Graph {
             offsets: vec![0],
             adj: Vec::new(),
-            edges: Vec::new(),
+            flipped: Vec::new(),
+            table: OnceLock::new(),
             coords: Vec::new(),
             lambda: OnceLock::new(),
             landmarks: OnceLock::new(),
@@ -99,9 +104,9 @@ impl GraphBuilder {
 }
 
 /// One-pass CSR writer, from [`Graph::fill`]: edges arrive in id order
-/// and each is written exactly once — into the edge table and as its two
-/// half-edges — so every node's neighbors come out in edge-id order, as
-/// [`GraphBuilder::build`] has always laid them out.
+/// and each is written exactly once — as its two half-edges and its
+/// orientation bit — so every node's neighbors come out in edge-id order,
+/// as [`GraphBuilder::build`] has always laid them out.
 ///
 /// Nodes come in two kinds, split at the length of the degree slice:
 ///
@@ -126,6 +131,8 @@ pub struct CsrFill<'a> {
     due: &'a mut [u32],
     /// Node count of the graph being written.
     num_nodes: usize,
+    /// Declared edge count of the graph being written.
+    num_edges: usize,
     /// Id of the next edge.
     next: EdgeId,
     /// Slot of the next appended half-edge.
@@ -147,12 +154,12 @@ impl CsrFill<'_> {
     pub fn edge(&mut self, u: NodeId, v: NodeId, weight: f64) {
         check_edge(self.num_nodes, u, v, weight);
         let id = self.next;
+        // lint: allow(panic-reachable) documented `# Panics` contract: edge ids stop at the declared edge count
+        assert!((id as usize) < self.num_edges, "more edges than declared");
         let g = &mut *self.g;
-        // lint: allow(panic-reachable) documented `# Panics` contract: the edge table is sized by the declared edge count
-        assert!((id as usize) < g.edges.len(), "more edges than declared");
         scatter(&mut g.adj, &g.offsets, self.due, u, v, weight, id);
         scatter(&mut g.adj, &g.offsets, self.due, v, u, weight, id);
-        g.edges[id as usize] = (u, v, weight);
+        orient(&mut g.flipped, id, u, v);
         self.next += 1;
     }
 
@@ -179,10 +186,11 @@ impl CsrFill<'_> {
         append_block(
             Block {
                 adj: &mut g.adj,
-                table: &mut g.edges,
+                flipped: &mut g.flipped,
                 offsets: &g.offsets,
                 due: self.due,
                 num_nodes: self.num_nodes,
+                num_edges: self.num_edges,
                 next: &mut self.next,
                 pos: &mut self.pos,
             },
@@ -209,10 +217,10 @@ impl CsrFill<'_> {
         }
         // lint: allow(panic-reachable) documented `# Panics` contract: an unfilled slot would leave a stale edge in the graph
         assert!(
-            self.next as usize == self.g.edges.len() && self.pos == self.g.adj.len(),
+            self.next as usize == self.num_edges && self.pos == self.g.adj.len(),
             "{} edge(s) written of {} declared",
             self.next,
-            self.g.edges.len()
+            self.num_edges
         );
     }
 
@@ -230,10 +238,11 @@ impl CsrFill<'_> {
 /// so the loop over a node's edges keeps them in registers.
 struct Block<'b> {
     adj: &'b mut [HalfEdge],
-    table: &'b mut [(NodeId, NodeId, f64)],
+    flipped: &'b mut [u64],
     offsets: &'b [u32],
     due: &'b mut [u32],
     num_nodes: usize,
+    num_edges: usize,
     next: &'b mut EdgeId,
     pos: &'b mut usize,
 }
@@ -244,19 +253,20 @@ struct Block<'b> {
 fn append_block(b: Block<'_>, u: NodeId, edges: impl IntoIterator<Item = (NodeId, f64)>) {
     let Block {
         adj,
-        table,
+        flipped,
         offsets,
         due,
         num_nodes,
+        num_edges,
         next,
         pos,
     } = b;
     for (v, weight) in edges {
         check_edge(num_nodes, u, v, weight);
         let id = *next;
-        // lint: allow(panic-reachable) documented `# Panics` contract: the edge table is sized by the declared edge count
+        // lint: allow(panic-reachable) documented `# Panics` contract: edge ids stop at the declared edge count
         assert!(
-            (id as usize) < table.len() && *pos < adj.len(),
+            (id as usize) < num_edges && *pos < adj.len(),
             "more edges than declared"
         );
         adj[*pos] = HalfEdge {
@@ -266,9 +276,16 @@ fn append_block(b: Block<'_>, u: NodeId, edges: impl IntoIterator<Item = (NodeId
         };
         *pos += 1;
         scatter(adj, offsets, due, v, u, weight, id);
-        table[id as usize] = (u, v, weight);
+        orient(flipped, id, u, v);
         *next += 1;
     }
+}
+
+/// Record edge `id`'s orientation: its bit is set when it was written
+/// higher endpoint first. The bits start cleared (see [`Graph::fill`]).
+#[inline]
+fn orient(flipped: &mut [u64], id: EdgeId, u: NodeId, v: NodeId) {
+    flipped[id as usize / 64] |= u64::from(u > v) << (id % 64);
 }
 
 /// Place scattered node `u`'s half-edge toward `to` in `u`'s next
@@ -334,8 +351,15 @@ const UNWRITTEN: HalfEdge = HalfEdge {
 #[derive(Debug, Clone)]
 pub struct Graph {
     offsets: Vec<u32>,
+    /// Both half-edges of every edge, grouped by node: `2 · num_edges`
+    /// entries.
     adj: Vec<HalfEdge>,
-    edges: Vec<(NodeId, NodeId, f64)>,
+    /// One bit per edge, set when the edge was written higher endpoint
+    /// first (bit `e % 64` of word `e / 64`).
+    flipped: Vec<u64>,
+    /// [`Graph::edge`]'s table, derived from `adj` and `flipped` on first
+    /// use.
+    table: OnceLock<Vec<(NodeId, NodeId, f64)>>,
     /// One point per node in node order, or empty (see
     /// [`Graph::set_coords`]).
     coords: Vec<[f64; 3]>,
@@ -398,7 +422,8 @@ impl Graph {
     /// `degree[u]` is the exact degree of scattered node `u`; the fill
     /// counts it down to 0. Nodes from `degree.len()` to `num_nodes` are
     /// appended. Coordinates are dropped, as on a fresh build, until
-    /// [`Graph::set_coords`], and so is the landmark table.
+    /// [`Graph::set_coords`], and so are the derived edge and landmark
+    /// tables.
     ///
     /// # Panics
     /// If `degree` is longer than `num_nodes`, or declares more
@@ -432,7 +457,10 @@ impl Graph {
         // returns, so entries left over from the previous fill need no
         // clearing: only growth is initialised.
         resize_for_overwrite(&mut self.adj, 2 * num_edges, UNWRITTEN);
-        resize_for_overwrite(&mut self.edges, num_edges, (0, 0, 0.0));
+        // The orientation bits are or-ed in, so they start cleared.
+        self.flipped.clear();
+        self.flipped.resize(num_edges.div_ceil(64), 0);
+        self.table = OnceLock::new();
         self.coords.clear();
         self.lambda = OnceLock::new();
         self.landmarks = OnceLock::new();
@@ -441,6 +469,7 @@ impl Graph {
             g: self,
             due: degree,
             num_nodes,
+            num_edges,
             next: 0,
             pos: end as usize,
             open,
@@ -454,7 +483,7 @@ impl Graph {
 
     /// Number of undirected edges.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.adj.len() / 2
     }
 
     /// Neighbors of node `u` (with weights and edge ids).
@@ -465,10 +494,33 @@ impl Graph {
         &self.adj[lo..hi]
     }
 
-    /// Endpoints and weight of undirected edge `e`.
+    /// Endpoints and weight of undirected edge `e`, in the order they were
+    /// written.
+    ///
+    /// The graph stores no edge table: the first call derives one from
+    /// the half-edges and orientation bits (16 bytes per edge, one pass
+    /// over the adjacency) and keeps it until [`Graph::fill`] writes the
+    /// graph over. Graphs that are only searched never build it.
     #[inline]
     pub fn edge(&self, e: EdgeId) -> (NodeId, NodeId, f64) {
-        self.edges[e as usize]
+        self.table.get_or_init(|| self.derive_table())[e as usize]
+    }
+
+    fn derive_table(&self) -> Vec<(NodeId, NodeId, f64)> {
+        // lint: allow(hot-path-alloc) one table per graph, derived by the graph's first `edge` call and kept in it
+        let mut table = vec![(0, 0, 0.0); self.num_edges()];
+        for u in 0..self.num_nodes() as NodeId {
+            // Each edge once, from its lower endpoint (no self-loops).
+            for h in self.neighbors(u).iter().filter(|h| u < h.to) {
+                let e = h.edge as usize;
+                table[e] = if (self.flipped[e / 64] >> (e % 64)) & 1 == 1 {
+                    (h.to, u, h.weight)
+                } else {
+                    (u, h.to, h.weight)
+                };
+            }
+        }
+        table
     }
 
     /// Degree of node `u`.
@@ -592,7 +644,7 @@ impl Graph {
 
     fn derive_lambda(&self) -> f64 {
         let n = self.num_nodes();
-        if self.coords.len() != n || self.edges.is_empty() {
+        if self.coords.len() != n || self.adj.is_empty() {
             return 0.0;
         }
         let mut m = 0.0f64;
@@ -605,18 +657,24 @@ impl Graph {
                 m = m.max(a);
             }
         }
+        // Every edge is folded twice, once per half-edge. Reversing an
+        // edge negates each coordinate difference exactly, so both halves
+        // give the same length bits, and the minima and maximum are those
+        // of a fold over the edges once each.
         let (mut ratio, mut w_min, mut w_max) = (f64::INFINITY, f64::INFINITY, 0.0f64);
-        for &(u, v, w) in &self.edges {
-            let (pu, pv) = (&self.coords[u as usize], &self.coords[v as usize]);
-            let len = dist_sq(pu, pv).sqrt();
-            if w <= 0.0 || (len < LEN_MIN && (len > 0.0 || pu != pv)) {
-                return 0.0;
+        for (pu, u) in self.coords.iter().zip(0..) {
+            for h in self.neighbors(u) {
+                let (pv, w) = (&self.coords[h.to as usize], h.weight);
+                let len = dist_sq(pu, pv).sqrt();
+                if w <= 0.0 || (len < LEN_MIN && (len > 0.0 || pu != pv)) {
+                    return 0.0;
+                }
+                if len > 0.0 {
+                    ratio = ratio.min(w / len);
+                }
+                w_min = w_min.min(w);
+                w_max = w_max.max(w);
             }
-            if len > 0.0 {
-                ratio = ratio.min(w / len);
-            }
-            w_min = w_min.min(w);
-            w_max = w_max.max(w);
         }
         if !ratio.is_finite() {
             return 0.0;

@@ -1157,13 +1157,16 @@ impl SptWorkspace {
                     if ne != EdgeId::MAX {
                         let pd = self.dist[pn as usize];
                         if pd.is_finite() {
-                            let (a, b, w) = g.edge(ne);
-                            debug_assert!(
-                                (a == pn && b == v) || (a == v && b == pn),
-                                "reweighted pair changed endpoints"
-                            );
-                            debug_assert!(w > 0.0, "SPT repair requires positive weights");
-                            nd = pd + w;
+                            // The parent edge's new weight, read from `v`'s
+                            // half-edges: a repair derives no edge table.
+                            if let Some(h) = g.neighbors(v).iter().find(|h| h.edge == ne) {
+                                debug_assert!(h.to == pn, "reweighted pair changed endpoints");
+                                debug_assert!(
+                                    h.weight > 0.0,
+                                    "SPT repair requires positive weights"
+                                );
+                                nd = pd + h.weight;
+                            }
                         }
                     }
                 }
@@ -1172,28 +1175,21 @@ impl SptWorkspace {
             }
         }
 
-        // Phase 2: seed a label-correcting worklist from every edge
+        // Phase 2: seed a label-correcting worklist from every half-edge
         // whose bound is violated (added edges surface here), then
         // relax to the unique fixpoint = fresh-Dijkstra distances.
         self.heap.clear();
         self.stack.clear();
-        for e in 0..g.num_edges() as EdgeId {
-            let (u, v, w) = g.edge(e);
-            let (ui, vi) = (u as usize, v as usize);
-            let nd = self.dist[ui] + w;
-            if nd < self.dist[vi] {
-                self.dist[vi] = nd;
-                if self.done[vi] {
-                    self.done[vi] = false;
-                    self.stack.push(v);
-                }
-            }
-            let nd = self.dist[vi] + w;
-            if nd < self.dist[ui] {
-                self.dist[ui] = nd;
-                if self.done[ui] {
-                    self.done[ui] = false;
-                    self.stack.push(u);
+        for u in 0..n as NodeId {
+            for h in g.neighbors(u) {
+                let nd = self.dist[u as usize] + h.weight;
+                let vi = h.to as usize;
+                if nd < self.dist[vi] {
+                    self.dist[vi] = nd;
+                    if self.done[vi] {
+                        self.done[vi] = false;
+                        self.stack.push(h.to);
+                    }
                 }
             }
         }

@@ -2,7 +2,7 @@
 //! `leo_util::check`; 256 cases per property, ≥ the proptest originals).
 
 use leo_graph::*;
-use leo_util::check::{check, Gen};
+use leo_util::check::{check, CaseResult, Gen};
 use leo_util::{check_assert, check_assert_eq};
 
 /// Random connected-ish graph: n nodes, a random spanning-ish chain plus
@@ -785,6 +785,159 @@ fn maxflow_bounds() {
         check_assert!(f <= cap_t + 1e-6);
         // The chain edge (t-1, t) guarantees positive flow.
         check_assert!(f > 0.0);
+        Ok(())
+    });
+}
+
+/// λ as a fold over a written edge list, each edge once: the definition
+/// in [`Graph::lambda`]'s docs, with its constants spelled out.
+fn reference_lambda(coords: &[[f64; 3]], edges: &[(u32, u32, f64)]) -> f64 {
+    let margin = 1.0 - 1.0 / (1u64 << 20) as f64;
+    let scale = 1.0 / (1u64 << 24) as f64;
+    let (coord_max, len_min) = (
+        f64::from_bits((1023 + 400) << 52),
+        f64::from_bits((1023 - 400) << 52),
+    );
+    if edges.is_empty() {
+        return 0.0;
+    }
+    let mut m = 0.0f64;
+    for x in coords.iter().flatten() {
+        if x.is_nan() || x.abs() > coord_max {
+            return 0.0;
+        }
+        m = m.max(x.abs());
+    }
+    let (mut ratio, mut w_min, mut w_max) = (f64::INFINITY, f64::INFINITY, 0.0f64);
+    for &(u, v, w) in edges {
+        let (pu, pv) = (coords[u as usize], coords[v as usize]);
+        let (dx, dy, dz) = (pu[0] - pv[0], pu[1] - pv[1], pu[2] - pv[2]);
+        let len = (dx * dx + dy * dy + dz * dz).sqrt();
+        if w <= 0.0 || (len < len_min && (len > 0.0 || pu != pv)) {
+            return 0.0;
+        }
+        if len > 0.0 {
+            ratio = ratio.min(w / len);
+        }
+        w_min = w_min.min(w);
+        w_max = w_max.max(w);
+    }
+    if !ratio.is_finite() {
+        return 0.0;
+    }
+    let lambda = margin * ratio;
+    let d = 2.0 * coords.len() as f64 * w_max;
+    if w_min >= scale * (d + d.max(4.0 * lambda * m)) {
+        lambda
+    } else {
+        0.0
+    }
+}
+
+/// A random edge between distinct nodes of `0..n`, either endpoint
+/// first, and rarely of weight 0 (which zeroes λ); now and then a copy of
+/// an earlier edge, reversed or not, as a parallel edge.
+fn arb_written_edge(gen: &mut Gen, written: &[(u32, u32, f64)], n: u32) -> (u32, u32, f64) {
+    let w = if gen.u32(0..200) == 0 {
+        0.0
+    } else {
+        gen.f64(0.1..100.0)
+    };
+    if let Some(&(u, v, _)) = written.get(gen.usize(0..4 * written.len() + 1)) {
+        return if gen.bool() { (v, u, w) } else { (u, v, w) };
+    }
+    let u = gen.u32(0..n);
+    let v = (u + gen.u32(1..n)) % n;
+    (u, v, w)
+}
+
+/// The graph hands back exactly what was written: every edge's endpoints
+/// in their written order and its weight bits, for builder graphs and
+/// for fills that mix `edge` and `append_edges` (written over in place,
+/// so a previous fill's orientation bits must not show through); and λ
+/// is bit-identical to a fold over the written list.
+#[test]
+fn derived_edge_table_returns_the_written_edges() {
+    fn same(g: &Graph, written: &[(u32, u32, f64)], coords: &[[f64; 3]]) -> CaseResult {
+        check_assert_eq!(g.num_edges(), written.len());
+        for (e, &(u, v, w)) in written.iter().enumerate() {
+            let (a, b, x) = g.edge(e as EdgeId);
+            check_assert_eq!((a, b, x.to_bits()), (u, v, w.to_bits()), "edge {e}");
+        }
+        let want = reference_lambda(coords, written);
+        check_assert_eq!(g.lambda().to_bits(), want.to_bits(), "λ {}", g.lambda());
+        Ok(())
+    }
+    // Points from a small grid, so some endpoints coincide.
+    fn arb_coords(gen: &mut Gen, n: usize) -> Vec<[f64; 3]> {
+        (0..n)
+            .map(|_| [0, 1, 2].map(|_| f64::from(gen.u32(0..5)) * 7.5 - 15.0))
+            .collect()
+    }
+    check("derived_edge_table_returns_the_written_edges", |gen| {
+        let n = gen.usize(2..30);
+        let mut written = Vec::new();
+        for _ in 0..gen.usize(0..80) {
+            let edge = arb_written_edge(gen, &written, n as u32);
+            written.push(edge);
+        }
+        let mut b = GraphBuilder::new(n);
+        for &(u, v, w) in &written {
+            b.add_edge(u, v, w);
+        }
+        let mut g = b.build();
+        let coords = arb_coords(gen, n);
+        g.set_coords(coords.iter().copied());
+        same(&g, &written, &coords)?;
+        for _ in 0..3 {
+            // `s` scattered nodes; the rest are appended, each taking its
+            // edges in one call, with scattered edges written between.
+            let s = gen.usize(2..n.max(3));
+            let n = s + gen.usize(0..20);
+            let mut scattered = Vec::new();
+            for _ in 0..gen.usize(0..40) {
+                let edge = arb_written_edge(gen, &scattered, s as u32);
+                scattered.push(edge);
+            }
+            // One call each, appended nodes in node order: `Some(leaf)`
+            // appends the leaf's edges, `None` writes one scattered edge.
+            type Op = (Option<u32>, Vec<(u32, u32, f64)>);
+            let mut ops: Vec<Op> = Vec::new();
+            let mut scattered = scattered.into_iter();
+            for leaf in s as u32..n as u32 {
+                for edge in scattered.by_ref().take(gen.usize(0..4)) {
+                    ops.push((None, vec![edge]));
+                }
+                if gen.bool() {
+                    let list = gen.vec(0..5, |g| (leaf, g.u32(0..s as u32), g.f64(0.1..100.0)));
+                    ops.push((Some(leaf), list));
+                }
+            }
+            ops.extend(scattered.map(|edge| (None, vec![edge])));
+            let written: Vec<(u32, u32, f64)> = ops
+                .iter()
+                .flat_map(|(_, list)| list.iter().copied())
+                .collect();
+            let mut degree = vec![0u32; s];
+            for &(u, v, _) in &written {
+                for x in [u, v] {
+                    if (x as usize) < s {
+                        degree[x as usize] += 1;
+                    }
+                }
+            }
+            let mut fill = g.fill(n, written.len(), &mut degree);
+            for (leaf, list) in &ops {
+                match leaf {
+                    Some(leaf) => fill.append_edges(*leaf, list.iter().map(|&(_, v, w)| (v, w))),
+                    None => list.iter().for_each(|&(u, v, w)| fill.edge(u, v, w)),
+                }
+            }
+            fill.complete();
+            let coords = arb_coords(gen, n);
+            g.set_coords(coords.iter().copied());
+            same(&g, &written, &coords)?;
+        }
         Ok(())
     });
 }

@@ -46,6 +46,10 @@ impl Default for LintConfig {
             // The inner loops the paper's artifact timings stand on
             // (`// lint: hot-path`-marked fns are roots implicitly).
             hot_path_roots: vec![
+                // The repair the SPT pool runs, and the full repair that
+                // `benches/delta.rs` times (and the lint's own fixtures
+                // use as their root).
+                "SptWorkspace::apply_for_targets".into(),
                 "SptWorkspace::apply".into(),
                 "SptWorkspace::rebuild".into(),
                 "DijkstraWorkspace::run".into(),
@@ -62,8 +66,12 @@ impl Default for LintConfig {
             hot_path_cold: vec![
                 // Per-sweep setup: builds the constellation, cities,
                 // grids, and link tables once, then the per-instant
-                // stepping takes over.
+                // stepping takes over. A parallel sweep builds its static
+                // ground geometry once per fan-out and hands it to every
+                // chunk's sweep.
                 "TimeSweep::new".into(),
+                "TimeSweep::with_ground".into(),
+                "StaticGround::new".into(),
                 "StudyContext::build".into(),
                 // Debug-gated telemetry rendering: only runs under
                 // LEO_LOG=debug, which is outside the timing contract.

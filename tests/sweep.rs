@@ -89,10 +89,12 @@ fn assert_csr_matches_its_edge_table(
         lists[u as usize].push((v, e, w.to_bits()));
         lists[v as usize].push((u, e, w.to_bits()));
         let kind_ok = match snap.edges[e as usize] {
-            EdgeKind::Isl => {
-                (u as usize) < snap.num_satellites && (v as usize) < snap.num_satellites
+            EdgeKind::Isl => u < v && (v as usize) < snap.num_satellites,
+            EdgeKind::UpDown { ground, .. } => {
+                u == ground
+                    && (u as usize) >= snap.num_satellites
+                    && (v as usize) < snap.num_satellites
             }
-            EdgeKind::UpDown { ground, sat, .. } => (u, v) == (ground, sat),
         };
         check_assert!(kind_ok, "{what}: edge {e} metadata names other endpoints");
     }
