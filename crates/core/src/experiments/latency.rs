@@ -66,11 +66,16 @@ pub fn latency_study(ctx: &StudyContext, mode: Mode, threads: usize) -> Vec<Pair
 /// snapshot per mode (`rtt_ms_*`), and ticks a `latency_study`
 /// [`Heartbeat`] per snapshot.
 ///
-/// **Delta path**: when the study fits [`SourceSptPool`]'s budget, each
-/// (mode, source) keeps an incremental shortest-path tree repaired from
+/// **Delta path**: only a study that fits [`SourceSptPool`]'s budget
+/// sweeps through [`StudyContext::sweep_fold_deltas`]; each (mode,
+/// source) then keeps an incremental shortest-path tree repaired from
 /// the sweep's [`EdgeDelta`]s instead of re-running Dijkstra per
-/// snapshot — bit-identical RTTs by the `SptWorkspace` equivalence
-/// contract, so results are indistinguishable from the fallback.
+/// snapshot. A study over budget (fig2 at bench and paper scale, the
+/// million-pair fold) sweeps through [`StudyContext::sweep_fold`], which
+/// builds no deltas, and runs one early-exit search per source. Both
+/// branches fold through one body, and the repaired RTTs are
+/// bit-identical by the `SptWorkspace` equivalence contract, so results
+/// are indistinguishable.
 ///
 /// [`DijkstraWorkspace`]: leo_graph::DijkstraWorkspace
 pub fn latency_studies(ctx: &StudyContext, modes: &[Mode], threads: usize) -> Vec<Vec<PairStats>> {
@@ -99,29 +104,28 @@ pub fn latency_studies(ctx: &StudyContext, modes: &[Mode], threads: usize) -> Ve
         modes: Vec<ModeAgg>,
     }
 
-    let acc = ctx.sweep_fold_deltas(
-        &times,
-        modes,
-        threads,
-        || Acc {
-            total: 0,
-            modes: modes
-                .iter()
-                .map(|&m| ModeAgg {
-                    min: vec![f64::INFINITY; num_pairs],
-                    max: vec![f64::NEG_INFINITY; num_pairs],
-                    reachable: vec![0; num_pairs],
-                    series: MetricSeries::new(rtt_series_name(m)),
-                    spt: pooled.then(|| SourceSptPool::new(ctx)),
-                })
-                .collect(),
-        },
-        |acc, i, snaps, deltas| {
+    let make = || Acc {
+        total: 0,
+        modes: modes
+            .iter()
+            .map(|&m| ModeAgg {
+                min: vec![f64::INFINITY; num_pairs],
+                max: vec![f64::NEG_INFINITY; num_pairs],
+                reachable: vec![0; num_pairs],
+                series: MetricSeries::new(rtt_series_name(m)),
+                spt: pooled.then(|| SourceSptPool::new(ctx)),
+            })
+            .collect(),
+    };
+    // One fold body for both branches: `deltas` is `Some` exactly when
+    // the pool is on, and then every mode has its pool.
+    let fold =
+        |acc: &mut Acc, i: usize, snaps: &[NetworkSnapshot], deltas: Option<&[EdgeDelta]>| {
             for (mi, snap) in snaps.iter().enumerate() {
                 let agg = &mut acc.modes[mi];
-                let rtts = match agg.spt.as_mut() {
-                    Some(pool) => snapshot_rtts_spt(ctx, snap, &deltas[mi], pool),
-                    None => snapshot_rtts_on(ctx, snap),
+                let rtts = match (agg.spt.as_mut(), deltas) {
+                    (Some(pool), Some(deltas)) => snapshot_rtts_spt(ctx, snap, &deltas[mi], pool),
+                    _ => snapshot_rtts_on(ctx, snap),
                 };
                 for (pi, r) in rtts.iter().enumerate() {
                     if let Some(rtt) = *r {
@@ -135,19 +139,37 @@ pub fn latency_studies(ctx: &StudyContext, modes: &[Mode], threads: usize) -> Ve
             }
             acc.total += 1;
             hb.tick(1);
-        },
-        |a, b| {
-            a.total += b.total;
-            for (am, bm) in a.modes.iter_mut().zip(&b.modes) {
-                for pi in 0..num_pairs {
-                    am.min[pi] = am.min[pi].min(bm.min[pi]);
-                    am.max[pi] = am.max[pi].max(bm.max[pi]);
-                    am.reachable[pi] += bm.reachable[pi];
-                }
-                am.series.merge(&bm.series);
+        };
+    let merge = |a: &mut Acc, b: Acc| {
+        a.total += b.total;
+        for (am, bm) in a.modes.iter_mut().zip(&b.modes) {
+            for pi in 0..num_pairs {
+                am.min[pi] = am.min[pi].min(bm.min[pi]);
+                am.max[pi] = am.max[pi].max(bm.max[pi]);
+                am.reachable[pi] += bm.reachable[pi];
             }
-        },
-    );
+            am.series.merge(&bm.series);
+        }
+    };
+    let acc = if pooled {
+        ctx.sweep_fold_deltas(
+            &times,
+            modes,
+            threads,
+            make,
+            |acc, i, snaps, deltas| fold(acc, i, snaps, Some(deltas)),
+            merge,
+        )
+    } else {
+        ctx.sweep_fold(
+            &times,
+            modes,
+            threads,
+            make,
+            |acc, i, snaps| fold(acc, i, snaps, None),
+            merge,
+        )
+    };
 
     acc.modes
         .iter()

@@ -12,9 +12,13 @@
 //! pooling is budgeted: [`SourceSptPool::fits`] gates it on an estimate
 //! against [`SourceSptPool::ENTRY_BUDGET`], and callers fall back to
 //! the early-exit `run_multi` path (also output-identical) when the
-//! study is too large — protecting the paper-scale memory envelope.
+//! study is too large — protecting the paper-scale memory envelope. A
+//! study that falls back sweeps through [`StudyContext::sweep_fold`]
+//! and tracks no deltas: no link matching, no per-mode delta vectors,
+//! and at `LEO_LOG=off` no second link arena.
 //!
 //! [`StudyContext::sweep_fold_deltas`]: crate::snapshot::StudyContext::sweep_fold_deltas
+//! [`StudyContext::sweep_fold`]: crate::snapshot::StudyContext::sweep_fold
 //! [`EdgeDelta`]: crate::snapshot::EdgeDelta
 
 use crate::snapshot::{EdgeDelta, NetworkSnapshot, StudyContext};
@@ -41,7 +45,8 @@ impl SourceSptPool {
     /// 556 KiB per tree, so a full budget is ~135 MiB per sweep chunk
     /// (one chunk per worker thread). Tiny studies and `latency_burst`'s
     /// 100 pairs pool; fig2 at Bench scale (500 pairs, ~6k nodes, 2
-    /// modes) and at Paper scale exceeds it and falls back.
+    /// modes) and at Paper scale exceeds it and falls back to a sweep
+    /// that tracks no deltas.
     pub const ENTRY_BUDGET: usize = 1_500_000;
 
     /// Whether a `num_modes`-mode study over `ctx`'s pair set fits the

@@ -46,18 +46,18 @@ impl Default for LintConfig {
             // The inner loops the paper's artifact timings stand on
             // (`// lint: hot-path`-marked fns are roots implicitly).
             hot_path_roots: vec![
-                // The repair the SPT pool runs, and the full repair that
-                // `benches/delta.rs` times (and the lint's own fixtures
-                // use as their root).
+                // The repair the SPT pool runs.
                 "SptWorkspace::apply_for_targets".into(),
-                "SptWorkspace::apply".into(),
                 "SptWorkspace::rebuild".into(),
                 "DijkstraWorkspace::run".into(),
                 "DijkstraWorkspace::run_multi".into(),
-                "TimeSweep::step_with_deltas".into(),
                 "VisibilityScan::*".into(),
                 "StudyContext::sweep_fold".into(),
+                // The delta sweep, reached only through the SPT pool: a
+                // latency study over the pool's budget folds through
+                // `sweep_fold` and builds no deltas.
                 "StudyContext::sweep_fold_deltas".into(),
+                "TimeSweep::step_with_deltas".into(),
             ],
             // The analyzer itself is offline tooling — never on the
             // pipeline's hot paths; edges into it are method-name

@@ -139,7 +139,7 @@ fn rules_listing_names_local_workspace_and_audit_rules() {
 }
 
 /// A tree exercising all three v2 rules: a panic chain behind a public
-/// API, an allocation below a default hot-path root, and a stale allow.
+/// API, an allocation below a marked hot-path root, and a stale allow.
 fn v2_tree(name: &str) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     let src = root.join("crates/x/src");
@@ -154,6 +154,7 @@ fn v2_tree(name: &str) -> PathBuf {
     std::fs::write(
         src.join("spt.rs"),
         "pub struct SptWorkspace;\n\
+         // lint: hot-path\n\
          impl SptWorkspace { pub fn apply(&mut self) { relax(); } }\n\
          fn relax() { let v: Vec<u32> = Vec::new(); drop(v); }\n",
     )

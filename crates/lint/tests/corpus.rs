@@ -54,8 +54,8 @@ const CASES: &[(&str, &str, &str, FileKind, usize)] = &[
         FileKind::Lib,
         1,
     ),
-    // The workspace half of hot-path-alloc: the fixture defines an
-    // `SptWorkspace::apply`, which the default config lists as a root.
+    // The workspace half of hot-path-alloc: the fixture marks its
+    // `SptWorkspace::apply` as a hot-path root.
     (
         "hot-path-alloc",
         "hot-path-reach",

@@ -1,9 +1,10 @@
-// hot-path-alloc (workspace half): the default config roots include
-// `SptWorkspace::apply`; an allocation two private hops below it must
-// be reported with the chain from the root.
+// hot-path-alloc (workspace half): `SptWorkspace::apply` is marked as a
+// hot-path root; an allocation two private hops below it must be
+// reported with the chain from the root.
 pub struct SptWorkspace;
 
 impl SptWorkspace {
+    // lint: hot-path
     pub fn apply(&mut self) {
         relax();
     }

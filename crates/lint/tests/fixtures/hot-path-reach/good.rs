@@ -3,6 +3,7 @@
 pub struct SptWorkspace;
 
 impl SptWorkspace {
+    // lint: hot-path
     pub fn apply(&mut self, buf: &mut Vec<u32>) {
         relax(buf);
     }

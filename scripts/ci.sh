@@ -54,15 +54,17 @@
 #    times may drift, and those are informational. The lane also
 #    exercises --assert-peak-rss-mb on the second run with a generous
 #    Tiny budget.
-# 8. Paper-scale RSS smoke (opt-in: LEO_CI_PAPER_SMOKE=1, ~12 min on
+# 8. Paper-scale RSS smoke (opt-in: LEO_CI_PAPER_SMOKE=1, ~11 min on
 #    2 vCPUs): run the full 96-snapshot paper-scale fig2 under
 #    heartbeats and require peak RSS under a fixed 512 MiB budget.
 #    The streaming drivers hold per-snapshot samples only inside
 #    fixed-size sketches, so memory is O(1) in snapshot count —
-#    observed peak is 248 MiB of VmHWM (dominated by the live snapshot
-#    graphs and visibility state, not by samples); the budget is loose
-#    for machine-to-machine noise but fails loudly if anyone
-#    reintroduces per-sample Vec accumulation.
+#    observed peak is 222.9 MiB of VmHWM (this lane's command, then
+#    `leo-report` on its run log; mostly the live snapshot graphs, the
+#    visibility state and, at this log level, both link-arena buffers,
+#    not samples); the budget is loose for machine-to-machine noise
+#    but fails loudly if anyone reintroduces per-sample Vec
+#    accumulation.
 # 9. Routing-bench smoke: run benches/routing.rs and require the
 #    workspace+bundle inner loop to beat the seed path by >= 1.1x
 #    (the committed BENCH_routing.json shows ~2.2x; the smoke threshold

@@ -6,6 +6,9 @@
 //! * The streamed drivers are thread-count invariant: `sweep_fold`'s
 //!   chunk merges are exact, so results are bit-identical however the
 //!   sweep is split.
+//! * `latency_studies`' two branches agree: the SPT pool over sweep
+//!   deltas, and the plain sweep with one search per source that a study
+//!   over the pool's budget takes.
 //!
 //! The telemetry level is process-wide, but a run log takes events only
 //! from its own run's threads, so the thread-invariance checks here may
@@ -14,7 +17,8 @@
 //! binary's one test that opens a run log: a second `init_at` would
 //! replace the sink.
 
-use leo_core::experiments::latency::{latency_studies, snapshot_rtts};
+use leo_core::experiments::latency::{latency_studies, snapshot_rtts, PairStats};
+use leo_core::experiments::spt::SourceSptPool;
 use leo_core::experiments::weather::weather_study;
 use leo_core::{ExperimentScale, Mode, StudyContext};
 use leo_util::sketch::QuantileSketch;
@@ -154,6 +158,49 @@ fn latency_studies_are_thread_count_invariant() {
                     a.max_rtt_ms.map(f64::to_bits),
                     b.max_rtt_ms.map(f64::to_bits),
                     "threads={threads}"
+                );
+            }
+        }
+    }
+}
+
+/// The same Tiny study through both branches of `latency_studies`: two
+/// modes fit the SPT pool's budget, and the same modes repeated until
+/// they no longer fit take the fallback, which sweeps without deltas.
+/// Every repeated mode must match its pooled run bit for bit.
+#[test]
+fn pooled_and_fallback_latency_studies_agree() {
+    let ctx = StudyContext::build(ExperimentScale::Tiny.config());
+    let modes = [Mode::BpOnly, Mode::Hybrid];
+    assert!(SourceSptPool::fits(&ctx, modes.len()));
+    let mut repeated = modes.to_vec();
+    while SourceSptPool::fits(&ctx, repeated.len()) {
+        repeated.extend(modes);
+    }
+    assert!(!SourceSptPool::fits(&ctx, repeated.len()));
+    let bits = |s: &PairStats| {
+        (
+            s.pair,
+            s.min_rtt_ms.map(f64::to_bits),
+            s.max_rtt_ms.map(f64::to_bits),
+            s.reachable,
+            s.total,
+        )
+    };
+    for threads in [1, 3] {
+        let pooled = latency_studies(&ctx, &modes, threads);
+        let fallback = latency_studies(&ctx, &repeated, threads);
+        assert_eq!(fallback.len(), repeated.len());
+        assert!(pooled.iter().all(|m| m.iter().any(|s| s.reachable > 0)));
+        for (mi, stats) in fallback.iter().enumerate() {
+            let expected = &pooled[mi % modes.len()];
+            assert_eq!(stats.len(), expected.len());
+            for (a, b) in expected.iter().zip(stats) {
+                assert_eq!(
+                    bits(a),
+                    bits(b),
+                    "threads={threads} mode {:?} (#{mi})",
+                    repeated[mi]
                 );
             }
         }
