@@ -23,12 +23,18 @@
 //!   landmark table is built by the first iteration and kept.
 //! * `landmark_table_build` — the table itself: the `LANDMARKS + 1` full
 //!   searches of one landmark table on the same bench Hybrid snapshot,
-//!   what a graph's first goal-directed `run_multi` pays.
+//!   what a graph's first goal-directed `run_multi` pays. Its searches
+//!   cross the relays and aircraft through the snapshot's two-hop index,
+//!   which its first iteration builds.
+//! * `two_hop_index_build` — that index itself on the same snapshot: the
+//!   relay pairs kept for every satellite and city, what a BP or hybrid
+//!   graph's first unmasked `run_multi` pays.
 //! * `many_targets_sources` — the other side of the goal-direction cap:
 //!   one early-exit search per source of a 15,500-pair bench-scale set
 //!   (~62 destinations per source, a quarter of `ext_million_pairs`'
 //!   fan-out) on one Hybrid snapshot. These searches run as plain
-//!   Dijkstra, so this arm should not move with the bound.
+//!   Dijkstra, so this arm does not move with the bound, but it does
+//!   with the two-hop index: they settle satellites and cities only.
 //! * `maxflow_fresh` vs `maxflow_workspace` — one Dinic run with
 //!   per-call scratch vs a warm [`MaxFlowWorkspace`] (both pay the same
 //!   residual-network clone).
@@ -162,6 +168,13 @@ fn bench_k_disjoint(h: &mut Harness) {
     let ctx = StudyContext::build(ExperimentScale::Bench.config());
     let snap = ctx.snapshot(0.0, Mode::Hybrid);
     let mut ws = DijkstraWorkspace::new();
+    let mut g = snap.graph.clone();
+    let first = g.transit().start;
+    h.bench("two_hop_index_build", move || {
+        // A fresh marking drops the index; the next query builds it.
+        g.set_transit(first);
+        g.two_hop_pairs()
+    });
     h.bench("landmark_table_build", || {
         ws.landmark_table(&snap.graph).len()
     });

@@ -962,7 +962,9 @@ impl<'a> TimeSweep<'a> {
     /// with its ISLs. The graph also gets one coordinate per node — the
     /// exact ECEF points every link delay was measured between — so
     /// searches on it toward a few targets run goal-directed (see
-    /// [`Graph::lambda`]).
+    /// [`Graph::lambda`]). In BP and hybrid snapshots the relays and
+    /// aircraft, the nodes from `num_satellites + num_cities` on, are
+    /// marked as transit nodes (see [`Graph::set_transit`]).
     // lint: hot-path
     fn assemble_mode(&mut self, mi: usize, t_s: f64) {
         let mode = self.modes[mi];
@@ -1023,6 +1025,12 @@ impl<'a> TimeSweep<'a> {
                 .map(|i| [xs[i], ys[i], zs[i]])
                 .chain(ground.map(|e| [e.x, e.y, e.z])),
         );
+        if mode != Mode::IslOnly {
+            // Relays and aircraft link only to satellites and are never
+            // routed from or to: searches cross them without settling
+            // them. The fill cleared the marking for ISL-only snapshots.
+            snap.graph.set_transit((s + num_cities) as NodeId);
+        }
 
         snap.ground_positions.clear();
         snap.ground_positions

@@ -1,12 +1,17 @@
 //! Compact undirected weighted graph in CSR (compressed sparse row) form,
 //! with optional per-node coordinates that give targeted searches a
-//! straight-line lower bound (see [`Graph::lambda`]), and a lazily built
-//! table of landmark distances that tightens it (see [`LANDMARKS`]).
+//! straight-line lower bound (see [`Graph::lambda`]), a lazily built
+//! table of landmark distances that tightens it (see [`LANDMARKS`]), and
+//! an optional suffix of transit nodes that searches cross through a
+//! lazily built two-hop index instead of settling them (see
+//! [`Graph::set_transit`]).
 //!
 //! Each edge is stored as its two half-edges and one orientation bit; the
 //! `(u, v, w)` edge table behind [`Graph::edge`] is derived from them on
 //! first use.
 
+use crate::transit::TwoHop;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Node index within a [`Graph`].
@@ -93,6 +98,8 @@ impl GraphBuilder {
             coords: Vec::new(),
             lambda: OnceLock::new(),
             landmarks: OnceLock::new(),
+            transit_from: 0,
+            two_hop: OnceLock::new(),
         };
         let mut fill = g.fill(self.num_nodes, self.edges.len(), &mut degree);
         for &(u, v, w) in &self.edges {
@@ -369,6 +376,11 @@ pub struct Graph {
     /// first goal-directed `run_multi` on this graph (see
     /// `DijkstraWorkspace::landmark_table`).
     pub(crate) landmarks: OnceLock<Vec<[f64; LANDMARKS]>>,
+    /// First transit node; `num_nodes` when there are none (see
+    /// [`Graph::set_transit`]).
+    transit_from: NodeId,
+    /// [`Graph::two_hop`], built on first use.
+    pub(crate) two_hop: OnceLock<Option<TwoHop>>,
 }
 
 /// Landmarks per graph: a node's distances to all of them fill one
@@ -390,8 +402,8 @@ pub const LANDMARKS: usize = 8;
 pub(crate) const LAMBDA_MARGIN: f64 = 1.0 - 1.0 / (1u64 << 20) as f64;
 /// `2⁻²⁴`: the smallest weight must be at least this share of the
 /// distance and heuristic bounds `D + H` for the slack to dominate
-/// rounding.
-const MARGIN_SCALE: f64 = 1.0 / (1u64 << 24) as f64;
+/// rounding (and of `D` for the two-hop index, see [`Graph::set_transit`]).
+pub(crate) const MARGIN_SCALE: f64 = 1.0 / (1u64 << 24) as f64;
 /// `2⁴⁰⁰` / `2⁻⁴⁰⁰`: coordinate magnitudes above, or nonzero edge lengths
 /// below, these leave λ at 0, so squared lengths stay normal and finite.
 const COORD_MAX: f64 = f64::from_bits((1023 + 400) << 52);
@@ -422,8 +434,9 @@ impl Graph {
     /// `degree[u]` is the exact degree of scattered node `u`; the fill
     /// counts it down to 0. Nodes from `degree.len()` to `num_nodes` are
     /// appended. Coordinates are dropped, as on a fresh build, until
-    /// [`Graph::set_coords`], and so are the derived edge and landmark
-    /// tables.
+    /// [`Graph::set_coords`], and so is the transit marking, until
+    /// [`Graph::set_transit`], with the derived edge and landmark tables
+    /// and the two-hop index.
     ///
     /// # Panics
     /// If `degree` is longer than `num_nodes`, or declares more
@@ -464,6 +477,8 @@ impl Graph {
         self.coords.clear();
         self.lambda = OnceLock::new();
         self.landmarks = OnceLock::new();
+        self.transit_from = num_nodes as NodeId;
+        self.two_hop = OnceLock::new();
         let open = degree.len();
         CsrFill {
             g: self,
@@ -528,6 +543,19 @@ impl Graph {
         self.neighbors(u).len()
     }
 
+    /// Slots of node `u`'s half-edges in the adjacency array, the
+    /// positions [`Graph::half_edge`] reads.
+    #[inline]
+    pub(crate) fn slots(&self, u: NodeId) -> Range<u32> {
+        self.offsets[u as usize]..self.offsets[u as usize + 1]
+    }
+
+    /// The half-edge in adjacency slot `slot`.
+    #[inline]
+    pub(crate) fn half_edge(&self, slot: u32) -> &HalfEdge {
+        &self.adj[slot as usize]
+    }
+
     /// Per-node coordinates in node order, or an empty slice when none
     /// were set.
     pub fn coords(&self) -> &[[f64; 3]] {
@@ -548,6 +576,115 @@ impl Graph {
             self.coords.clear();
         }
         self.lambda = OnceLock::new();
+    }
+
+    /// The transit nodes: an empty range unless [`Graph::set_transit`]
+    /// marked some.
+    pub fn transit(&self) -> Range<NodeId> {
+        self.transit_from..self.num_nodes() as NodeId
+    }
+
+    /// Mark nodes `first..num_nodes` as *transit* nodes, and every other
+    /// node as not; `first = num_nodes` marks none. A transit node is
+    /// one a search crosses but never starts or ends at, such as a
+    /// bent-pipe relay or an aircraft, and each of its neighbours must be
+    /// a non-transit node. [`Graph::fill`] clears the marking, as it
+    /// clears the coordinates.
+    ///
+    /// The marking never changes a search result, only its work. An
+    /// unmasked `run_multi` toward non-transit targets, and the landmark
+    /// table's searches, settle non-transit nodes only: a settled node
+    /// relaxes its non-transit neighbours directly and crosses its
+    /// transit ones through the graph's *two-hop index*, built by the
+    /// first such search (or landmark table) and kept until
+    /// [`Graph::fill`] or the next marking. For each non-transit `u` the
+    /// index holds the pairs `u → r → v` (transit `r`, non-transit
+    /// `v ≠ u`) whose weight sum `s = fl(w(u, r) + w(r, v))` is within
+    /// `M` of the smallest such sum `s*` for that `(u, v)`, exact ties
+    /// included, where
+    ///
+    /// ```text
+    /// M = 2⁻⁴⁸·(D + 2·w_max),   D = 2n·w_max.
+    /// ```
+    ///
+    /// A settled `u` offers `v` the fold a plain search performs through
+    /// the relay, `fl(fl(d(u) + w(u, r)) + w(r, v))`, with `r` as the
+    /// parent and `u` as the parent's parent, which a path extracted
+    /// through `r` reads; transit nodes keep no label or parent of their
+    /// own. The index reads each non-transit node's non-transit
+    /// neighbours as a prefix of its adjacency, as snapshots write them
+    /// (ISLs and city links before relay links). There is no index, and
+    /// every search is plain, unless every non-transit node lists its
+    /// neighbours that way and the weights pass a guard: `w_min` is
+    /// normal and at least `2⁻²⁴·D`.
+    ///
+    /// **Why a contracted search is bit-identical.** Let `ε = 2⁻⁵³`. `D`
+    /// bounds every label, as in [`Graph::lambda`], and the guard makes
+    /// `fl(d + w) > d` for every label `d` and weight `w`: no weight is
+    /// ever absorbed.
+    ///
+    /// * *Labels.* A plain search labels transit `r` with the minimum of
+    ///   `fl(d(x) + w(x, r))` over its neighbours `x`, all non-transit and
+    ///   exact when they settle (a neighbour settling after `r` cannot
+    ///   lower it), and `fl(a + b)` is monotone in `a`. So the smallest
+    ///   fold through `r` into `v` is the smallest over `r`'s neighbours
+    ///   of the two-hop fold, and the contracted search takes the same
+    ///   minimum, unless the index dropped the pair that gives it.
+    /// * *The margin.* A two-hop fold is `fl(fl(d + a) + b)`, within a
+    ///   factor `(1 ± ε)²` of `d + a + b`. A dropped pair has
+    ///   `s > fl(s* + M)`; with `|fl(a + b) − (a + b)| ≤ ε·(a + b)` and
+    ///   `d ≤ D`, its fold exceeds that of the pair giving `s*` by more
+    ///   than `M − 5ε·D − 16ε·w_max > 0`, for every label `d`. So a
+    ///   dropped pair never gives a minimum, and never ties one.
+    /// * *Order.* Keys grow strictly along every real edge (the proof in
+    ///   [`Graph::lambda`]; with λ = 0 the key is the label, and the
+    ///   guard makes it grow), hence along every two-hop entry. So the
+    ///   arguments there hold on the contracted graph: settled labels
+    ///   are exact, and the non-transit nodes settle in the order, and
+    ///   up to the early exit, of the plain search.
+    /// * *Parents.* Plain Dijkstra settles in `(dist, node)` order and
+    ///   keeps the first candidate parent (a neighbour `p` with
+    ///   `fl(d(p) + w) == d(v)` exactly) and, from one node, the first
+    ///   parallel edge: the smallest `(dist, node, edge)`. Every candidate
+    ///   has a smaller key than `v`, and so does the canonical parent `x`
+    ///   of a transit candidate `r`, whose pair `x → r → v` gives `d(v)`
+    ///   and is kept. So before `v` settles every candidate has made its
+    ///   offer, a transit one with `d(r)` as its label, and on exact ties
+    ///   the search keeps the offer with the smallest `(label, node,
+    ///   edge)`. An offer through `r` from another neighbour carries a
+    ///   label of at least `d(r)`, so it never outranks; between offers
+    ///   through one `r` and one edge with equal labels, the search keeps
+    ///   the smallest `(dist, node, edge)` of `r`'s parent, `r`'s
+    ///   canonical parent. So every path, through transit nodes or not,
+    ///   is the plain search's.
+    ///
+    /// # Panics
+    /// If `first` is past the last node. Building the index panics if a
+    /// transit node has a transit neighbour.
+    pub fn set_transit(&mut self, first: NodeId) {
+        // lint: allow(panic-reachable) documented `# Panics` contract: the marking is a suffix of the node range
+        assert!(
+            first as usize <= self.num_nodes(),
+            "transit nodes from {first} past the {} nodes",
+            self.num_nodes()
+        );
+        self.transit_from = first;
+        self.two_hop = OnceLock::new();
+    }
+
+    /// The two-hop index (see [`Graph::set_transit`]), built on first
+    /// call; `None` when the graph has no transit nodes, lists a
+    /// non-transit node's neighbours out of order or fails the weight
+    /// guard.
+    pub(crate) fn two_hop(&self) -> Option<&TwoHop> {
+        self.two_hop.get_or_init(|| TwoHop::build(self)).as_ref()
+    }
+
+    /// The number of relay pairs in the two-hop index (see
+    /// [`Graph::set_transit`]), building it on first call; `None` when
+    /// the graph has none, and its searches are plain.
+    pub fn two_hop_pairs(&self) -> Option<usize> {
+        self.two_hop().map(TwoHop::pairs)
     }
 
     /// λ, the weight-per-length scale of the straight-line lower bound

@@ -10,7 +10,10 @@
 //!   per-node coordinates whose straight-line bound ([`Graph::lambda`]),
 //!   raised by a lazily built table of landmark distances
 //!   ([`LANDMARKS`]), makes searches toward a few targets goal-directed
-//!   without changing any result bit.
+//!   without changing any result bit, and an optional suffix of transit
+//!   nodes ([`Graph::set_transit`], the relays and aircraft of a
+//!   snapshot) that searches cross through a lazily built two-hop index
+//!   instead of settling them, again without changing a bit.
 //! * [`dijkstra`] / [`dijkstra_with_mask`] — single-source shortest paths
 //!   (the latency experiments run one SSSP per unique source city), and
 //!   [`DijkstraWorkspace`] — reusable generation-stamped buffers so hot
@@ -38,6 +41,7 @@ mod graph;
 mod maxflow;
 mod shortest;
 mod suurballe;
+mod transit;
 
 pub use components::{component_sizes, connected_components};
 pub use disjoint::{k_edge_disjoint_paths, k_edge_disjoint_paths_with};

@@ -24,8 +24,16 @@
 //! graph's first such search; [`DijkstraWorkspace::run`] uses the
 //! straight line alone and never builds a table. Runs with more targets
 //! are plain Dijkstra.
+//!
+//! On a graph with transit nodes (see [`Graph::set_transit`]), an
+//! unmasked `run_multi` toward non-transit targets settles non-transit
+//! nodes only, goal-directed or plain, and crosses the transit nodes
+//! through the graph's two-hop index, again with every distance and path
+//! bit-identical. Masked runs and [`DijkstraWorkspace::run`] settle every
+//! node, as before.
 
-use crate::graph::{dist_sq, EdgeId, Graph, NodeId, LAMBDA_MARGIN, LANDMARKS};
+use crate::graph::{dist_sq, EdgeId, Graph, HalfEdge, NodeId, LAMBDA_MARGIN, LANDMARKS};
+use crate::transit::TwoHop;
 use leo_util::telemetry::Counter;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -282,6 +290,12 @@ pub struct DijkstraWorkspace {
     /// Bound toward the aimed target of each open node in a
     /// goal-directed run.
     bound: Vec<f64>,
+    /// In a run that crosses transit nodes (`crossed`), the rest of
+    /// each touched node's parent record (see [`Hop`]).
+    hop: Vec<Hop>,
+    /// Whether the most recent run crossed transit nodes through a
+    /// two-hop index.
+    crossed: bool,
     heap: NodeHeap,
     /// Loanable scratch mask, used by the multi-path algorithms.
     mask_buf: Vec<bool>,
@@ -324,6 +338,8 @@ impl DijkstraWorkspace {
             self.settled.resize(n, false);
             // lint: allow(hot-path-alloc) grows once to the peak node count, then the guard above makes every resize a no-op
             self.bound.resize(n, 0.0);
+            // lint: allow(hot-path-alloc) grows once to the peak node count, then the guard above makes every resize a no-op
+            self.hop.resize(n, Hop::NONE);
             // lint: allow(hot-path-alloc) grows once to the peak node count, then the guard above makes every resize a no-op
             self.heap.pos.resize(n, 0);
         }
@@ -393,9 +409,16 @@ impl DijkstraWorkspace {
     /// ([`DijkstraWorkspace::landmark_table`]) on this workspace, so the
     /// table's searches count like any other run of it.
     ///
+    /// Without a mask, and when no target is a transit node (see
+    /// [`Graph::set_transit`]), the run settles non-transit nodes only:
+    /// it crosses transit nodes through the graph's two-hop index, built
+    /// on the graph's first such run, and reports them unreached. The
+    /// source is settled even when it is a transit node. Paths through
+    /// transit nodes extract as usual.
+    ///
     /// This is the experiment-loop shape: one source city, a handful of
     /// destination cities, and a constellation graph whose far side never
-    /// needs settling.
+    /// needs settling, and whose relays never need settling at all.
     ///
     /// # Panics
     /// If `source` or any target is not a node of `g`.
@@ -409,8 +432,10 @@ impl DijkstraWorkspace {
         self.run_core(g, source, disabled, targets, true)
     }
 
-    /// One run; `landmarks` lets a goal-directed run use (and build) the
-    /// graph's landmark table.
+    /// One run; `multi` gives it `run_multi`'s shortcuts: a goal-directed
+    /// run uses (and builds) the graph's landmark table, and an unmasked
+    /// run toward non-transit targets crosses transit nodes through the
+    /// graph's two-hop index (and builds that).
     // lint: hot-path
     fn run_core(
         &mut self,
@@ -418,7 +443,7 @@ impl DijkstraWorkspace {
         source: NodeId,
         disabled: Option<&[bool]>,
         targets: &[NodeId],
-        landmarks: bool,
+        multi: bool,
     ) -> SsspView<'_> {
         let n = g.num_nodes();
         // lint: allow(panic-reachable) documented `# Panics` contract: buffers a warm workspace grew for a larger graph would take the node without a bounds-check failure
@@ -437,7 +462,7 @@ impl DijkstraWorkspace {
             1..=GOAL_MAX_TARGETS => g.lambda(),
             _ => 0.0,
         };
-        let rows = match (landmarks && lambda > 0.0, g.landmarks.get()) {
+        let rows = match (multi && lambda > 0.0, g.landmarks.get()) {
             (false, _) => None,
             (true, Some(rows)) => Some(rows.as_slice()),
             (true, None) => {
@@ -450,6 +475,11 @@ impl DijkstraWorkspace {
                 Some(rows.as_slice())
             }
         };
+        let hops = match (multi, disabled, g.transit().start) {
+            (true, None, first) if targets.iter().all(|&t| t < first) => g.two_hop(),
+            _ => None,
+        };
+        self.crossed = hops.is_some();
         DIJKSTRA_CALLS.add(1);
         if self.runs > 0 {
             WORKSPACE_REUSES.add(1);
@@ -461,6 +491,7 @@ impl DijkstraWorkspace {
         self.dist[si] = 0.0;
         self.parent_edge[si] = EdgeId::MAX;
         self.parent_node[si] = NodeId::MAX;
+        self.hop[si] = Hop::NONE;
         self.settled[si] = false;
         self.heap.push(0.0, source);
         let mut aim = Aim {
@@ -472,32 +503,41 @@ impl DijkstraWorkspace {
             row: [0.0; LANDMARKS],
             next: 0,
         };
-        let settled_count = if lambda > 0.0 {
+        if lambda > 0.0 {
             aim.next_pending(targets, |_| false);
-            self.settle::<true>(g, disabled, targets, distinct, aim)
-        } else {
-            self.settle::<false>(g, disabled, targets, distinct, aim)
+        }
+        let settled_count = match (lambda > 0.0, hops.is_some()) {
+            (true, false) => self.settle::<true, false>(g, disabled, targets, distinct, aim, hops),
+            (true, true) => self.settle::<true, true>(g, disabled, targets, distinct, aim, hops),
+            (false, false) => {
+                self.settle::<false, false>(g, disabled, targets, distinct, aim, hops)
+            }
+            (false, true) => self.settle::<false, true>(g, disabled, targets, distinct, aim, hops),
         };
         DIJKSTRA_SETTLED.add(settled_count);
         self.source = source;
         self.view()
     }
 
-    /// The settle loop of a run, compiled twice: `GOAL = false` (λ = 0)
-    /// is plain `(dist, node)` Dijkstra with no per-edge λ test, and
-    /// `GOAL = true` adds `aim`'s bound to every heap key, re-aims when
-    /// the aimed target settles and applies the exact-tie parent rule
-    /// (see [`Graph::lambda`]). `pending` counts the distinct targets not
-    /// yet settled (0: run to exhaustion). Returns the number of nodes
-    /// settled.
+    /// The settle loop of a run, compiled four times. `GOAL = false`
+    /// (λ = 0) is plain `(dist, node)` Dijkstra with no per-edge λ test,
+    /// and `GOAL = true` adds `aim`'s bound to every heap key, re-aims
+    /// when the aimed target settles and applies the exact-tie parent
+    /// rule (see [`Graph::lambda`]). `HOPS = true` settles non-transit
+    /// nodes only: each relaxes its non-transit neighbours directly and
+    /// crosses its transit ones through `hops`, the graph's two-hop index,
+    /// with the tie rule in both settle orders (see [`Graph::set_transit`]).
+    /// `pending` counts the distinct targets not yet settled (0: run to
+    /// exhaustion). Returns the number of nodes settled.
     // lint: hot-path
-    fn settle<const GOAL: bool>(
+    fn settle<const GOAL: bool, const HOPS: bool>(
         &mut self,
         g: &Graph,
         disabled: Option<&[bool]>,
         targets: &[NodeId],
         mut pending: usize,
         mut aim: Aim<'_>,
+        hops: Option<&TwoHop>,
     ) -> u64 {
         let gen = self.gen;
         let mut settled_count = 0u64;
@@ -518,48 +558,120 @@ impl DijkstraWorkspace {
             // A plain key is the label itself; a goal-directed key adds
             // the node's bound to it.
             let d = if GOAL { self.dist[ui] } else { key };
+            if let Some(ix) = hops.filter(|ix| HOPS && u < ix.first) {
+                for h in ix.direct(g, u) {
+                    self.offer::<GOAL, true>(&aim, d + h.weight, Via::direct(d, u, h), h.to);
+                }
+                // Each relay pair `u → r → v`, with the plain search's
+                // folds through `r`.
+                for &[a, b] in ix.hops(u) {
+                    let (hr, hv) = (g.half_edge(a), g.half_edge(b));
+                    let dr = d + hr.weight;
+                    let via = Via {
+                        d: dr,
+                        node: hr.to,
+                        edge: hv.edge,
+                        hop: u,
+                        hop_edge: hr.edge,
+                    };
+                    self.offer::<GOAL, true>(&aim, dr + hv.weight, via, hv.to);
+                }
+                continue;
+            }
+            // Every node of a plain run, and a transit source, whose
+            // neighbours are all non-transit.
             for h in g.neighbors(u) {
                 if let Some(mask) = disabled {
                     if mask[h.edge as usize] {
                         continue;
                     }
                 }
-                let nd = d + h.weight;
-                let vi = h.to as usize;
-                let fresh = self.stamp[vi] != gen;
-                let cur = if fresh { f64::INFINITY } else { self.dist[vi] };
-                if nd < cur {
-                    self.stamp[vi] = gen;
-                    self.dist[vi] = nd;
-                    self.parent_edge[vi] = h.edge;
-                    self.parent_node[vi] = u;
-                    if GOAL && fresh {
-                        self.bound[vi] = aim.bound(vi);
-                    }
-                    let key = if GOAL { nd + self.bound[vi] } else { nd };
-                    if fresh {
-                        self.settled[vi] = false;
-                        self.heap.push(key, h.to);
-                    } else {
-                        // Touched and improved, so still open: settled
-                        // labels are final (see `Graph::lambda`).
-                        debug_assert!(!self.settled[vi]);
-                        self.heap.decrease(key, h.to);
-                    }
-                } else if GOAL && nd == cur {
-                    // Exact tie: keep the (dist, node)-smallest parent,
-                    // the one plain Dijkstra settles first (see
-                    // `Graph::lambda` for why no candidate comes later).
-                    let p = self.parent_node[vi];
-                    let dp = self.dist[p as usize];
-                    if d < dp || (d == dp && u < p) {
-                        self.parent_edge[vi] = h.edge;
-                        self.parent_node[vi] = u;
-                    }
-                }
+                self.offer::<GOAL, HOPS>(&aim, d + h.weight, Via::direct(d, u, h), h.to);
             }
         }
         settled_count
+    }
+
+    /// Offer node `v` the label `nd` through `via`, its would-be parent:
+    /// take it if it is lower than `v`'s, and on an exact tie, in a
+    /// goal-directed run or one that crosses transit nodes, keep the
+    /// parent that comes first (see [`DijkstraWorkspace::outranks`]).
+    #[inline(always)]
+    fn offer<const GOAL: bool, const HOPS: bool>(
+        &mut self,
+        aim: &Aim<'_>,
+        nd: f64,
+        via: Via,
+        v: NodeId,
+    ) {
+        let vi = v as usize;
+        let fresh = self.stamp[vi] != self.gen;
+        let cur = if fresh { f64::INFINITY } else { self.dist[vi] };
+        if nd < cur {
+            self.stamp[vi] = self.gen;
+            self.dist[vi] = nd;
+            self.take::<HOPS>(&via, vi);
+            if GOAL && fresh {
+                self.bound[vi] = aim.bound(vi);
+            }
+            let key = if GOAL { nd + self.bound[vi] } else { nd };
+            if fresh {
+                self.settled[vi] = false;
+                self.heap.push(key, v);
+            } else {
+                // Touched and improved, so still open: settled labels
+                // are final (see `Graph::lambda`).
+                debug_assert!(!self.settled[vi]);
+                self.heap.decrease(key, v);
+            }
+        } else if (GOAL || HOPS)
+            && nd == cur
+            && !self.settled[vi]
+            && self.outranks::<HOPS>(&via, vi)
+        {
+            self.take::<HOPS>(&via, vi);
+        }
+    }
+
+    /// Make `via` node `v`'s parent.
+    #[inline(always)]
+    fn take<const HOPS: bool>(&mut self, via: &Via, v: usize) {
+        self.parent_edge[v] = via.edge;
+        self.parent_node[v] = via.node;
+        if HOPS {
+            self.hop[v] = Hop {
+                d: via.d,
+                node: via.hop,
+                edge: via.hop_edge,
+            };
+        }
+    }
+
+    /// Whether `via` comes before touched node `v`'s parent in the order
+    /// of the exact-tie rule: the smallest `(dist, node)`, the parent
+    /// plain Dijkstra keeps (see [`Graph::lambda`] for why no candidate
+    /// comes later). A run that crosses transit nodes extends the order
+    /// to `(dist, node, edge)` and, between two crossings of one transit
+    /// node over one edge, to the transit node's own parent by the same
+    /// rule: each offer's label is the fold through its own relay pair,
+    /// which the canonical parent's offer beats (see
+    /// [`Graph::set_transit`]).
+    #[inline]
+    fn outranks<const HOPS: bool>(&self, via: &Via, v: usize) -> bool {
+        let (p, pe) = (self.parent_node[v], self.parent_edge[v]);
+        if !HOPS {
+            let dp = self.dist[p as usize];
+            return via.d < dp || (via.d == dp && via.node < p);
+        }
+        let h = self.hop[v];
+        if (via.d, via.node, via.edge) != (h.d, p, pe) {
+            return via.d < h.d
+                || (via.d == h.d && (via.node < p || (via.node == p && via.edge < pe)));
+        }
+        // One transit node over one edge, offered from two of its
+        // neighbours, both settled.
+        let (a, b) = (self.dist[via.hop as usize], self.dist[h.node as usize]);
+        a < b || (a == b && (via.hop < h.node || (via.hop == h.node && via.hop_edge < h.edge)))
     }
 
     /// The aimed target just settled with others pending: aim at the next
@@ -587,8 +699,10 @@ impl DijkstraWorkspace {
     /// All are drawn from the nodes that first search reaches, so on a
     /// graph with edges an isolated node is never one. The table costs
     /// `LANDMARKS + 1` full searches on this workspace, each counted like
-    /// any other run. [`DijkstraWorkspace::run_multi`] builds it once per
-    /// graph and keeps it in the graph; this call always builds afresh.
+    /// any other run, and each crossing transit nodes as `run_multi` does
+    /// (see [`Graph::set_transit`]). [`DijkstraWorkspace::run_multi`]
+    /// builds it once per graph and keeps it in the graph; this call
+    /// always builds afresh.
     pub fn landmark_table(&mut self, g: &Graph) -> Vec<[f64; LANDMARKS]> {
         let n = g.num_nodes();
         // lint: allow(hot-path-alloc) one table per graph, built by the graph's first goal-directed search and kept in it
@@ -602,12 +716,13 @@ impl DijkstraWorkspace {
                 hub = v;
             }
         }
-        let view = self.run_core(g, hub, None, &[], false);
-        let mut landmark = farthest(n, |v| view.dist(v));
+        let mut dist = self.take_dist_buf();
+        self.full_dists(g, hub, &mut dist);
+        let mut landmark = farthest(n, |v| dist[v as usize]);
         for i in 0..LANDMARKS {
-            let view = self.run_core(g, landmark, None, &[], false);
-            for (v, row) in rows.iter_mut().enumerate() {
-                row[i] = view.dist(v as NodeId);
+            self.full_dists(g, landmark, &mut dist);
+            for (row, &d) in rows.iter_mut().zip(&dist) {
+                row[i] = d;
             }
             landmark = farthest(n, |v| {
                 rows[v as usize][..=i]
@@ -615,7 +730,25 @@ impl DijkstraWorkspace {
                     .fold(f64::INFINITY, |m, &d| m.min(d))
             });
         }
+        self.put_dist_buf(dist);
         rows
+    }
+
+    /// Every node's distance from `source` into `out`, bit for bit what
+    /// a full plain search reports: one full search, which on a graph
+    /// with a two-hop index settles non-transit nodes only, then each
+    /// transit node it left unreached gets its label from its neighbours
+    /// (all non-transit), the smallest `fl(d(x) + w)`, as a plain search
+    /// settles it (see [`Graph::set_transit`]).
+    fn full_dists(&mut self, g: &Graph, source: NodeId, out: &mut Vec<f64>) {
+        self.run_core(g, source, None, &[], true).write_dists(out);
+        for r in g.transit() {
+            let ri = r as usize;
+            if out[ri].is_infinite() {
+                let from = |m: f64, h: &HalfEdge| m.min(out[h.to as usize] + h.weight);
+                out[ri] = g.neighbors(r).iter().fold(f64::INFINITY, from);
+            }
+        }
     }
 
     /// A view of the most recent run's result (empty before any run).
@@ -657,6 +790,53 @@ impl DijkstraWorkspace {
     fn set_gen_for_test(&mut self, gen: u32) {
         self.gen = gen;
     }
+}
+
+/// A relaxation's would-be parent of its head: the label it offers the
+/// head through, its node and edge, and, when that node is a transit
+/// node crossed through a relay pair `u → r → v`, the node's own parent
+/// `u` and edge (`NodeId::MAX` and `EdgeId::MAX` otherwise).
+#[derive(Clone, Copy, Debug)]
+struct Via {
+    d: f64,
+    node: NodeId,
+    edge: EdgeId,
+    hop: NodeId,
+    hop_edge: EdgeId,
+}
+
+impl Via {
+    /// Half-edge `h` of node `u`, whose label is `d`.
+    #[inline(always)]
+    fn direct(d: f64, u: NodeId, h: &HalfEdge) -> Self {
+        Via {
+            d,
+            node: u,
+            edge: h.edge,
+            hop: NodeId::MAX,
+            hop_edge: EdgeId::MAX,
+        }
+    }
+}
+
+/// The part of a node's parent record that only a run crossing transit
+/// nodes keeps: the label its parent offered it (its parent's own label,
+/// or for a transit parent the fold into it through the relay pair), and
+/// the transit parent's parent and edge (`NodeId::MAX` and `EdgeId::MAX`
+/// for a non-transit parent). Transit nodes keep no record of their own.
+#[derive(Clone, Copy, Debug)]
+struct Hop {
+    d: f64,
+    node: NodeId,
+    edge: EdgeId,
+}
+
+impl Hop {
+    const NONE: Hop = Hop {
+        d: f64::INFINITY,
+        node: NodeId::MAX,
+        edge: EdgeId::MAX,
+    };
 }
 
 /// Most distinct targets a goal-directed run aims at; runs with more are
@@ -749,7 +929,9 @@ impl Aim<'_> {
 /// are always exact. Every other settled node is exact as well, but in a
 /// goal-directed run (at most [`GOAL_MAX_TARGETS`] distinct targets,
 /// [`Graph::lambda`] > 0) *which* non-target nodes get settled depends on
-/// the coordinates and, in `run_multi`, on the landmark table.
+/// the coordinates and, in `run_multi`, on the landmark table. A
+/// `run_multi` that crossed transit nodes settled none of them but a
+/// transit source (see [`Graph::set_transit`]).
 #[derive(Clone, Copy)]
 pub struct SsspView<'a> {
     ws: &'a DijkstraWorkspace,
@@ -785,12 +967,20 @@ impl SsspView<'_> {
         let mut edges = Vec::new();
         let mut v = target;
         while v != self.ws.source {
-            let e = self.ws.parent_edge[v as usize];
-            let p = self.ws.parent_node[v as usize];
+            let vi = v as usize;
+            let e = self.ws.parent_edge[vi];
+            let p = self.ws.parent_node[vi];
             debug_assert!(e != EdgeId::MAX && p != NodeId::MAX);
             edges.push(e);
             nodes.push(p);
             v = p;
+            // A transit parent: its own parent is in `v`'s record.
+            let hop = self.ws.hop[vi];
+            if self.ws.crossed && hop.node != NodeId::MAX {
+                edges.push(hop.edge);
+                nodes.push(hop.node);
+                v = hop.node;
+            }
         }
         nodes.reverse();
         edges.reverse();
@@ -805,6 +995,7 @@ impl SsspView<'_> {
     /// unsettled), sized to the run's graph.
     pub fn write_dists(&self, out: &mut Vec<f64>) {
         out.clear();
+        // lint: allow(hot-path-alloc) grows a recycled buffer only on a new peak node count
         out.reserve(self.ws.active_n);
         for v in 0..self.ws.active_n {
             let d = if self.ws.stamp[v] == self.ws.gen && self.ws.settled[v] {
@@ -817,6 +1008,9 @@ impl SsspView<'_> {
     }
 
     /// Materialize an owned [`ShortestPaths`] (allocates three `n`-vecs).
+    /// After a run that crossed transit nodes, a transit node on a
+    /// settled node's path keeps its parent, though not its distance, so
+    /// [`extract_path`] on the result matches [`SsspView::extract_path`].
     pub fn to_shortest_paths(&self) -> ShortestPaths {
         let n = self.ws.active_n;
         let mut dist = vec![f64::INFINITY; n];
@@ -827,6 +1021,12 @@ impl SsspView<'_> {
                 dist[v] = self.ws.dist[v];
                 parent_edge[v] = self.ws.parent_edge[v];
                 parent_node[v] = self.ws.parent_node[v];
+                let hop = self.ws.hop[v];
+                if self.ws.crossed && hop.node != NodeId::MAX {
+                    let r = parent_node[v] as usize;
+                    parent_edge[r] = hop.edge;
+                    parent_node[r] = hop.node;
+                }
             }
         }
         ShortestPaths {
@@ -1790,6 +1990,125 @@ mod tests {
         fill.edge(0, 1, 1.0);
         fill.complete();
         assert!(g.landmarks.get().is_none());
+    }
+
+    /// A bent-pipe chain in miniature, weights equal to lengths: four
+    /// satellites 0–3 on a line at height 1, cities 4 and 5 below the
+    /// ends, and transit nodes from 6: relays 6, 7 and 8 each below and
+    /// linked to two neighbouring satellites, relay 9 a copy of relay 7
+    /// (an exact tie) and relay 10 a dead end under satellite 0.
+    fn relay_chain() -> Graph {
+        let mut b = GraphBuilder::new(11);
+        let mut points = vec![[0.0; 3]; 11];
+        for (i, p) in points.iter_mut().take(4).enumerate() {
+            *p = [2.0 * i as f64, 1.0, 0.0];
+        }
+        points[5] = [6.0, 0.0, 0.0];
+        b.add_edge(4, 0, 1.0);
+        b.add_edge(5, 3, 1.0);
+        for (r, sats) in [(6, [0, 1]), (7, [1, 2]), (8, [2, 3]), (9, [1, 2])] {
+            points[r as usize] = [2.0 * sats[0] as f64 + 1.0, 0.0, 0.0];
+            for s in sats {
+                b.add_edge(r, s, 2f64.sqrt());
+            }
+        }
+        b.add_edge(10, 0, 1.0);
+        let mut g = b.build();
+        g.set_coords(points);
+        g.set_transit(6);
+        g
+    }
+
+    /// Only an unmasked `run_multi` toward non-transit targets, or a
+    /// landmark table's search, builds the two-hop index, and a run that
+    /// uses it settles no transit node but a transit source: `run`, a
+    /// masked run and a run toward a transit target settle relays. Paths
+    /// match the unmarked graph's, through the lower-numbered of two tied
+    /// relays. `set_coords` keeps the index; `set_transit` and `fill`
+    /// drop it.
+    #[test]
+    fn two_hop_index_is_built_by_unmasked_run_multi_and_dropped_by_fill() {
+        let mut g = relay_chain();
+        assert_eq!(g.transit(), 6..11);
+        let mut plain = g.clone();
+        plain.set_transit(11);
+        assert!(plain.transit().is_empty());
+        let (mut ws, mut plain_ws) = (DijkstraWorkspace::new(), DijkstraWorkspace::new());
+        assert!(ws.run(&g, 4, None, Some(5)).reached(7));
+        let mask = vec![false; g.num_edges()];
+        assert!(ws.run_multi(&g, 4, Some(&mask), &[]).reached(7));
+        assert!(g.two_hop.get().is_none(), "plain runs build no index");
+        let table = g.clone();
+        assert_eq!(ws.landmark_table(&table), plain_ws.landmark_table(&plain));
+        assert!(
+            table.two_hop.get().is_some(),
+            "the table's searches build it"
+        );
+        for (source, target) in [(4, 5), (5, 4), (9, 5), (10, 5)] {
+            let view = ws.run_multi(&g, source, None, &[target]);
+            let want = plain_ws.run_multi(&plain, source, None, &[target]);
+            assert_eq!(view.dist(target).to_bits(), want.dist(target).to_bits());
+            assert_eq!(view.extract_path(target), want.extract_path(target));
+            assert!(
+                (6..11).all(|r| view.reached(r) == (r == source)),
+                "{source} → {target}: a transit node other than the source settled"
+            );
+        }
+        let r2 = 2f64.sqrt();
+        assert_eq!(
+            ws.run_multi(&g, 4, None, &[5, 7]).dist(7),
+            1.0 + r2 + r2 + r2
+        );
+        assert!(ws.run_multi(&g, 4, Some(&mask), &[5]).reached(6));
+        let path = ws.run_multi(&g, 4, None, &[5]).extract_path(5);
+        assert_eq!(path.map(|p| p.nodes), Some(vec![4, 0, 6, 1, 7, 2, 8, 3, 5]));
+        assert_eq!(g.two_hop_pairs(), Some(8), "both tied relays kept");
+        g.set_coords(g.coords().to_vec());
+        assert!(g.two_hop.get().is_some(), "set_coords keeps the index");
+        g.set_transit(6);
+        assert!(g.two_hop.get().is_none(), "set_transit drops the index");
+        ws.run_multi(&g, 4, None, &[5]);
+        let mut degree = vec![1, 1];
+        let mut fill = g.fill(11, 1, &mut degree);
+        fill.edge(0, 1, 1.0);
+        fill.complete();
+        assert!(g.two_hop.get().is_none() && g.transit().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "transit node 6 has transit neighbour 7")]
+    fn two_hop_index_rejects_a_transit_edge() {
+        let mut b = GraphBuilder::new(8);
+        b.add_edge(0, 6, 1.0);
+        b.add_edge(6, 7, 1.0);
+        b.add_edge(7, 1, 1.0);
+        let mut g = b.build();
+        g.set_transit(6);
+        DijkstraWorkspace::new().run_multi(&g, 0, None, &[1]);
+    }
+
+    /// A non-transit node that lists a transit neighbour before a
+    /// non-transit one leaves the graph without an index: its searches
+    /// stay plain and settle the relay.
+    #[test]
+    fn interleaved_neighbours_leave_the_graph_without_an_index() {
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(3, 0, 1.0);
+        b.add_edge(1, 0, 1.0);
+        b.add_edge(3, 2, 1.0);
+        let mut g = b.build();
+        g.set_transit(3);
+        assert_eq!(g.two_hop_pairs(), None);
+        let mut ws = DijkstraWorkspace::new();
+        let view = ws.run_multi(&g, 1, None, &[2]);
+        assert_eq!(view.dist(2), 3.0);
+        assert!(view.reached(3), "plain searches settle relays");
+    }
+
+    #[test]
+    #[should_panic(expected = "transit nodes from 12 past the 11 nodes")]
+    fn transit_marking_stays_within_the_nodes() {
+        relay_chain().set_transit(12);
     }
 
     /// `NodeHeap` against a sorted `(key, node)` list: random pushes,

@@ -386,6 +386,206 @@ fn goal_directed_search_is_bit_identical_to_dijkstra() {
     );
 }
 
+/// A graph in bent-pipe shape with a transit suffix: one to three
+/// components, each of 2 to 12 non-transit nodes (a few joined directly,
+/// as ISLs join satellites) and up to six times as many transit nodes
+/// (at most 36), each linked to one to three of its component's
+/// non-transit nodes, now and then twice. It
+/// is tie-heavy: weights come from a few decimals whose sums and folds
+/// round apart (`0.1 + 0.2 > 0.15 + 0.15`), so relay pairs tie exactly
+/// or miss by an ulp everywhere, and a quarter of the relays copy
+/// another's links. Links are sometimes doubled as parallel edges. The
+/// edge ids put the direct links first, as snapshots do, except in one
+/// graph in eight, whose nodes with both kinds of neighbour then list a
+/// relay first and get no two-hop index. Points lie on a small lattice;
+/// a quarter of the graphs get none (λ = 0), and one in sixteen a zero
+/// weight, which leaves it without a two-hop index too.
+fn arb_transit_graph(gen: &mut Gen) -> Graph {
+    const WEIGHTS: [f64; 8] = [0.1, 0.2, 0.3, 0.15, 0.25, 0.05, 0.7, 0.35];
+    let weight = |gen: &mut Gen| WEIGHTS[gen.usize(0..WEIGHTS.len())];
+    // Half the graphs are one small, relay-dense component.
+    let sizes = if gen.bool() {
+        vec![gen.u32(2..6)]
+    } else {
+        gen.vec(1..4, |gen| gen.u32(2..13))
+    };
+    let first: u32 = sizes.iter().sum();
+    let (mut direct, mut relays) = (Vec::new(), Vec::<Vec<(u32, f64)>>::new());
+    let mut base = 0;
+    for &k in &sizes {
+        for _ in 0..gen.u32(0..k) {
+            let (a, b) = (base + gen.u32(0..k), base + gen.u32(0..k));
+            if a != b {
+                direct.push((a, b, weight(gen)));
+            }
+        }
+        let start = relays.len();
+        for _ in 0..gen.u32(0..(6 * k).min(36) + 1) {
+            let mut links = if relays.len() > start && gen.u32(0..4) == 0 {
+                relays[gen.usize(start..relays.len())].clone()
+            } else {
+                gen.vec(1..4, |gen| (base + gen.u32(0..k), weight(gen)))
+            };
+            if gen.u32(0..8) == 0 {
+                links.push(links[0]);
+            }
+            relays.push(links);
+        }
+        base += k;
+    }
+    let mut edges: Vec<(u32, u32, f64)> = (first..)
+        .zip(&relays)
+        .flat_map(|(r, links)| links.iter().map(move |&(v, w)| (r, v, w)))
+        .collect();
+    if gen.u32(0..8) == 0 {
+        edges.extend(direct);
+    } else {
+        edges.splice(0..0, direct);
+    }
+    if !edges.is_empty() && gen.u32(0..16) == 0 {
+        let i = gen.usize(0..edges.len());
+        edges[i].2 = 0.0;
+    }
+    let n = first as usize + relays.len();
+    let mut b = GraphBuilder::new(n);
+    for &(u, v, w) in &edges {
+        b.add_edge(u, v, w);
+    }
+    let mut g = b.build();
+    if gen.u32(0..4) != 0 {
+        let points: Vec<[f64; 3]> = (0..n)
+            .map(|v| {
+                let height = if v < first as usize { 1.0 } else { 0.0 };
+                [f64::from(gen.u32(0..4)), f64::from(gen.u32(0..4)), height]
+            })
+            .collect();
+        g.set_coords(points);
+    }
+    g.set_transit(first);
+    g
+}
+
+/// Crossing transit nodes is invisible in the results: on
+/// [`arb_transit_graph`]s, a `run_multi` from a non-transit or a transit
+/// source toward 1 to `GOAL_MAX_TARGETS` + 2 non-transit targets (so
+/// goal-directed, plain past the cap, and plain at λ = 0) reports the
+/// same target distance bits and paths as on the same graph unmarked,
+/// settles the same non-transit nodes with the same labels and paths,
+/// and no transit node but the source, and its materialized result
+/// extracts the same paths. Masked runs, and runs toward a
+/// transit target, settle exactly what the unmarked graph's do. Full
+/// searches from every non-transit node extract the same path to every
+/// non-transit node, and landmark tables, whose searches cross transit
+/// nodes too, are bit-identical.
+/// Counted: runs that used the index, from a transit source, past the
+/// cap and at λ = 0, and the tables compared.
+#[test]
+fn transit_contraction_is_bit_identical_to_dijkstra() {
+    let (mut ws, mut plain_ws) = (DijkstraWorkspace::new(), DijkstraWorkspace::new());
+    let mut counts = [0usize; 5];
+    check("transit_contraction_is_bit_identical_to_dijkstra", |gen| {
+        let g = arb_transit_graph(gen);
+        let n = g.num_nodes() as u32;
+        let first = g.transit().start;
+        let mut plain = g.clone();
+        plain.set_transit(n);
+        let source = if first < n && gen.u32(0..4) == 0 {
+            gen.u32(first..n)
+        } else {
+            gen.u32(0..first)
+        };
+        let mask: Vec<bool> = (0..g.num_edges()).map(|_| gen.u32(0..4) == 0).collect();
+        let mask = (gen.u32(0..8) == 0).then_some(mask.as_slice());
+        let mut targets = gen.vec(1..GOAL_MAX_TARGETS + 3, |gen| gen.u32(0..first));
+        if gen.u32(0..4) == 0 {
+            // As many distinct targets as fit, to reach past the cap.
+            let start = gen.u32(0..first);
+            let count = (GOAL_MAX_TARGETS as u32 + 2).min(first);
+            targets = (0..count).map(|i| (start + i) % first).collect();
+        }
+        if first < n && gen.u32(0..16) == 0 {
+            targets.push(gen.u32(first..n));
+        }
+        let reference = plain_ws
+            .run_multi(&plain, source, mask, &targets)
+            .to_shortest_paths();
+        let view = ws.run_multi(&g, source, mask, &targets);
+        let path = |p: Option<Path>| p.map(|p| (p.nodes, p.edges, p.total_weight.to_bits()));
+        let owned = view.to_shortest_paths();
+        for &t in &targets {
+            check_assert_eq!(
+                path(extract_path(&owned, t)),
+                path(view.extract_path(t)),
+                "target {t}, materialized"
+            );
+            check_assert_eq!(
+                view.dist(t).to_bits(),
+                reference.dist[t as usize].to_bits(),
+                "target {t}"
+            );
+            check_assert_eq!(
+                path(view.extract_path(t)),
+                path(extract_path(&reference, t)),
+                "target {t}"
+            );
+        }
+        for v in 0..first {
+            check_assert_eq!(view.reached(v), reference.reached(v), "node {v}");
+            check_assert_eq!(
+                path(view.extract_path(v)),
+                path(extract_path(&reference, v)),
+                "node {v}"
+            );
+        }
+        let contracted =
+            mask.is_none() && targets.iter().all(|&t| t < first) && g.two_hop_pairs().is_some();
+        for r in first..n {
+            let want = if contracted {
+                r == source
+            } else {
+                reference.reached(r)
+            };
+            check_assert_eq!(view.reached(r), want, "transit node {r}");
+        }
+        // Full searches from every non-transit node: every label and path.
+        for s in 0..first {
+            let full = plain_ws.run_multi(&plain, s, None, &[]).to_shortest_paths();
+            let view = ws.run_multi(&g, s, None, &[]);
+            for v in 0..first {
+                check_assert_eq!(
+                    path(view.extract_path(v)),
+                    path(extract_path(&full, v)),
+                    "full search {s} → {v}"
+                );
+            }
+        }
+        if contracted {
+            let mut distinct = targets.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            counts[0] += 1;
+            counts[1] += usize::from(source >= first);
+            counts[2] += usize::from(distinct.len() > GOAL_MAX_TARGETS);
+            counts[3] += usize::from(g.lambda().to_bits() == 0);
+        }
+        if gen.u32(0..4) == 0 {
+            counts[4] += 1;
+            let (rows, want) = (ws.landmark_table(&g), plain_ws.landmark_table(&plain));
+            for (v, (a, b)) in rows.iter().zip(&want).enumerate() {
+                check_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "row {v}");
+            }
+        }
+        Ok(())
+    });
+    let [contracted, transit_sources, over_cap, plain_keys, tables] = counts;
+    assert!(
+        contracted > 128 && transit_sources > 16 && over_cap > 8 && plain_keys > 16,
+        "{contracted} of 256 cases used the index: {transit_sources} from a transit source, \
+         {over_cap} past the cap, {plain_keys} at λ = 0"
+    );
+    assert!(tables > 32, "only {tables} landmark tables compared");
+}
+
 /// A lazy-deletion queue entry of [`lazy_reference_run`], min-ordered by
 /// `(key, node)`.
 #[derive(PartialEq)]

@@ -54,47 +54,49 @@
 #    times may drift, and those are informational. The lane also
 #    exercises --assert-peak-rss-mb on the second run with a generous
 #    Tiny budget.
-# 8. Paper-scale RSS smoke (opt-in: LEO_CI_PAPER_SMOKE=1, ~11 min on
+# 8. Paper-scale RSS smoke (opt-in: LEO_CI_PAPER_SMOKE=1, ~40 s on
 #    2 vCPUs): run the full 96-snapshot paper-scale fig2 under
 #    heartbeats and require peak RSS under a fixed 512 MiB budget.
 #    The streaming drivers hold per-snapshot samples only inside
 #    fixed-size sketches, so memory is O(1) in snapshot count —
-#    observed peak is 222.9 MiB of VmHWM (this lane's command, then
-#    `leo-report` on its run log; mostly the live snapshot graphs, the
-#    visibility state and, at this log level, both link-arena buffers,
-#    not samples); the budget is loose for machine-to-machine noise
-#    but fails loudly if anyone reintroduces per-sample Vec
-#    accumulation.
-# 9. Routing-bench smoke: run benches/routing.rs and require the
-#    workspace+bundle inner loop to beat the seed path by >= 1.1x
-#    (the committed BENCH_routing.json shows ~2.2x; the smoke threshold
-#    is loose to tolerate CI noise but loud when the optimisation
-#    regresses to parity).
-# 10. Delta equivalence: the Tiny sweep test in tests/sweep.rs that
+#    observed peak is 224.7 MiB of VmHWM in 36.7 s (this lane's
+#    command, then `leo-report` on its run log; mostly the live
+#    snapshot graphs, the visibility state and, at this log level,
+#    both link-arena buffers, not samples); the budget is loose for
+#    machine-to-machine noise but fails loudly if anyone reintroduces
+#    per-sample Vec accumulation.
+# 9. Delta equivalence: the Tiny sweep test in tests/sweep.rs that
 #    repairs shortest-path trees from the sweep's edge deltas and checks
 #    at least 1,000 repairs bit for bit against fresh Dijkstra.
-# 11. Delta-bench smoke: run benches/delta.rs and require the delta
-#    step of the fig2 inner loop to beat full per-instant Dijkstra by
-#    >= 1.2x (same loose-floor rationale as the routing gate).
-# 12. Snapshot-bench smoke: run benches/snapshot.rs and require a
-#    consecutive-instant TimeSweep step to beat the per-instant
-#    snapshot_bundle rebuild by >= 1.5x (committed BENCH_snapshot.json
-#    shows ~2.2x; same loose-floor rationale as the routing gate).
-# 13. Golden results: run EXPERIMENTS.md's bench-scale regeneration loop
+# 10. Golden results: run EXPERIMENTS.md's bench-scale regeneration loop
 #    (all 15 figure/extension binaries) in a temp dir and `cmp` every
 #    results/*.csv, and the loop's combined output against
 #    results/bench_scale_run.log. The tracked results are the
 #    behavioural contract; this makes "byte-reproducible" a gate
 #    instead of a manual check (~30 s on 2 cores).
-# 14. Pinned-digest lane: `leo_benchmark run --seconds 1` times every
+# 11. Pinned-digest lane: `leo_benchmark run --seconds 1` times every
 #    workload of BENCHMARK.json at full size and seed 42 (at least five
 #    repetitions each, ~1.5 min in all) and checks each repetition's
 #    output digest against the one pinned in its workloads.rs. Every
 #    workload must print its JSON result line, and every line must read
 #    "correct":true.
-# 15. Million-pair lane: ext_million_pairs at full scale — 1,000,000
+# 12. Million-pair lane: ext_million_pairs at full scale — 1,000,000
 #    pairs folded in one process (~5 s on 2 cores), which exits 1 when
 #    its peak RSS (the kernel's VmHWM) is over a 512 MiB budget.
+# 13. Routing-bench smoke: run benches/routing.rs and require the
+#    workspace+bundle inner loop to beat the seed path by >= 1.1x
+#    (the committed BENCH_routing.json shows ~1.4x; the smoke threshold
+#    is loose to tolerate CI noise but loud when the optimisation
+#    regresses to parity).
+# 14. Delta-bench smoke: run benches/delta.rs and require the delta
+#    step of the fig2 inner loop to beat full per-instant Dijkstra by
+#    >= 1.2x (same loose-floor rationale as the routing gate).
+# 15. Snapshot-bench smoke: run benches/snapshot.rs and require a
+#    consecutive-instant TimeSweep step to beat the per-instant
+#    snapshot_bundle rebuild by >= 1.5x (committed BENCH_snapshot.json
+#    shows ~2.2x; same loose-floor rationale as the routing gate).
+#    The three bench-ratio smokes run after every correctness lane, so
+#    a noisy ratio cannot skip one.
 #
 # Usage: scripts/ci.sh   (from anywhere; cd's to the repo root)
 
@@ -252,69 +254,9 @@ if [ "${LEO_CI_PAPER_SMOKE:-0}" = "1" ]; then
     rm -rf "$paper_dir"
 fi
 
-echo "== routing bench smoke: workspace inner loop must beat seed path =="
-LEO_LOG=off LEO_BENCH_DIR="$log_dir" \
-    cargo bench -q --offline -p leo-bench --bench routing > /dev/null
-awk -F'"median_ns":' '
-    /"bench":"inner_loop_seed"/      { split($2, a, /[,}]/); seed = a[1] }
-    /"bench":"inner_loop_workspace"/ { split($2, a, /[,}]/); ws = a[1] }
-    END {
-        if (seed == "" || ws == "" || ws <= 0) {
-            print "ERROR: inner_loop benches missing from BENCH_routing.json" > "/dev/stderr"
-            exit 1
-        }
-        ratio = seed / ws
-        printf "inner loop: seed %d ns vs workspace %d ns  (%.2fx)\n", seed, ws, ratio
-        if (ratio < 1.1) {
-            printf "ERROR: workspace speedup %.2fx below 1.1x smoke floor\n", ratio > "/dev/stderr"
-            exit 1
-        }
-    }
-' "$log_dir/BENCH_routing.json"
-
 echo "== delta lane: Tiny delta-vs-full equivalence (>= 1000 bitwise-verified repairs) =="
 cargo test -q --offline -p leo-integration-tests --test sweep \
     spt_repairs_match_fresh_dijkstra_through_sweep_deltas -- --exact
-
-echo "== delta bench smoke: delta step must beat full per-instant Dijkstra =="
-LEO_LOG=off LEO_BENCH_DIR="$log_dir" \
-    cargo bench -q --offline -p leo-bench --bench delta > /dev/null
-awk -F'"median_ns":' '
-    /"bench":"fig2_inner_full_dijkstra"/ { split($2, a, /[,}]/); full = a[1] }
-    /"bench":"fig2_inner_delta_spt"/     { split($2, a, /[,}]/); delta = a[1] }
-    END {
-        if (full == "" || delta == "" || delta <= 0) {
-            print "ERROR: fig2_inner benches missing from BENCH_delta.json" > "/dev/stderr"
-            exit 1
-        }
-        ratio = full / delta
-        printf "fig2 inner loop: full %d ns vs delta %d ns  (%.2fx)\n", full, delta, ratio
-        if (ratio < 1.2) {
-            printf "ERROR: delta speedup %.2fx below 1.2x smoke floor\n", ratio > "/dev/stderr"
-            exit 1
-        }
-    }
-' "$log_dir/BENCH_delta.json"
-
-echo "== snapshot bench smoke: sweep step must beat per-instant rebuild =="
-LEO_LOG=off LEO_BENCH_DIR="$log_dir" \
-    cargo bench -q --offline -p leo-bench --bench snapshot > /dev/null
-awk -F'"median_ns":' '
-    /"bench":"bundle_per_instant_rebuild"/ { split($2, a, /[,}]/); rebuild = a[1] }
-    /"bench":"sweep_consecutive"/          { split($2, a, /[,}]/); sweep = a[1] }
-    END {
-        if (rebuild == "" || sweep == "" || sweep <= 0) {
-            print "ERROR: snapshot benches missing from BENCH_snapshot.json" > "/dev/stderr"
-            exit 1
-        }
-        ratio = rebuild / sweep
-        printf "snapshot: rebuild %d ns vs sweep step %d ns  (%.2fx)\n", rebuild, sweep, ratio
-        if (ratio < 1.5) {
-            printf "ERROR: sweep speedup %.2fx below 1.5x smoke floor\n", ratio > "/dev/stderr"
-            exit 1
-        }
-    }
-' "$log_dir/BENCH_snapshot.json"
 
 echo "== golden results: bench-scale regeneration loop vs tracked results/ =="
 golden_dir=$(mktemp -d)
@@ -370,5 +312,68 @@ echo "== million pairs: 1M pairs in one process, 512 MiB peak-RSS budget =="
 million_dir=$(mktemp -d)
 (cd "$million_dir" && "$repo_root/target/release/ext_million_pairs")
 rm -rf "$million_dir"
+
+# The bench-ratio smokes run last: their floors are loose, but a noisy
+# run can still miss one, and a failure here must not skip a
+# correctness lane.
+echo "== routing bench smoke: workspace inner loop must beat seed path =="
+LEO_LOG=off LEO_BENCH_DIR="$log_dir" \
+    cargo bench -q --offline -p leo-bench --bench routing > /dev/null
+awk -F'"median_ns":' '
+    /"bench":"inner_loop_seed"/      { split($2, a, /[,}]/); seed = a[1] }
+    /"bench":"inner_loop_workspace"/ { split($2, a, /[,}]/); ws = a[1] }
+    END {
+        if (seed == "" || ws == "" || ws <= 0) {
+            print "ERROR: inner_loop benches missing from BENCH_routing.json" > "/dev/stderr"
+            exit 1
+        }
+        ratio = seed / ws
+        printf "inner loop: seed %d ns vs workspace %d ns  (%.2fx)\n", seed, ws, ratio
+        if (ratio < 1.1) {
+            printf "ERROR: workspace speedup %.2fx below 1.1x smoke floor\n", ratio > "/dev/stderr"
+            exit 1
+        }
+    }
+' "$log_dir/BENCH_routing.json"
+
+echo "== delta bench smoke: delta step must beat full per-instant Dijkstra =="
+LEO_LOG=off LEO_BENCH_DIR="$log_dir" \
+    cargo bench -q --offline -p leo-bench --bench delta > /dev/null
+awk -F'"median_ns":' '
+    /"bench":"fig2_inner_full_dijkstra"/ { split($2, a, /[,}]/); full = a[1] }
+    /"bench":"fig2_inner_delta_spt"/     { split($2, a, /[,}]/); delta = a[1] }
+    END {
+        if (full == "" || delta == "" || delta <= 0) {
+            print "ERROR: fig2_inner benches missing from BENCH_delta.json" > "/dev/stderr"
+            exit 1
+        }
+        ratio = full / delta
+        printf "fig2 inner loop: full %d ns vs delta %d ns  (%.2fx)\n", full, delta, ratio
+        if (ratio < 1.2) {
+            printf "ERROR: delta speedup %.2fx below 1.2x smoke floor\n", ratio > "/dev/stderr"
+            exit 1
+        }
+    }
+' "$log_dir/BENCH_delta.json"
+
+echo "== snapshot bench smoke: sweep step must beat per-instant rebuild =="
+LEO_LOG=off LEO_BENCH_DIR="$log_dir" \
+    cargo bench -q --offline -p leo-bench --bench snapshot > /dev/null
+awk -F'"median_ns":' '
+    /"bench":"bundle_per_instant_rebuild"/ { split($2, a, /[,}]/); rebuild = a[1] }
+    /"bench":"sweep_consecutive"/          { split($2, a, /[,}]/); sweep = a[1] }
+    END {
+        if (rebuild == "" || sweep == "" || sweep <= 0) {
+            print "ERROR: snapshot benches missing from BENCH_snapshot.json" > "/dev/stderr"
+            exit 1
+        }
+        ratio = rebuild / sweep
+        printf "snapshot: rebuild %d ns vs sweep step %d ns  (%.2fx)\n", rebuild, sweep, ratio
+        if (ratio < 1.5) {
+            printf "ERROR: sweep speedup %.2fx below 1.5x smoke floor\n", ratio > "/dev/stderr"
+            exit 1
+        }
+    }
+' "$log_dir/BENCH_snapshot.json"
 
 echo "tier-1 verify passed"

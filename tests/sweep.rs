@@ -12,7 +12,7 @@
 use leo_core::{
     EdgeKind, ExperimentScale, Mode, NetworkSnapshot, NodeKind, StudyContext, TimeSweep,
 };
-use leo_graph::{Graph, GraphBuilder, SptWorkspace};
+use leo_graph::{DijkstraWorkspace, Graph, GraphBuilder, SptWorkspace};
 use leo_util::check::check_with;
 use leo_util::{check_assert, check_assert_eq};
 
@@ -303,4 +303,77 @@ fn spt_repairs_match_fresh_dijkstra_through_sweep_deltas() {
         "property suite must exercise >= 1000 delta repairs, got {}",
         APPLIES.load(Ordering::Relaxed)
     );
+}
+
+/// Relays and aircraft are the transit nodes of BP and hybrid snapshots,
+/// and ISL-only snapshots have none; crossing them through the two-hop
+/// index changes no search. On a Tiny sweep in all three modes, every
+/// `pairs_by_src` search reports the same distance bits and paths as on
+/// the same graph unmarked, and settles no relay or aircraft, and the
+/// landmark tables are bit-identical.
+#[test]
+fn transit_searches_match_the_unmarked_graph() {
+    const MODES: [Mode; 3] = [Mode::BpOnly, Mode::Hybrid, Mode::IslOnly];
+    let c = ctx(leo_core::ConstellationKind::Starlink);
+    let first = (c.num_satellites() + c.ground.cities.len()) as u32;
+    let mut sweep = TimeSweep::new(&c, &MODES);
+    let (mut ws, mut plain_ws) = (DijkstraWorkspace::new(), DijkstraWorkspace::new());
+    let mut targets = Vec::new();
+    let mut searches = 0;
+    for t in [0.0, 900.0, 43_200.0] {
+        for (snap, mode) in sweep.step(t).iter().zip(MODES) {
+            let n = snap.graph.num_nodes() as u32;
+            let what = format!("t={t} {mode:?}");
+            let transit = if mode == Mode::IslOnly {
+                n..n
+            } else {
+                first..n
+            };
+            assert_eq!(snap.graph.transit(), transit, "{what}: transit nodes");
+            assert_eq!(
+                snap.graph.two_hop_pairs().is_some(),
+                mode != Mode::IslOnly,
+                "{what}: two-hop index"
+            );
+            let mut plain = snap.graph.clone();
+            plain.set_transit(n);
+            for (src, idxs) in c.pairs_by_src() {
+                targets.clear();
+                targets.extend(
+                    idxs.iter()
+                        .map(|&i| snap.city_node(c.pairs[i].dst as usize)),
+                );
+                let source = snap.city_node(*src as usize);
+                let want = plain_ws
+                    .run_multi(&plain, source, None, &targets)
+                    .to_shortest_paths();
+                let view = ws.run_multi(&snap.graph, source, None, &targets);
+                for &t in &targets {
+                    assert_eq!(
+                        view.dist(t).to_bits(),
+                        want.dist[t as usize].to_bits(),
+                        "{what}: {source} → {t}"
+                    );
+                    assert_eq!(
+                        view.extract_path(t),
+                        leo_graph::extract_path(&want, t),
+                        "{what}: {source} → {t}"
+                    );
+                }
+                assert!(
+                    (first..n).all(|r| !view.reached(r)),
+                    "{what}: a relay or aircraft settled"
+                );
+                searches += 1;
+            }
+            let (rows, want) = (
+                ws.landmark_table(&snap.graph),
+                plain_ws.landmark_table(&plain),
+            );
+            for (v, (a, b)) in rows.iter().zip(&want).enumerate() {
+                assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "{what}: row {v}");
+            }
+        }
+    }
+    assert!(searches >= 9 * 10, "only {searches} searches");
 }
