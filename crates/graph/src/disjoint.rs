@@ -7,6 +7,14 @@
 //! is exactly what the paper's tooling uses, so we reproduce it; the
 //! resulting sub-flows never share an edge, so max-min fairness can treat
 //! them independently.
+//!
+//! On a graph with transit nodes (see [`Graph::set_transit`]) every
+//! search crosses them through the graph's two-hop index, masked or not,
+//! with the paths of plain searches bit for bit: the first search runs
+//! unmasked, and as each path is masked, the neighbours of its transit
+//! nodes (and of every transit endpoint of a `disabled` edge) become
+//! *exposed*, and cross their transit neighbours pair by pair against the
+//! mask instead of through the index.
 
 use crate::graph::{Graph, NodeId};
 use crate::shortest::{DijkstraWorkspace, Path};
@@ -16,7 +24,9 @@ use crate::shortest::{DijkstraWorkspace, Path};
 ///
 /// Returns fewer than `k` paths (possibly zero) when the graph runs out of
 /// edge-disjoint routes. `disabled` optionally pre-disables edges (e.g.
-/// failed links); it is not modified.
+/// failed links); it is not modified. When `source == target` the one
+/// path is the zero-hop `[source]`, returned once (for `k ≥ 1`): it masks
+/// no edge, so the next search would only find it again.
 pub fn k_edge_disjoint_paths(
     g: &Graph,
     source: NodeId,
@@ -37,7 +47,10 @@ pub fn k_edge_disjoint_paths(
 /// [`k_edge_disjoint_paths`] reusing the caller's warm workspace: all
 /// SSSP buffers and the working edge mask are amortized across calls.
 /// Each search is a one-target [`DijkstraWorkspace::run_multi`], so the
-/// many pairs routed over one snapshot share its landmark table.
+/// many pairs routed over one snapshot share its landmark table, and,
+/// masked or not, each crosses transit nodes as an unmasked one does.
+/// Without `disabled`, the first search runs unmasked, and `k = 1`
+/// takes no mask at all.
 pub fn k_edge_disjoint_paths_with(
     g: &Graph,
     source: NodeId,
@@ -46,28 +59,47 @@ pub fn k_edge_disjoint_paths_with(
     disabled: Option<&[bool]>,
     ws: &mut DijkstraWorkspace,
 ) -> Vec<Path> {
-    let mut mask = ws.take_mask(g.num_edges());
+    let transit = g.transit();
+    ws.clear_exposed(g.num_nodes());
+    let mut mask = None;
     if let Some(d) = disabled {
         // lint: allow(panic-reachable) caller contract: the disabled mask is indexed by edge id; a mismatch means it was built for a different graph
         assert_eq!(d.len(), g.num_edges());
-        mask.copy_from_slice(d);
+        let mut m = ws.take_mask(d.len());
+        m.copy_from_slice(d);
+        for r in transit.clone() {
+            if g.neighbors(r).iter().any(|h| d[h.edge as usize]) {
+                ws.expose(g, r);
+            }
+        }
+        mask = Some(m);
     }
     let mut out = Vec::with_capacity(k);
-    for _ in 0..k {
+    while out.len() < k {
         let found = ws
-            .run_multi(g, source, Some(&mask), std::slice::from_ref(&target))
+            .run_exposed(g, source, mask.as_deref(), target)
             .extract_path(target);
-        match found {
-            Some(p) => {
-                for &e in &p.edges {
-                    mask[e as usize] = true;
-                }
-                out.push(p);
+        let Some(p) = found else { break };
+        // A path without edges (`source == target`) masks nothing, so
+        // the next search would find it again.
+        let last = p.edges.is_empty() || out.len() + 1 == k;
+        if !last {
+            let m = mask.get_or_insert_with(|| ws.take_mask(g.num_edges()));
+            for &e in &p.edges {
+                m[e as usize] = true;
             }
-            None => break,
+            for &v in p.nodes.iter().filter(|v| transit.contains(v)) {
+                ws.expose(g, v);
+            }
+        }
+        out.push(p);
+        if last {
+            break;
         }
     }
-    ws.put_mask(mask);
+    if let Some(m) = mask {
+        ws.put_mask(m);
+    }
     out
 }
 
@@ -122,6 +154,61 @@ mod tests {
         let paths = k_edge_disjoint_paths(&g, 0, 3, 4, Some(&disabled));
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].nodes, vec![0, 2, 3]);
+    }
+
+    /// A path from a node to itself has no edge to mask: it comes back
+    /// once, not `k` times.
+    #[test]
+    fn same_source_and_target_returns_the_zero_hop_path_once() {
+        let g = two_route();
+        let zero_hop = Path {
+            nodes: vec![2],
+            edges: vec![],
+            total_weight: 0.0,
+        };
+        assert_eq!(k_edge_disjoint_paths(&g, 2, 2, 4, None), vec![zero_hop]);
+        assert!(k_edge_disjoint_paths(&g, 2, 2, 0, None).is_empty());
+    }
+
+    /// Relays 5 and 6 both join nodes 1 and 2, which nodes 0 and 3 reach
+    /// by two parallel links each, and relay 7 joins node 0 to node 4.
+    /// The pair `1 → 5 → 2` weighs 2 and `1 → 6 → 2` 10, so the two-hop
+    /// index keeps only relay 5's pairs. Once relay 5 has a masked link,
+    /// by the first path or by `disabled`, nodes 1 and 2 are exposed and
+    /// cross relay 6 pair by pair, as the unmarked graph's plain searches
+    /// do, still without settling it or relay 7.
+    #[test]
+    fn exposed_nodes_cross_the_relays_the_index_dropped() {
+        let mut b = GraphBuilder::new(8);
+        for (u, v) in [(0, 1), (0, 1), (2, 3), (2, 3)] {
+            b.add_edge(u, v, 1.0);
+        }
+        for (u, v, w) in [(1, 5, 1.0), (5, 2, 1.0), (1, 6, 5.0), (6, 2, 5.0)] {
+            b.add_edge(u, v, w);
+        }
+        b.add_edge(0, 7, 1.0);
+        b.add_edge(7, 4, 1.0);
+        let plain = b.build();
+        let mut g = plain.clone();
+        g.set_transit(5);
+        assert_eq!(g.two_hop_pairs(), Some(4), "relay 6's pairs dropped");
+        let mut ws = DijkstraWorkspace::new();
+        let paths = k_edge_disjoint_paths_with(&g, 0, 3, 2, None, &mut ws);
+        let view = ws.view();
+        assert!(view.reached(4) && !view.reached(6) && !view.reached(7));
+        assert_eq!(paths, k_edge_disjoint_paths(&plain, 0, 3, 2, None));
+        let nodes: Vec<_> = paths.iter().map(|p| p.nodes.clone()).collect();
+        assert_eq!(nodes, [vec![0, 1, 5, 2, 3], vec![0, 1, 6, 2, 3]]);
+        assert_eq!(paths[1].total_weight, 12.0);
+        let mut disabled = vec![false; g.num_edges()];
+        disabled[5] = true; // 5-2
+        let paths = k_edge_disjoint_paths_with(&g, 0, 3, 4, Some(&disabled), &mut ws);
+        assert_eq!(
+            paths,
+            k_edge_disjoint_paths(&plain, 0, 3, 4, Some(&disabled))
+        );
+        let nodes: Vec<_> = paths.iter().map(|p| p.nodes.clone()).collect();
+        assert_eq!(nodes, [vec![0, 1, 6, 2, 3]]);
     }
 
     #[test]

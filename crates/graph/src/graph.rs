@@ -618,6 +618,22 @@ impl Graph {
     /// neighbours that way and the weights pass a guard: `w_min` is
     /// normal and at least `2⁻²⁴·D`.
     ///
+    /// The searches of [`crate::k_edge_disjoint_paths_with`] cross
+    /// transit nodes under their mask too. Call a non-transit node
+    /// *exposed* when it neighbours a transit node with a masked link: a
+    /// transit node on an earlier path, or a transit endpoint of a
+    /// `disabled` edge. Such a search checks the mask on every direct
+    /// link; an exposed node crosses its transit neighbours without the
+    /// index, offering the fold through every `u → r → v` whose two links
+    /// are unmasked, and every other node through its kept pairs, none of
+    /// which has a masked link. An exposed node skips a transit node `r`
+    /// that an earlier exposed node of the same search offered a strictly
+    /// smaller fold `fl(d(x) + w(x, r))`: that crossing made every offer
+    /// through `r` this one would make, each with a smaller label and a
+    /// fold no larger, so none of these could win or win a tie. A public
+    /// masked `run_multi` cannot tell where its mask touches transit
+    /// nodes, and stays plain.
+    ///
     /// **Why a contracted search is bit-identical.** Let `ε = 2⁻⁵³`. `D`
     /// bounds every label, as in [`Graph::lambda`], and the guard makes
     /// `fl(d + w) > d` for every label `d` and weight `w`: no weight is
@@ -636,6 +652,15 @@ impl Graph {
     ///   `d ≤ D`, its fold exceeds that of the pair giving `s*` by more
     ///   than `M − 5ε·D − 16ε·w_max > 0`, for every label `d`. So a
     ///   dropped pair never gives a minimum, and never ties one.
+    /// * *Masks.* Under a mask, a plain search enters and leaves `r` over
+    ///   unmasked links only, so each minimum above is over the pairs
+    ///   whose two links are unmasked. A non-exposed `u` has no masked
+    ///   link at any transit neighbour: all of its pairs are unmasked,
+    ///   the kept ones and the one giving `s*` alike, so a dropped pair
+    ///   still loses to a pair the search offers, by the margin. An
+    ///   exposed `u` offers every unmasked pair, dropped or not. So each
+    ///   node offers, under the mask, every fold that can give a minimum
+    ///   or tie one, and the arguments below hold as without a mask.
     /// * *Order.* Keys grow strictly along every real edge (the proof in
     ///   [`Graph::lambda`]; with λ = 0 the key is the label, and the
     ///   guard makes it grow), hence along every two-hop entry. So the
@@ -648,7 +673,8 @@ impl Graph {
     ///   parallel edge: the smallest `(dist, node, edge)`. Every candidate
     ///   has a smaller key than `v`, and so does the canonical parent `x`
     ///   of a transit candidate `r`, whose pair `x → r → v` gives `d(v)`
-    ///   and is kept. So before `v` settles every candidate has made its
+    ///   and so is kept, or, under a mask, offered by an exposed `x`.
+    ///   So before `v` settles every candidate has made its
     ///   offer, a transit one with `d(r)` as its label, and on exact ties
     ///   the search keeps the offer with the smallest `(label, node,
     ///   edge)`. An offer through `r` from another neighbour carries a

@@ -29,8 +29,11 @@
 //! unmasked `run_multi` toward non-transit targets settles non-transit
 //! nodes only, goal-directed or plain, and crosses the transit nodes
 //! through the graph's two-hop index, again with every distance and path
-//! bit-identical. Masked runs and [`DijkstraWorkspace::run`] settle every
-//! node, as before.
+//! bit-identical. So does every search of
+//! [`crate::k_edge_disjoint_paths_with`], masked or not: it tells its
+//! runs which nodes lie next to a masked transit link, and those cross
+//! their transit neighbours without the index. A public masked
+//! `run_multi` and [`DijkstraWorkspace::run`] settle every node.
 
 use crate::graph::{dist_sq, EdgeId, Graph, HalfEdge, NodeId, LAMBDA_MARGIN, LANDMARKS};
 use crate::transit::TwoHop;
@@ -283,6 +286,9 @@ pub struct DijkstraWorkspace {
     target_stamp: Vec<u32>,
     /// Current generation; bumped by every run, never 0 after the first.
     gen: u32,
+    /// Labels. In a masked run that crosses transit nodes, a transit
+    /// node's entry holds the smallest fold into it that an exposed
+    /// node's crossing has offered (see [`DijkstraWorkspace::settle`]).
     dist: Vec<f64>,
     parent_edge: Vec<EdgeId>,
     parent_node: Vec<NodeId>,
@@ -296,6 +302,14 @@ pub struct DijkstraWorkspace {
     /// Whether the most recent run crossed transit nodes through a
     /// two-hop index.
     crossed: bool,
+    /// `exposed[v] == exposed_gen` iff `v` is *exposed*: a neighbour of
+    /// a transit node with a masked link, in the mask of the current
+    /// [`crate::k_edge_disjoint_paths_with`] call (see
+    /// [`DijkstraWorkspace::expose`]).
+    exposed: Vec<u32>,
+    /// The exposed set's generation, bumped by
+    /// [`DijkstraWorkspace::clear_exposed`].
+    exposed_gen: u32,
     heap: NodeHeap,
     /// Loanable scratch mask, used by the multi-path algorithms.
     mask_buf: Vec<bool>,
@@ -387,7 +401,7 @@ impl DijkstraWorkspace {
         disabled: Option<&[bool]>,
         target: Option<NodeId>,
     ) -> SsspView<'_> {
-        self.run_core(g, source, disabled, target.as_slice(), false)
+        self.run_core(g, source, disabled, target.as_slice(), Shortcuts::Line)
     }
 
     /// Like [`DijkstraWorkspace::run`] with a *set* of early-exit targets:
@@ -414,7 +428,10 @@ impl DijkstraWorkspace {
     /// it crosses transit nodes through the graph's two-hop index, built
     /// on the graph's first such run, and reports them unreached. The
     /// source is settled even when it is a transit node. Paths through
-    /// transit nodes extract as usual.
+    /// transit nodes extract as usual. A masked run settles every node
+    /// it reaches: only [`crate::k_edge_disjoint_paths_with`], which
+    /// knows where its mask touches transit nodes, crosses them under a
+    /// mask.
     ///
     /// This is the experiment-loop shape: one source city, a handful of
     /// destination cities, and a constellation graph whose far side never
@@ -429,13 +446,52 @@ impl DijkstraWorkspace {
         disabled: Option<&[bool]>,
         targets: &[NodeId],
     ) -> SsspView<'_> {
-        self.run_core(g, source, disabled, targets, true)
+        self.run_core(g, source, disabled, targets, Shortcuts::Multi)
     }
 
-    /// One run; `multi` gives it `run_multi`'s shortcuts: a goal-directed
-    /// run uses (and builds) the graph's landmark table, and an unmasked
-    /// run toward non-transit targets crosses transit nodes through the
-    /// graph's two-hop index (and builds that).
+    /// A one-target `run_multi` under the working mask of
+    /// [`crate::k_edge_disjoint_paths_with`], which has exposed (see
+    /// [`DijkstraWorkspace::expose`]) every neighbour of a transit node
+    /// with a masked link. Unlike a public masked `run_multi`, it
+    /// crosses transit nodes even under the mask: through the two-hop
+    /// index from every node but the exposed ones, which check each
+    /// relay pair against the mask instead, skipping a relay an earlier
+    /// exposed node offered a smaller fold (see [`Graph::set_transit`]).
+    pub(crate) fn run_exposed(
+        &mut self,
+        g: &Graph,
+        source: NodeId,
+        disabled: Option<&[bool]>,
+        target: NodeId,
+    ) -> SsspView<'_> {
+        let targets = std::slice::from_ref(&target);
+        self.run_core(g, source, disabled, targets, Shortcuts::Exposed)
+    }
+
+    /// Start an empty exposed set for a search over an `n`-node graph.
+    pub(crate) fn clear_exposed(&mut self, n: usize) {
+        if self.exposed.len() < n {
+            self.exposed.resize(n, 0);
+        }
+        self.exposed_gen = self.exposed_gen.wrapping_add(1);
+        if self.exposed_gen == 0 {
+            // u32 wrap, as in `begin`.
+            self.exposed.fill(0);
+            self.exposed_gen = 1;
+        }
+    }
+
+    /// Expose every neighbour of transit node `r`, one of whose links the
+    /// caller has masked (or is about to): from then on, until the next
+    /// [`DijkstraWorkspace::clear_exposed`], `run_exposed` crosses its
+    /// transit neighbours without the two-hop index.
+    pub(crate) fn expose(&mut self, g: &Graph, r: NodeId) {
+        for h in g.neighbors(r) {
+            self.exposed[h.to as usize] = self.exposed_gen;
+        }
+    }
+
+    /// One run, with the given shortcuts (see [`Shortcuts`]).
     // lint: hot-path
     fn run_core(
         &mut self,
@@ -443,7 +499,7 @@ impl DijkstraWorkspace {
         source: NodeId,
         disabled: Option<&[bool]>,
         targets: &[NodeId],
-        multi: bool,
+        shortcuts: Shortcuts,
     ) -> SsspView<'_> {
         let n = g.num_nodes();
         // lint: allow(panic-reachable) documented `# Panics` contract: buffers a warm workspace grew for a larger graph would take the node without a bounds-check failure
@@ -462,6 +518,7 @@ impl DijkstraWorkspace {
             1..=GOAL_MAX_TARGETS => g.lambda(),
             _ => 0.0,
         };
+        let multi = shortcuts != Shortcuts::Line;
         let rows = match (multi && lambda > 0.0, g.landmarks.get()) {
             (false, _) => None,
             (true, Some(rows)) => Some(rows.as_slice()),
@@ -475,8 +532,12 @@ impl DijkstraWorkspace {
                 Some(rows.as_slice())
             }
         };
-        let hops = match (multi, disabled, g.transit().start) {
-            (true, None, first) if targets.iter().all(|&t| t < first) => g.two_hop(),
+        let hops = match (shortcuts, disabled, g.transit().start) {
+            (Shortcuts::Multi, None, first) | (Shortcuts::Exposed, _, first)
+                if targets.iter().all(|&t| t < first) =>
+            {
+                g.two_hop()
+            }
             _ => None,
         };
         self.crossed = hops.is_some();
@@ -526,9 +587,12 @@ impl DijkstraWorkspace {
     /// rule (see [`Graph::lambda`]). `HOPS = true` settles non-transit
     /// nodes only: each relaxes its non-transit neighbours directly and
     /// crosses its transit ones through `hops`, the graph's two-hop index,
-    /// with the tie rule in both settle orders (see [`Graph::set_transit`]).
-    /// `pending` counts the distinct targets not yet settled (0: run to
-    /// exhaustion). Returns the number of nodes settled.
+    /// with the tie rule in both settle orders (see [`Graph::set_transit`]);
+    /// under a mask, an exposed node crosses every unmasked relay pair
+    /// instead, but skips a transit node that an earlier such crossing
+    /// offered a smaller fold. `pending` counts the distinct targets not
+    /// yet settled (0: run to exhaustion). Returns the number of nodes
+    /// settled.
     // lint: hot-path
     fn settle<const GOAL: bool, const HOPS: bool>(
         &mut self,
@@ -560,20 +624,47 @@ impl DijkstraWorkspace {
             let d = if GOAL { self.dist[ui] } else { key };
             if let Some(ix) = hops.filter(|ix| HOPS && u < ix.first) {
                 for h in ix.direct(g, u) {
+                    if let Some(mask) = disabled {
+                        if mask[h.edge as usize] {
+                            continue;
+                        }
+                    }
                     self.offer::<GOAL, true>(&aim, d + h.weight, Via::direct(d, u, h), h.to);
                 }
+                if let Some(mask) = disabled.filter(|_| self.exposed[ui] == self.exposed_gen) {
+                    // Next to a masked transit link: the index's pairs
+                    // were kept against pairs the mask may cut, so cross
+                    // every unmasked pair instead.
+                    for hr in ix.relays(g, u) {
+                        if mask[hr.edge as usize] {
+                            continue;
+                        }
+                        let (r, dr) = (hr.to as usize, d + hr.weight);
+                        // A transit node that a full crossing offered a
+                        // smaller fold, or the source, already gave each
+                        // neighbour a better offer than this one would.
+                        if self.stamp[r] == gen && (self.settled[r] || dr > self.dist[r]) {
+                            continue;
+                        }
+                        self.stamp[r] = gen;
+                        self.dist[r] = dr;
+                        self.settled[r] = false;
+                        for hv in g.neighbors(hr.to) {
+                            if hv.to == u || mask[hv.edge as usize] {
+                                continue;
+                            }
+                            let via = Via::crossing(dr, u, hr, hv);
+                            self.offer::<GOAL, true>(&aim, dr + hv.weight, via, hv.to);
+                        }
+                    }
+                    continue;
+                }
                 // Each relay pair `u → r → v`, with the plain search's
-                // folds through `r`.
+                // folds through `r`; none has a masked link.
                 for &[a, b] in ix.hops(u) {
                     let (hr, hv) = (g.half_edge(a), g.half_edge(b));
                     let dr = d + hr.weight;
-                    let via = Via {
-                        d: dr,
-                        node: hr.to,
-                        edge: hv.edge,
-                        hop: u,
-                        hop_edge: hr.edge,
-                    };
+                    let via = Via::crossing(dr, u, hr, hv);
                     self.offer::<GOAL, true>(&aim, dr + hv.weight, via, hv.to);
                 }
                 continue;
@@ -741,7 +832,8 @@ impl DijkstraWorkspace {
     /// (all non-transit), the smallest `fl(d(x) + w)`, as a plain search
     /// settles it (see [`Graph::set_transit`]).
     fn full_dists(&mut self, g: &Graph, source: NodeId, out: &mut Vec<f64>) {
-        self.run_core(g, source, None, &[], true).write_dists(out);
+        self.run_core(g, source, None, &[], Shortcuts::Multi)
+            .write_dists(out);
         for r in g.transit() {
             let ri = r as usize;
             if out[ri].is_infinite() {
@@ -817,6 +909,19 @@ impl Via {
             hop_edge: EdgeId::MAX,
         }
     }
+
+    /// Relay pair `u → r → v`, half-edges `hr` of `u` and `hv` of `r`,
+    /// where `dr` is the fold into `r`.
+    #[inline(always)]
+    fn crossing(dr: f64, u: NodeId, hr: &HalfEdge, hv: &HalfEdge) -> Self {
+        Via {
+            d: dr,
+            node: hr.to,
+            edge: hv.edge,
+            hop: u,
+            hop_edge: hr.edge,
+        }
+    }
 }
 
 /// The part of a node's parent record that only a run crossing transit
@@ -837,6 +942,20 @@ impl Hop {
         node: NodeId::MAX,
         edge: EdgeId::MAX,
     };
+}
+
+/// The shortcuts a run takes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Shortcuts {
+    /// [`DijkstraWorkspace::run`]'s: a goal-directed run adds the
+    /// straight-line bound alone, and every node settles.
+    Line,
+    /// [`DijkstraWorkspace::run_multi`]'s: the landmark bound too, and an
+    /// unmasked run crosses transit nodes.
+    Multi,
+    /// [`DijkstraWorkspace::run_exposed`]'s: as `Multi`, and a masked run
+    /// crosses transit nodes too, reading the exposed set.
+    Exposed,
 }
 
 /// Most distinct targets a goal-directed run aims at; runs with more are

@@ -34,6 +34,13 @@ impl TwoHop {
         &g.neighbors(u)[..self.direct_len[u as usize] as usize]
     }
 
+    /// Node `u`'s half-edges toward transit nodes, the rest of its
+    /// adjacency; `u` must be below [`TwoHop::first`].
+    #[inline]
+    pub(crate) fn relays<'g>(&self, g: &'g Graph, u: NodeId) -> &'g [HalfEdge] {
+        &g.neighbors(u)[self.direct_len[u as usize] as usize..]
+    }
+
     /// Node `u`'s relay pairs; `u` must be below [`TwoHop::first`].
     #[inline]
     pub(crate) fn hops(&self, u: NodeId) -> &[[u32; 2]] {

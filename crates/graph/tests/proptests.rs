@@ -476,13 +476,16 @@ fn arb_transit_graph(gen: &mut Gen) -> Graph {
 /// transit target, settle exactly what the unmarked graph's do. Full
 /// searches from every non-transit node extract the same path to every
 /// non-transit node, and landmark tables, whose searches cross transit
-/// nodes too, are bit-identical.
+/// nodes too, are bit-identical. So are 1 to 5 edge-disjoint paths
+/// toward each target, with and without a random `disabled`, whose
+/// searches cross transit nodes under their mask.
 /// Counted: runs that used the index, from a transit source, past the
-/// cap and at λ = 0, and the tables compared.
+/// cap and at λ = 0, the tables compared, and the cases where a search
+/// under a mask stepped from an exposed node onto a transit node.
 #[test]
 fn transit_contraction_is_bit_identical_to_dijkstra() {
     let (mut ws, mut plain_ws) = (DijkstraWorkspace::new(), DijkstraWorkspace::new());
-    let mut counts = [0usize; 5];
+    let mut counts = [0usize; 6];
     check("transit_contraction_is_bit_identical_to_dijkstra", |gen| {
         let g = arb_transit_graph(gen);
         let n = g.num_nodes() as u32;
@@ -575,15 +578,61 @@ fn transit_contraction_is_bit_identical_to_dijkstra() {
                 check_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "row {v}");
             }
         }
+        let k = gen.usize(1..6);
+        let disabled: Vec<bool> = (0..g.num_edges()).map(|_| gen.u32(0..8) == 0).collect();
+        let disabled = gen.bool().then_some(disabled.as_slice());
+        let mut exposed = false;
+        for &t in &targets {
+            let got = k_edge_disjoint_paths_with(&g, source, t, k, disabled, &mut ws);
+            let want = k_edge_disjoint_paths_with(&plain, source, t, k, disabled, &mut plain_ws);
+            exposed |=
+                t < first && g.two_hop_pairs().is_some() && crosses_at_exposed(&g, &got, disabled);
+            check_assert_eq!(
+                got.into_iter().map(|p| path(Some(p))).collect::<Vec<_>>(),
+                want.into_iter().map(|p| path(Some(p))).collect::<Vec<_>>(),
+                "k = {k}, target {t}"
+            );
+        }
+        counts[5] += usize::from(exposed);
         Ok(())
     });
-    let [contracted, transit_sources, over_cap, plain_keys, tables] = counts;
+    let [contracted, transit_sources, over_cap, plain_keys, tables, exposed] = counts;
     assert!(
         contracted > 128 && transit_sources > 16 && over_cap > 8 && plain_keys > 16,
         "{contracted} of 256 cases used the index: {transit_sources} from a transit source, \
          {over_cap} past the cap, {plain_keys} at λ = 0"
     );
     assert!(tables > 32, "only {tables} landmark tables compared");
+    assert!(
+        exposed > 64,
+        "only {exposed} cases crossed a transit node from an exposed node"
+    );
+}
+
+/// Whether one of `paths`, edge-disjoint paths found in order under
+/// `disabled`, steps from an *exposed* node onto a transit node: from a
+/// neighbour of a transit node with a link masked by `disabled` or by an
+/// earlier path.
+fn crosses_at_exposed(g: &Graph, paths: &[Path], disabled: Option<&[bool]>) -> bool {
+    let transit = g.transit();
+    let mut mask = disabled.map_or_else(|| vec![false; g.num_edges()], <[bool]>::to_vec);
+    for p in paths {
+        let dirty = |r: NodeId| g.neighbors(r).iter().any(|h| mask[h.edge as usize]);
+        let exposed = |x: NodeId| {
+            g.neighbors(x)
+                .iter()
+                .any(|h| transit.contains(&h.to) && dirty(h.to))
+        };
+        let step =
+            |w: &[NodeId]| !transit.contains(&w[0]) && transit.contains(&w[1]) && exposed(w[0]);
+        if p.nodes.windows(2).any(step) {
+            return true;
+        }
+        for &e in &p.edges {
+            mask[e as usize] = true;
+        }
+    }
+    false
 }
 
 /// A lazy-deletion queue entry of [`lazy_reference_run`], min-ordered by

@@ -6,8 +6,10 @@
 # the tracked bench-scale goldens, so they run in a separate directory:
 # DIR if given (created if missing), else a fresh `mktemp -d`. Their
 # output also goes to DIR/paper_scale_run.log, and the last line printed
-# is DIR. On 2 vCPUs fig2 takes ~37 s and fig4 ~1.5 min (measured with
-# LEO_LOG=info); both use every core. Exits 1 if a figure fails.
+# is DIR. On 2 vCPUs fig2 takes ~35 s and fig4 ~28 s (measured with
+# LEO_LOG=off); both use every core. Exits 1 if a figure fails. With
+# LEO_LOG=off the log is byte for byte results/paper_scale_run.log,
+# which scripts/ci.sh compares it with under LEO_CI_PAPER_SMOKE=1.
 #
 # Usage: sh run_paper_scale.sh [DIR]
 set -eu

@@ -54,9 +54,13 @@
 #    times may drift, and those are informational. The lane also
 #    exercises --assert-peak-rss-mb on the second run with a generous
 #    Tiny budget.
-# 8. Paper-scale RSS smoke (opt-in: LEO_CI_PAPER_SMOKE=1, ~40 s on
+# 8. Paper-scale smoke (opt-in: LEO_CI_PAPER_SMOKE=1, ~2 min on
 #    2 vCPUs): run the full 96-snapshot paper-scale fig2 under
-#    heartbeats and require peak RSS under a fixed 512 MiB budget.
+#    heartbeats and require peak RSS under a fixed 512 MiB budget,
+#    then run `run_paper_scale.sh` (fig2 and fig4 --disconnected at
+#    paper scale, LEO_LOG=off) and `cmp` its log against the tracked
+#    results/paper_scale_run.log, so a change that moves a paper-scale
+#    figure byte fails here.
 #    The streaming drivers hold per-snapshot samples only inside
 #    fixed-size sketches, so memory is O(1) in snapshot count —
 #    observed peak is 224.7 MiB of VmHWM in 36.7 s (this lane's
@@ -251,6 +255,9 @@ if [ "${LEO_CI_PAPER_SMOKE:-0}" = "1" ]; then
         "$repo_root"/target/release/fig2_latency --scale paper > /dev/null)
     cargo run -q --release --offline -p leo-bench --bin leo-report -- \
         --assert-peak-rss-mb 512 "$paper_dir/RUN_fig2_latency.jsonl"
+    echo "== paper-scale figures vs tracked results/paper_scale_run.log =="
+    LEO_LOG=off sh "$repo_root"/run_paper_scale.sh "$paper_dir/figures" > /dev/null
+    cmp "$repo_root"/results/paper_scale_run.log "$paper_dir/figures/paper_scale_run.log"
     rm -rf "$paper_dir"
 fi
 

@@ -12,7 +12,9 @@
 use leo_core::{
     EdgeKind, ExperimentScale, Mode, NetworkSnapshot, NodeKind, StudyContext, TimeSweep,
 };
-use leo_graph::{DijkstraWorkspace, Graph, GraphBuilder, SptWorkspace};
+use leo_graph::{
+    k_edge_disjoint_paths_with, DijkstraWorkspace, Graph, GraphBuilder, Path, SptWorkspace,
+};
 use leo_util::check::check_with;
 use leo_util::{check_assert, check_assert_eq};
 
@@ -310,7 +312,9 @@ fn spt_repairs_match_fresh_dijkstra_through_sweep_deltas() {
 /// index changes no search. On a Tiny sweep in all three modes, every
 /// `pairs_by_src` search reports the same distance bits and paths as on
 /// the same graph unmarked, and settles no relay or aircraft, and the
-/// landmark tables are bit-identical.
+/// landmark tables are bit-identical. In BP and hybrid modes, every
+/// pair's k = 4 edge-disjoint paths, whose later searches cross relays
+/// under their mask, are the unmarked graph's too.
 #[test]
 fn transit_searches_match_the_unmarked_graph() {
     const MODES: [Mode; 3] = [Mode::BpOnly, Mode::Hybrid, Mode::IslOnly];
@@ -319,7 +323,7 @@ fn transit_searches_match_the_unmarked_graph() {
     let mut sweep = TimeSweep::new(&c, &MODES);
     let (mut ws, mut plain_ws) = (DijkstraWorkspace::new(), DijkstraWorkspace::new());
     let mut targets = Vec::new();
-    let mut searches = 0;
+    let (mut searches, mut disjoint_pairs) = (0, 0);
     for t in [0.0, 900.0, 43_200.0] {
         for (snap, mode) in sweep.step(t).iter().zip(MODES) {
             let n = snap.graph.num_nodes() as u32;
@@ -366,6 +370,24 @@ fn transit_searches_match_the_unmarked_graph() {
                 );
                 searches += 1;
             }
+            if mode != Mode::IslOnly {
+                for pair in &c.pairs {
+                    let (s, d) = (
+                        snap.city_node(pair.src as usize),
+                        snap.city_node(pair.dst as usize),
+                    );
+                    let got = k_edge_disjoint_paths_with(&snap.graph, s, d, 4, None, &mut ws);
+                    let want = k_edge_disjoint_paths_with(&plain, s, d, 4, None, &mut plain_ws);
+                    let bits = |paths: Vec<Path>| {
+                        paths
+                            .into_iter()
+                            .map(|p| (p.nodes, p.edges, p.total_weight.to_bits()))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(got), bits(want), "{what}: {s} → {d}, k = 4");
+                    disjoint_pairs += 1;
+                }
+            }
             let (rows, want) = (
                 ws.landmark_table(&snap.graph),
                 plain_ws.landmark_table(&plain),
@@ -376,4 +398,9 @@ fn transit_searches_match_the_unmarked_graph() {
         }
     }
     assert!(searches >= 9 * 10, "only {searches} searches");
+    assert_eq!(
+        disjoint_pairs,
+        3 * 2 * c.pairs.len(),
+        "k = 4 pairs compared"
+    );
 }
