@@ -86,11 +86,11 @@ impl AttenuationModel {
         a_g + ((a_r + a_c).powi(2) + a_s * a_s).sqrt()
     }
 
-    /// Fraction of transmitted power surviving attenuation `a_db`
-    /// (`10^(−A/10)`); the paper quotes e.g. "5 dB = 44 % received power
-    /// reduction" i.e. 56 % surviving... (10^(−0.5) ≈ 0.316 — the paper's
-    /// 44 %/56 % figures refer to the affected-link margin; we expose the
-    /// plain conversion).
+    /// Fraction of transmitted power surviving attenuation `a_db`:
+    /// `10^(−A/10)`. 1 dB leaves 79.4 % (20.6 % less received power),
+    /// 3 dB about half and 10 dB a tenth. (The paper's percentages, such
+    /// as "5 dB = 44 % received power reduction", match the amplitude
+    /// ratio `10^(−A/20)` instead: 56 % at 5 dB, 89 % at 1 dB.)
     pub fn received_power_fraction(a_db: f64) -> f64 {
         10f64.powf(-a_db / 10.0)
     }
@@ -164,9 +164,8 @@ mod tests {
         assert!((AttenuationModel::received_power_fraction(0.0) - 1.0).abs() < 1e-12);
         assert!((AttenuationModel::received_power_fraction(3.0) - 0.501).abs() < 0.01);
         assert!((AttenuationModel::received_power_fraction(10.0) - 0.1).abs() < 1e-9);
-        // The paper: 1 dB lower attenuation ⇒ 11% more received power...
-        // 10^(0.1) = 1.259; "more than 1 dB lower" median translating to
-        // ~11% likely uses ~0.45 dB; we just check the formula shape.
+        // A 1 dB gap, the paper's Fig. 6 median: 79.4 % of the power
+        // survives, 20.6 % less than with no attenuation.
         let r1 = AttenuationModel::received_power_fraction(1.0);
         assert!((r1 - 0.794).abs() < 0.01);
     }

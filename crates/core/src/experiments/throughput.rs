@@ -8,7 +8,7 @@
 //! of prior work that the paper §3 criticizes.
 
 use crate::par::parallel_map;
-use crate::snapshot::{EdgeKind, Mode, NetworkSnapshot, StudyContext};
+use crate::snapshot::{Mode, NetworkSnapshot, StudyContext};
 use leo_flow::{FlowSim, FlowWorkspace};
 use leo_graph::{
     k_edge_disjoint_paths_with, max_flow, with_thread_workspace, EdgeId, FlowNetwork, NodeId, Path,
@@ -196,7 +196,7 @@ pub fn isl_capacity_sweep(
     let mut hybrid = route_flows(ctx, &snaps[1], k, gt * ratios[0]);
     for &r in ratios {
         for e in 0..snaps[1].edges.len() as u32 {
-            if matches!(snaps[1].edges[e as usize], EdgeKind::Isl) {
+            if snaps[1].edges.is_isl(e) {
                 hybrid.sim.set_link_capacity(e, gt * r);
             }
         }
@@ -351,7 +351,7 @@ pub fn lax_maxflow_gbps(ctx: &StudyContext, t_s: f64, mode: Mode) -> f64 {
 mod tests {
     use super::*;
     use crate::config::ExperimentScale;
-    use crate::snapshot::NodeKind;
+    use crate::snapshot::{EdgeKind, NodeKind};
 
     fn ctx() -> StudyContext {
         StudyContext::build(ExperimentScale::Tiny.config())
@@ -470,7 +470,7 @@ mod tests {
         }
         NetworkSnapshot {
             graph: b.build(),
-            edges,
+            edges: edges.into(),
             nodes: snap.nodes.clone(),
             ground_positions: snap.ground_positions.clone(),
             ..*snap
@@ -538,7 +538,7 @@ mod tests {
     /// with `edges` written in the order given.
     fn hand_built(s: usize, ground: &[NodeKind], edges: &[(NodeId, NodeId)]) -> NetworkSnapshot {
         let mut b = leo_graph::GraphBuilder::new(s + ground.len());
-        let kinds = edges
+        let kinds: Vec<EdgeKind> = edges
             .iter()
             .map(|&(u, v)| {
                 b.add_edge(u, v, 1e-3);
@@ -560,7 +560,7 @@ mod tests {
                 .map(NodeKind::Satellite)
                 .chain(ground.iter().copied())
                 .collect(),
-            edges: kinds,
+            edges: kinds.into(),
             ground_positions: vec![leo_geo::GeoPoint::from_degrees(0.0, 0.0); ground.len()],
             num_satellites: s,
             num_aircraft: 0,

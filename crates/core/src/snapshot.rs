@@ -23,7 +23,10 @@ use crate::config::{NetworkConfig, StudyConfig};
 use crate::ground::GroundSegment;
 use leo_data::flights::{Aircraft, FlightSchedule};
 use leo_data::traffic::{sample_city_pairs, CityPair};
-use leo_geo::{CellGrid, CellOrder, Ecef, GeoPoint, VisibilityScan, SPEED_OF_LIGHT_M_S};
+use leo_geo::{
+    elevation_from_cos_zenith, CellGrid, CellOrder, Ecef, GeoPoint, VisibilityScan,
+    SPEED_OF_LIGHT_M_S,
+};
 use leo_graph::{EdgeId, Graph, NodeId};
 use leo_orbit::{
     isl_line_of_sight, plus_grid_isls, CellTransition, Constellation, ConstellationSnapshot,
@@ -32,6 +35,7 @@ use leo_orbit::{
 use leo_util::telemetry::{enabled, Counter, Level};
 use leo_util::{debug_span, span};
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Telemetry: snapshots frozen across all experiments (the unit of work
 /// the pipeline fans out over).
@@ -49,7 +53,7 @@ static SWEEP_FULL_REBUILDS: Counter = Counter::new("sweep_full_rebuilds");
 /// satellite.
 static SWEEP_CELL_TRANSITIONS: Counter = Counter::new("sweep_cell_transitions");
 /// Telemetry: GT–satellite links whose membership persisted from the
-/// previous sweep step (only the delay/elevation weights were refreshed).
+/// previous sweep step (only the delay and zenith cosine were refreshed).
 /// Counted for static ground points (cities + relays); aircraft links
 /// are always recomputed because the aircraft themselves move.
 static SWEEP_EDGES_REUSED: Counter = Counter::new("sweep_edges_reused");
@@ -135,11 +139,13 @@ impl NodeKind {
     }
 }
 
-/// What a graph edge represents.
+/// What a graph edge represents: an entry of [`NetworkSnapshot::edges`].
 ///
 /// 16 bytes. The satellite end of an `UpDown` edge is the edge's other
 /// endpoint: snapshot graphs write every ground link as
 /// `(ground, satellite)`, so [`leo_graph::Graph::edge`] returns it second.
+/// Snapshots store no `EdgeKind`s: [`EdgeKinds`] derives them, and the
+/// elevation with them, when an edge kind is first read.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EdgeKind {
     /// Laser inter-satellite link.
@@ -150,9 +156,133 @@ pub enum EdgeKind {
         /// Ground-side node.
         ground: NodeId,
         /// Elevation of the satellite as seen from the ground node,
-        /// radians.
+        /// radians: [`elevation_from_cos_zenith`] of the zenith cosine
+        /// the visibility scan emitted.
         elevation_rad: f64,
     },
+}
+
+/// A snapshot's edge kinds, indexed by [`EdgeId`] as `edges[e as
+/// usize]`: its [`NetworkSnapshot::edges`].
+///
+/// A snapshot stores three inputs, not a table: the ISL count (edges
+/// `0..num_isls` are ISLs), each ground node's link offsets (its links
+/// are the next edges, in node order) and each ground link's zenith
+/// cosine as the visibility scan emitted it — 8 bytes per ground link.
+/// The first read through `[]` or [`EdgeKinds::iter`] derives the
+/// [`EdgeKind`] table from them (16 bytes per edge, one `acos` per ground
+/// link), and the snapshot keeps it until the next sweep step writes the
+/// snapshot over. Only the weather experiments read elevations; everything
+/// else asks [`EdgeKinds::len`] and [`EdgeKinds::is_isl`], which derive
+/// nothing.
+///
+/// A table made from a `Vec<EdgeKind>` (a hand-built snapshot) is read as
+/// given, with its ISLs wherever it lists them.
+#[derive(Debug, Clone, Default)]
+pub struct EdgeKinds {
+    num_isls: usize,
+    /// Node id of the first ground node.
+    first_ground: NodeId,
+    /// Ground node `i`'s links are `cos_zenith[ground_off[i] as
+    /// usize..ground_off[i + 1] as usize]`, edge ids `num_isls` on.
+    ground_off: Vec<u32>,
+    cos_zenith: Vec<f64>,
+    /// The table: derived on first read, or given.
+    table: OnceLock<Vec<EdgeKind>>,
+}
+
+impl EdgeKinds {
+    /// Number of edges.
+    pub fn len(&self) -> usize {
+        match self.table.get() {
+            Some(table) => table.len(),
+            None => self.num_isls + self.cos_zenith.len(),
+        }
+    }
+
+    /// True if the snapshot has no edges.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// True if edge `e` is an ISL. Derives no table: a given table is
+    /// read, and a derived one agrees with the ISL count.
+    #[inline]
+    pub fn is_isl(&self, e: EdgeId) -> bool {
+        match self.table.get() {
+            Some(table) => matches!(table[e as usize], EdgeKind::Isl),
+            None => (e as usize) < self.num_isls,
+        }
+    }
+
+    /// The edge kinds in edge-id order (derives the table).
+    pub fn iter(&self) -> std::slice::Iter<'_, EdgeKind> {
+        self.table().iter()
+    }
+
+    fn table(&self) -> &[EdgeKind] {
+        self.table.get_or_init(|| self.derive_table())
+    }
+
+    fn derive_table(&self) -> Vec<EdgeKind> {
+        // lint: allow(hot-path-alloc) one table per snapshot, derived by its first edge-kind read and kept until the next sweep step
+        let mut table = vec![EdgeKind::Isl; self.num_isls + self.cos_zenith.len()];
+        let links = &mut table[self.num_isls..];
+        for (gi, w) in self.ground_off.windows(2).enumerate() {
+            let ground = self.first_ground + gi as NodeId;
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            for (kind, &c) in links[lo..hi].iter_mut().zip(&self.cos_zenith[lo..hi]) {
+                *kind = EdgeKind::UpDown {
+                    ground,
+                    elevation_rad: elevation_from_cos_zenith(c),
+                };
+            }
+        }
+        table
+    }
+
+    /// Write the table over for a snapshot whose first `num_isls` edges
+    /// are ISLs and whose ground nodes, from `first_ground` on, own the
+    /// arena blocks `link_off` delimits, in order. Drops the derived
+    /// table and keeps every allocation.
+    fn write(&mut self, num_isls: usize, first_ground: NodeId, links: &[Link], link_off: &[u32]) {
+        self.num_isls = num_isls;
+        self.first_ground = first_ground;
+        self.ground_off.clear();
+        self.ground_off.extend_from_slice(link_off);
+        self.cos_zenith.clear();
+        let end = link_off.last().map_or(0, |&o| o as usize);
+        let cosines = links[..end].iter().map(|l| l.cos_zenith);
+        // lint: allow(hot-path-alloc) refills a recycled buffer after clear; allocates only on a new peak link count
+        self.cos_zenith.extend(cosines);
+        self.table = OnceLock::new();
+    }
+}
+
+impl std::ops::Index<usize> for EdgeKinds {
+    type Output = EdgeKind;
+
+    /// The kind of edge `e` (derives the table on first read).
+    fn index(&self, e: usize) -> &EdgeKind {
+        &self.table()[e]
+    }
+}
+
+impl From<Vec<EdgeKind>> for EdgeKinds {
+    /// A table read as given.
+    fn from(table: Vec<EdgeKind>) -> Self {
+        Self {
+            table: OnceLock::from(table),
+            ..Self::default()
+        }
+    }
+}
+
+impl PartialEq for EdgeKinds {
+    /// Same kinds, edge by edge (derives both tables).
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
 }
 
 /// Everything static about one study run.
@@ -544,8 +674,8 @@ impl StaticGround {
 /// node-for-node, edge-for-edge, and weight-bit identical to
 /// [`StudyContext::snapshot_bundle`] called fresh at the same instant.
 /// Membership of a GT–satellite link persists across steps whenever the
-/// satellite stays above the minimum elevation; its delay/elevation
-/// weights are always refreshed (satellites move every step). A full
+/// satellite stays above the minimum elevation; its delay and zenith
+/// cosine are always refreshed (satellites move every step). A full
 /// rebuild happens only on the first step of a sweep — there is no other
 /// fallback path, because the incremental update is exact.
 #[derive(Debug)]
@@ -636,8 +766,9 @@ struct Link {
     sat: u32,
     /// One-way propagation delay, s.
     delay_s: f64,
-    /// Elevation of the satellite seen from the ground point, rad.
-    elevation_rad: f64,
+    /// Cosine of the satellite's zenith angle seen from the ground point
+    /// (its elevation is derived on demand, see [`EdgeKinds`]).
+    cos_zenith: f64,
 }
 
 /// Ground point `gp`'s links in an arena (empty when the arena has no
@@ -672,7 +803,7 @@ impl<'a> TimeSweep<'a> {
                 mode,
                 graph: Graph::default(),
                 nodes: Vec::new(),
-                edges: Vec::new(),
+                edges: EdgeKinds::default(),
                 ground_positions: Vec::new(),
                 num_satellites: s,
                 num_aircraft: 0,
@@ -997,22 +1128,20 @@ impl<'a> TimeSweep<'a> {
         let mut fill = snap
             .graph
             .fill(snap.nodes.len(), num_edges, &mut self.fill_degree);
-        snap.edges.clear();
-        snap.edges.reserve(num_edges);
         for &(a, b, delay) in &self.isl_links[..num_isls] {
             fill.edge(a, b, delay);
-            snap.edges.push(EdgeKind::Isl);
         }
         for gi in 0..num_ground {
-            let ground = (s + gi) as NodeId;
             let block = arena_block(&self.links, &self.link_off, gi);
-            fill.append_edges(ground, block.iter().map(|l| (l.sat, l.delay_s)));
-            snap.edges.extend(block.iter().map(|l| EdgeKind::UpDown {
-                ground,
-                elevation_rad: l.elevation_rad,
-            }));
+            fill.append_edges((s + gi) as NodeId, block.iter().map(|l| (l.sat, l.delay_s)));
         }
         fill.complete();
+        snap.edges.write(
+            num_isls,
+            s as NodeId,
+            &self.links,
+            &self.link_off[..=num_ground],
+        );
         debug_assert_eq!(snap.graph.num_edges(), snap.edges.len());
         let (xs, ys, zs) = self.sats.xyz();
         let num_air = num_ground - num_ground.min(num_static);
@@ -1196,12 +1325,12 @@ fn scan_into_arena(
         g_norm,
         cells,
         segments,
-        &mut |sat, range_m, elevation_rad| {
+        &mut |sat, range_m, cos_zenith| {
             degree[sat as usize] += 1;
             links.push(Link {
                 sat,
                 delay_s: range_m / SPEED_OF_LIGHT_M_S,
-                elevation_rad,
+                cos_zenith,
             });
         },
     );
@@ -1253,7 +1382,10 @@ fn match_link_block(
 /// Layout: satellites are nodes `0..num_satellites`, then the ground
 /// nodes (cities, then relays and aircraft outside ISL-only mode). Edge
 /// ids run ISLs first, then every ground node's links in node order, so
-/// each satellite's neighbor list starts with its ISLs.
+/// each satellite's neighbor list starts with its ISLs. Building a
+/// snapshot computes no elevation: [`NetworkSnapshot::edges`] keeps each
+/// ground link's zenith cosine and derives the edge kinds, elevations
+/// included, when one is first read (see [`EdgeKinds`]).
 #[derive(Debug, Clone)]
 pub struct NetworkSnapshot {
     /// Snapshot time, seconds since epoch.
@@ -1264,8 +1396,9 @@ pub struct NetworkSnapshot {
     pub graph: Graph,
     /// Node metadata, indexed by [`NodeId`].
     pub nodes: Vec<NodeKind>,
-    /// Edge metadata, indexed by [`EdgeId`].
-    pub edges: Vec<EdgeKind>,
+    /// Edge metadata, indexed by [`EdgeId`]: the edge kinds, derived
+    /// with their elevations on first read (see [`EdgeKinds`]).
+    pub edges: EdgeKinds,
     /// Positions of ground-side nodes, indexed by `node_id −
     /// num_satellites`.
     pub ground_positions: Vec<GeoPoint>,
@@ -1289,9 +1422,10 @@ impl NetworkSnapshot {
 
     /// Capacity of an edge under the link configuration, Gbps.
     pub fn edge_capacity_gbps(&self, net: &NetworkConfig, e: EdgeId) -> f64 {
-        match self.edges[e as usize] {
-            EdgeKind::Isl => net.isl_gbps,
-            EdgeKind::UpDown { .. } => net.gt_link_gbps,
+        if self.edges.is_isl(e) {
+            net.isl_gbps
+        } else {
+            net.gt_link_gbps
         }
     }
 }
@@ -1390,14 +1524,19 @@ mod tests {
     #[test]
     fn updown_metadata_consistent() {
         // Every edge of every mode, cold and at sweep steps, comes back
-        // from the derived edge table as it was written: ISLs lower id
+        // from the derived edge tables as it was written: ISLs lower id
         // first, ground links as (ground, satellite) with the ground end
-        // the metadata names.
+        // the metadata names, and with the elevation bits the scalar
+        // helper computes from the ground node's position and the
+        // satellite's position at `t`.
         let c = ctx();
         let s = c.num_satellites() as NodeId;
+        let min_elev = c.constellation.min_elevation_rad();
         let modes = [Mode::BpOnly, Mode::Hybrid, Mode::IslOnly];
         let check = |snap: &NetworkSnapshot, what: &str| {
+            let sats = c.constellation.positions_at(snap.t_s);
             assert_eq!(snap.edges.len(), snap.graph.num_edges(), "{what}");
+            let mut ground_links = 0;
             for (e, kind) in snap.edges.iter().enumerate() {
                 let (u, v, _) = snap.graph.edge(e as EdgeId);
                 match *kind {
@@ -1410,10 +1549,19 @@ mod tests {
                             u == ground && u >= s && v < s,
                             "{what}: ground link {e} is ({u}, {v}), metadata ground {ground}"
                         );
-                        assert!(elevation_rad >= c.constellation.min_elevation_rad() - 1e-9);
+                        let site = snap.ground_position(ground).unwrap();
+                        let want = leo_geo::elevation_angle_rad(site, &sats.position(v as usize));
+                        assert_eq!(
+                            elevation_rad.to_bits(),
+                            want.to_bits(),
+                            "{what}: ground link {e} elevation {elevation_rad} vs {want}"
+                        );
+                        assert!(elevation_rad >= min_elev, "{what}: ground link {e}");
+                        ground_links += 1;
                     }
                 }
             }
+            assert!(ground_links > 0, "{what}: no ground links");
         };
         let mut sweep = TimeSweep::new(&c, &modes);
         for t in [0.0, 900.0, 947.3, 30_000.0] {
@@ -1422,6 +1570,69 @@ mod tests {
                 check(warm, &format!("t={t} {:?} sweep", warm.mode));
             }
         }
+    }
+
+    #[test]
+    fn kind_counts_and_capacities_derive_no_table() {
+        // What coverage and throughput read of the edge kinds — the
+        // count, `is_isl` and the capacities, and through them the
+        // disconnected share and the flow links — must not derive the
+        // table (it costs one `acos` per ground link). A first read does
+        // derive it, and the next sweep step drops it again.
+        use crate::experiments::throughput::{disconnected_fraction_of, route_flows};
+        let c = ctx();
+        let net = c.config.network;
+        let modes = [Mode::BpOnly, Mode::Hybrid, Mode::IslOnly];
+        let mut sweep = TimeSweep::new(&c, &modes);
+        for t in [0.0, 900.0, 30_000.0] {
+            for snap in sweep.step(t) {
+                let what = format!("t={t} {:?}", snap.mode);
+                assert!(snap.edges.table.get().is_none(), "{what}: table kept");
+                let n = snap.edges.len();
+                assert_eq!(n, snap.graph.num_edges(), "{what}");
+                let isls = (0..n as EdgeId).filter(|&e| snap.edges.is_isl(e)).count();
+                for e in 0..n as EdgeId {
+                    snap.edge_capacity_gbps(&net, e);
+                }
+                disconnected_fraction_of(snap);
+                route_flows(&c, snap, 2, net.isl_gbps);
+                assert!(snap.edges.table.get().is_none(), "{what}: table derived");
+                // The derived table agrees with `is_isl` edge by edge.
+                let derived: Vec<bool> = snap
+                    .edges
+                    .iter()
+                    .map(|k| matches!(k, EdgeKind::Isl))
+                    .collect();
+                assert!(
+                    snap.edges.table.get().is_some(),
+                    "{what}: table not derived"
+                );
+                let asked: Vec<bool> = (0..n as EdgeId).map(|e| snap.edges.is_isl(e)).collect();
+                assert_eq!(asked, derived, "{what}");
+                assert_eq!(isls, derived.iter().filter(|&&i| i).count(), "{what}");
+                assert_eq!(isls > 0, snap.mode != Mode::BpOnly, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn given_tables_are_read_as_given() {
+        // A hand-built table may list ISLs anywhere: `is_isl`, `len` and
+        // indexing read it, not an ISL count.
+        let up = EdgeKind::UpDown {
+            ground: 3,
+            elevation_rad: 0.5,
+        };
+        let kinds = EdgeKinds::from(vec![up, EdgeKind::Isl, up]);
+        assert_eq!(kinds.len(), 3);
+        assert_eq!(
+            (0..3).map(|e| kinds.is_isl(e)).collect::<Vec<_>>(),
+            [false, true, false]
+        );
+        assert_eq!(kinds[2], up);
+        assert_eq!(kinds, EdgeKinds::from(vec![up, EdgeKind::Isl, up]));
+        assert_ne!(kinds, EdgeKinds::from(vec![up, up, EdgeKind::Isl]));
+        assert!(EdgeKinds::default().is_empty());
     }
 
     #[test]

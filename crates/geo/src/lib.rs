@@ -43,8 +43,8 @@ pub use geodesic::{
 };
 pub use point::GeoPoint;
 pub use slant::{
-    coverage_radius_m, elevation_angle_rad, max_slant_range_m, slant_range_m, visible_at_elevation,
-    VisibilityScan,
+    coverage_radius_m, elevation_angle_rad, elevation_from_cos_zenith, max_slant_range_m,
+    slant_range_m, visible_at_elevation, VisibilityScan,
 };
 pub use spatial::{CellGrid, CellOrder};
 

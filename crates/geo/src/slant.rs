@@ -23,6 +23,19 @@ pub fn elevation_angle_rad(gt: GeoPoint, sat: &Ecef) -> f64 {
     // Angle between the local vertical (direction of g) and the line of
     // sight; elevation is its complement.
     let cos_zenith = g.dot(&to_sat) / (g.norm() * range);
+    elevation_from_cos_zenith(cos_zenith)
+}
+
+/// Elevation angle (radians) of a line of sight whose angle from the
+/// local vertical has cosine `cos_zenith`: `π/2 − acos(c)`, with `c`
+/// clamped to `[-1, 1]`.
+///
+/// The one place the formula lives: [`elevation_angle_rad`],
+/// [`VisibilityScan::scan_window`]'s band test and the elevations a
+/// snapshot derives from the cosines the scan emitted all call it, so
+/// the same cosine bits give the same elevation bits everywhere.
+#[inline]
+pub fn elevation_from_cos_zenith(cos_zenith: f64) -> f64 {
     std::f64::consts::FRAC_PI_2 - cos_zenith.clamp(-1.0, 1.0).acos()
 }
 
@@ -45,37 +58,49 @@ pub fn slant_range_m(gt: GeoPoint, sat: &Ecef) -> f64 {
 /// [`VisibilityScan::scan_window`] tests every satellite of a
 /// [`CellGrid::window_segments`] window of a [`CellOrder`] flattening and
 /// emits each one at or above the minimum elevation, with its slant range
-/// and elevation. The arithmetic replays [`elevation_angle_rad`] and
-/// [`slant_range_m`] operation-for-operation (the slant range *is* the
-/// line-of-sight vector norm both functions share), so membership,
-/// ranges, and elevations are bitwise identical to the scalar helpers —
-/// only the per-candidate `Ecef::from_geo` reconstruction of the ground
-/// point and the threshold's `sin` are hoisted out of the loop. Snapshot
-/// construction relies on this equivalence.
+/// and the cosine of its zenith angle. The arithmetic replays
+/// [`elevation_angle_rad`] and [`slant_range_m`] operation-for-operation
+/// (the slant range *is* the line-of-sight vector norm both functions
+/// share), so membership and ranges are bitwise identical to the scalar
+/// helpers, and so is the elevation [`elevation_from_cos_zenith`] derives
+/// from an emitted cosine — only the per-candidate `Ecef::from_geo`
+/// reconstruction of the ground point and the threshold's `sin` are
+/// hoisted out of the loop. Snapshot construction relies on this
+/// equivalence.
 ///
-/// Internally, candidates whose cosine-of-zenith is below
-/// `sin(min_elev_rad)` by more than a safety margin are rejected with a
-/// square-compare only (no `sqrt`/`acos`). The margin (`1e-9` in cosine
-/// space) exceeds the few-ulp rounding of both tests by seven orders of
-/// magnitude, so the shortcut can only drop candidates the exact test
-/// would also reject; everything near the boundary falls through to the
-/// exact test.
+/// Membership is decided from the cosine of the zenith angle `c`:
+/// elevation ≥ `e` exactly when `c ≥ sin(e)`. Outside a band of `1e-9`
+/// (in cosine space) on either side of `sin(min_elev_rad)`, a square
+/// compare decides it with no `sqrt` or `acos`: below the band the
+/// candidate is rejected, above it accepted. The margin exceeds the
+/// few-ulp rounding of both the square compare and the exact test by
+/// seven orders of magnitude, so a quick decision is always the one the
+/// exact test would make. Only candidates inside the band pay the exact
+/// test, the `acos` of [`elevation_from_cos_zenith`].
 ///
 /// [`CellGrid::window_segments`]: crate::CellGrid::window_segments
 #[derive(Debug, Clone, Copy)]
 pub struct VisibilityScan {
     min_elev_rad: f64,
-    /// `sin(min_elev_rad)` minus the quick-reject safety margin.
-    quick: f64,
+    /// `sin(min_elev_rad)` minus the safety margin: the quick-reject
+    /// threshold.
+    reject: f64,
+    /// `sin(min_elev_rad)` plus the safety margin: the quick-accept
+    /// threshold.
+    accept: f64,
 }
 
 impl VisibilityScan {
-    /// Precompute the quick-reject threshold for `min_elev_rad`.
+    /// Precompute the quick-reject and quick-accept thresholds for
+    /// `min_elev_rad`.
     pub fn new(min_elev_rad: f64) -> Self {
-        // elev ≥ e  ⟺  cos(zenith) ≥ sin(e); quick-reject below the margin.
+        // elev ≥ e  ⟺  cos(zenith) ≥ sin(e); decide quickly outside the
+        // margin on either side.
+        let sin_e = min_elev_rad.sin();
         Self {
             min_elev_rad,
-            quick: min_elev_rad.sin() - 1e-9,
+            reject: sin_e - 1e-9,
+            accept: sin_e + 1e-9,
         }
     }
 
@@ -85,8 +110,10 @@ impl VisibilityScan {
     /// each `(start, end)` cell segment in turn (a
     /// [`CellGrid::window_segments`] window), read with their
     /// coordinates from the flattening's contiguous arrays. Calls
-    /// `emit(id, range_m, elev_rad)` for every candidate at or above the
-    /// minimum elevation, in candidate order.
+    /// `emit(id, range_m, cos_zenith)` for every candidate at or above
+    /// the minimum elevation, in candidate order; `cos_zenith` is 1 for
+    /// a satellite at the ground point itself (range 0), whose elevation
+    /// is π/2.
     ///
     /// [`CellGrid::window_segments`]: crate::CellGrid::window_segments
     // lint: hot-path
@@ -98,8 +125,9 @@ impl VisibilityScan {
         segments: &[(u32, u32)],
         emit: &mut impl FnMut(u32, f64, f64),
     ) {
-        let quick = self.quick;
-        let quick_sq = (quick * g_norm) * (quick * g_norm);
+        let reject = self.reject;
+        let reject_sq = (reject * g_norm) * (reject * g_norm);
+        let accept_sq = (self.accept * g_norm) * (self.accept * g_norm);
         for &(start, end) in segments {
             let (lo, hi) = (
                 cells.off[start as usize] as usize,
@@ -115,19 +143,22 @@ impl VisibilityScan {
                 let dz = z - g.z;
                 let range_sq = dx * dx + dy * dy + dz * dz;
                 let dot = g.x * dx + g.y * dy + g.z * dz;
-                if quick > 0.0 && range_sq > 0.0 && (dot <= 0.0 || dot * dot < quick_sq * range_sq)
+                if reject > 0.0
+                    && range_sq > 0.0
+                    && (dot <= 0.0 || dot * dot < reject_sq * range_sq)
                 {
                     continue;
                 }
                 let range = range_sq.sqrt();
-                let elev = if range == 0.0 {
-                    std::f64::consts::FRAC_PI_2
+                let cos_zenith = if range == 0.0 {
+                    1.0
                 } else {
-                    let cos_zenith = dot / (g_norm * range);
-                    std::f64::consts::FRAC_PI_2 - cos_zenith.clamp(-1.0, 1.0).acos()
+                    dot / (g_norm * range)
                 };
-                if elev >= self.min_elev_rad {
-                    emit(id, range, elev);
+                if (dot > 0.0 && dot * dot > accept_sq * range_sq)
+                    || elevation_from_cos_zenith(cos_zenith) >= self.min_elev_rad
+                {
+                    emit(id, range, cos_zenith);
                 }
             }
         }
@@ -236,7 +267,8 @@ mod tests {
     }
 
     /// What `scan_window` emits from `gt` over `segments` of `cells`, as
-    /// `(id, range bits, elevation bits)`.
+    /// `(id, range bits, elevation bits)`, the elevation derived from the
+    /// emitted cosine.
     fn window_scan(
         gt: GeoPoint,
         cells: &CellOrder,
@@ -250,7 +282,7 @@ mod tests {
             g.norm(),
             cells,
             segments,
-            &mut |id, r, e| got.push((id, r.to_bits(), e.to_bits())),
+            &mut |id, r, c| got.push((id, r.to_bits(), elevation_from_cos_zenith(c).to_bits())),
         );
         got
     }
@@ -296,6 +328,91 @@ mod tests {
         let want = scalar_scan(gt, &sats, &cells.ids, min_elev);
         assert!(!want.is_empty(), "test must exercise visible satellites");
         assert!(want.len() < sats.len(), "and invisible ones");
+        assert_eq!(got, want);
+    }
+
+    /// The zenith cosine of `sat` seen from `gt`, in the scan's
+    /// arithmetic.
+    fn cos_zenith(gt: GeoPoint, sat: &Ecef) -> f64 {
+        let g = Ecef::from_geo(gt, 0.0);
+        let (dx, dy, dz) = (sat.x - g.x, sat.y - g.y, sat.z - g.z);
+        let range = (dx * dx + dy * dy + dz * dz).sqrt();
+        (g.x * dx + g.y * dy + g.z * dz) / (g.norm() * range)
+    }
+
+    /// Where `holds` flips along `[lo, hi]`, given `holds(lo)` and not
+    /// `holds(hi)`: the last point found to hold and the first found
+    /// not to, adjacent floats unless rounding stops the bisection
+    /// earlier.
+    fn bisect(holds: impl Fn(f64) -> bool, mut lo: f64, mut hi: f64) -> (f64, f64) {
+        assert!(holds(lo) && !holds(hi));
+        loop {
+            let mid = lo + (hi - lo) / 2.0;
+            if mid <= lo || mid >= hi {
+                return (lo, hi);
+            }
+            if holds(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+    }
+
+    #[test]
+    fn scan_band_edges_match_scalar_helpers_bitwise() {
+        // Satellites placed on both sides of the minimum elevation to
+        // within rounding, on both sides of either edge of the ±1e-9
+        // cosine band the quick tests leave to the exact one, and well
+        // above and below it: along each of 24 azimuths at three
+        // altitudes, a sub-point distance is bisected until the scalar
+        // visibility test flips, and until the zenith cosine crosses
+        // each band edge. The scan must emit exactly the satellites the
+        // scalar test finds visible, with the scalar helpers' range bits
+        // and, derived from the emitted cosine, their elevation bits.
+        let gt = GeoPoint::from_degrees(-33.9, 151.2);
+        let min_elev = deg_to_rad(25.0);
+        let sin_e = min_elev.sin();
+        let mut sats = Vec::new();
+        for alt in [540_000.0, 550_000.0, 1_150_000.0] {
+            let reach = 2.0 * coverage_radius_m(alt, min_elev);
+            for k in 0..24 {
+                let sat = |d: f64| {
+                    let bearing = deg_to_rad(15.0 * k as f64 + 0.3);
+                    Ecef::from_geo(crate::destination_point(gt, bearing, d), alt)
+                };
+                let (lo, hi) = bisect(|d| visible_at_elevation(gt, &sat(d), min_elev), 0.0, reach);
+                sats.extend([sat(lo), sat(hi)]);
+                for edge in [sin_e - 1e-9, sin_e + 1e-9] {
+                    let (lo, hi) = bisect(|d| cos_zenith(gt, &sat(d)) >= edge, 0.0, reach);
+                    sats.extend([sat(lo), sat(hi)]);
+                }
+                sats.extend([sat(0.3 * reach), sat(0.8 * reach)]);
+            }
+        }
+        // Every kind of candidate is there: below, inside and above the
+        // band, and inside it on both sides of the exact test.
+        let (mut below, mut above) = (0, 0);
+        let (mut band_in, mut band_out) = (0, 0);
+        for s in &sats {
+            let c = cos_zenith(gt, s);
+            if c < sin_e - 1e-9 {
+                below += 1;
+            } else if c > sin_e + 1e-9 {
+                above += 1;
+            } else if visible_at_elevation(gt, s, min_elev) {
+                band_in += 1;
+            } else {
+                band_out += 1;
+            }
+        }
+        assert!(
+            below >= 72 && above >= 72 && band_in >= 144 && band_out >= 72,
+            "below {below}, above {above}, in the band {band_in} visible and {band_out} not"
+        );
+        let (grid, cells) = binned(3.0, &sats);
+        let got = window_scan(gt, &cells, &[(0, grid.num_cells() as u32)], min_elev);
+        let want = scalar_scan(gt, &sats, &cells.ids, min_elev);
         assert_eq!(got, want);
     }
 

@@ -15,9 +15,12 @@
 //! sorted by id, so a window ([`CellGrid::window_segments`]) visits its
 //! candidates in the same order however the grid reached its contents —
 //! the property the TimeSweep engine's byte-identity rests on. Callers
-//! apply the exact test (an elevation angle through
-//! [`crate::VisibilityScan::scan_window`], or a central angle) to the
-//! window's ids.
+//! apply the exact test to the window's ids: a central angle, or the
+//! elevation test of [`crate::VisibilityScan::scan_window`], which
+//! decides most candidates from the zenith cosine by a square compare,
+//! takes an `acos` only inside a thin band around the minimum
+//! elevation, and emits each visible satellite's range and zenith
+//! cosine.
 
 use crate::{GeoPoint, EARTH_RADIUS_M};
 

@@ -211,6 +211,55 @@ mod tests {
         assert_eq!(nodes, [vec![0, 1, 6, 2, 3]]);
     }
 
+    /// Two exposed neighbours of one relay offer it equal folds, and the
+    /// one with the larger label settles first; the second search must
+    /// still leave the relay through its canonical parent, the one with
+    /// the smaller label. The first path, 2 → 6 → 0 → 3, masks relay 6's
+    /// links to 2 and 0, which exposes 0, 1 and 2, and masks 0's direct
+    /// link to 3. In the second search 1 gets label 5 and 0 label 5.5,
+    /// both through relay 4, and both fold 7.5 into relay 5 (5 + 2.5 =
+    /// 5.5 + 2). Yet 0 settles first: the bounds were built unmasked and
+    /// still see it one 1.5 link from the target. So 1 crosses relay 5
+    /// second with an equal fold, and the crossing must still be made:
+    /// the plain search gives relay 5 the parent 1.
+    #[test]
+    fn equal_folds_into_a_relay_keep_its_canonical_parent() {
+        let mut b = GraphBuilder::new(7);
+        b.add_edge(3, 0, 1.5);
+        for (r, v, w) in [
+            (4, 2, 3.0),
+            (4, 0, 2.5),
+            (4, 1, 2.0),
+            (5, 1, 2.5),
+            (5, 3, 1.0),
+            (5, 0, 2.0),
+            (6, 0, 3.0),
+            (6, 2, 2.0),
+            (6, 1, 2.5),
+        ] {
+            b.add_edge(r, v, w);
+        }
+        let mut plain = b.build();
+        plain.set_coords([
+            [2.0, 0.0, 1.0],
+            [1.0, 0.0, 1.0],
+            [0.0, 1.0, 1.0],
+            [0.0, 4.0, 1.0],
+            [0.0, 1.0, 0.0],
+            [2.0, 3.0, 0.0],
+            [0.0, 2.0, 0.0],
+        ]);
+        let mut g = plain.clone();
+        g.set_transit(4);
+        assert!(g.lambda() > 0.0, "goal-directed");
+        assert!(g.two_hop_pairs().is_some(), "crossing relays");
+        let paths = k_edge_disjoint_paths(&g, 2, 3, 2, None);
+        assert_eq!(paths, k_edge_disjoint_paths(&plain, 2, 3, 2, None));
+        let nodes: Vec<_> = paths.iter().map(|p| p.nodes.clone()).collect();
+        assert_eq!(nodes, [vec![2, 6, 0, 3], vec![2, 4, 1, 5, 3]]);
+        assert_eq!(paths[1].total_weight, 8.5);
+    }
+
     #[test]
     fn disconnected_returns_empty() {
         let mut b = GraphBuilder::new(3);
