@@ -182,6 +182,42 @@ pub struct Climatology {
     _priv: (),
 }
 
+/// The climatology's four fields at one site (see [`Climatology::at`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SiteClimate {
+    /// [`Climatology::rain_rate_001`], mm/h.
+    pub rain_rate_001: f64,
+    /// [`Climatology::vapour_density`], g/m³.
+    pub vapour_density: f64,
+    /// [`Climatology::n_wet`], ppm.
+    pub n_wet: f64,
+    /// [`Climatology::cloud_water`], kg/m².
+    pub cloud_water: f64,
+}
+
+/// Surface water-vapour density at latitude `lat` (degrees) where the
+/// rain field reads `rain`.
+fn vapour_density(lat: f64, rain: f64) -> f64 {
+    // Humidity loosely tracks the rain field's zonal structure.
+    let base = 4.0 + 18.0 * gauss(lat, 2.0, 24.0);
+    // More vapour where it rains more (weak coupling).
+    (base + 0.04 * rain).clamp(1.0, 30.0)
+}
+
+/// Wet refractivity where the vapour density is `vapour`.
+fn n_wet(vapour: f64) -> f64 {
+    // N_wet is roughly proportional to vapour pressure; reuse the
+    // vapour field with the conventional ~5.4 ppm per g/m³ slope.
+    (vapour * 5.4).clamp(10.0, 160.0)
+}
+
+/// Columnar cloud water at latitude `lat` (degrees) where the rain field
+/// reads `rain`.
+fn cloud_water(lat: f64, rain: f64) -> f64 {
+    let base = 0.12 + 0.5 * gauss(lat, 4.0, 18.0) + 0.15 * gauss(lat.abs(), 48.0, 12.0);
+    (base + 0.004 * rain).clamp(0.05, 1.6)
+}
+
 impl Climatology {
     /// The standard synthetic climatology used across the workspace.
     pub fn synthetic() -> Self {
@@ -214,28 +250,33 @@ impl Climatology {
 
     /// Surface water-vapour density, g/m³ (P.676 input).
     pub fn vapour_density(&self, site: GeoPoint) -> f64 {
-        let lat = site.lat_deg();
-        // Humidity loosely tracks the rain field's zonal structure.
-        let base = 4.0 + 18.0 * gauss(lat, 2.0, 24.0);
-        // More vapour where it rains more (weak coupling).
-        let rain = self.rain_rate_001(site);
-        (base + 0.04 * rain).clamp(1.0, 30.0)
+        vapour_density(site.lat_deg(), self.rain_rate_001(site))
     }
 
     /// Wet term of the surface refractivity, ppm (scintillation input).
     pub fn n_wet(&self, site: GeoPoint) -> f64 {
-        // N_wet is roughly proportional to vapour pressure; reuse the
-        // vapour field with the conventional ~5.4 ppm per g/m³ slope.
-        (self.vapour_density(site) * 5.4).clamp(10.0, 160.0)
+        n_wet(self.vapour_density(site))
     }
 
     /// Columnar liquid cloud water exceeded ~0.5 % of the time, kg/m²
     /// (P.840 input).
     pub fn cloud_water(&self, site: GeoPoint) -> f64 {
+        cloud_water(site.lat_deg(), self.rain_rate_001(site))
+    }
+
+    /// All four fields at `site`, from one evaluation of the rain field
+    /// (about 40 `exp` calls): the same bits the four methods give, each
+    /// of which evaluates it again.
+    pub fn at(&self, site: GeoPoint) -> SiteClimate {
         let lat = site.lat_deg();
-        let base = 0.12 + 0.5 * gauss(lat, 4.0, 18.0) + 0.15 * gauss(lat.abs(), 48.0, 12.0);
         let rain = self.rain_rate_001(site);
-        (base + 0.004 * rain).clamp(0.05, 1.6)
+        let vapour = vapour_density(lat, rain);
+        SiteClimate {
+            rain_rate_001: rain,
+            vapour_density: vapour,
+            n_wet: n_wet(vapour),
+            cloud_water: cloud_water(lat, rain),
+        }
     }
 }
 
@@ -289,6 +330,34 @@ mod tests {
                 assert!((10.0..=160.0).contains(&n));
                 let w = c.cloud_water(site);
                 assert!((0.05..=1.6).contains(&w));
+            }
+        }
+    }
+
+    #[test]
+    fn one_evaluation_gives_every_field_bit_for_bit() {
+        let c = Climatology::synthetic();
+        for lat in (-90..=90).step_by(7) {
+            for lon in (-180..180).step_by(13) {
+                let site = p(lat as f64, lon as f64);
+                let at = c.at(site);
+                let each = [
+                    c.rain_rate_001(site),
+                    c.vapour_density(site),
+                    c.n_wet(site),
+                    c.cloud_water(site),
+                ];
+                let got = [
+                    at.rain_rate_001,
+                    at.vapour_density,
+                    at.n_wet,
+                    at.cloud_water,
+                ];
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    each.map(f64::to_bits),
+                    "{lat}, {lon}"
+                );
             }
         }
     }

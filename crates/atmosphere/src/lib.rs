@@ -52,7 +52,7 @@ mod rain;
 mod scintillation;
 mod stochastic;
 
-pub use climatology::Climatology;
+pub use climatology::{Climatology, SiteClimate};
 pub use cloud::{cloud_attenuation_db, liquid_water_specific_coefficient};
 pub use gas::gaseous_attenuation_db;
 pub use linkbudget::{free_space_path_loss_db, modcod_ladder, LinkBudget, ModCod};

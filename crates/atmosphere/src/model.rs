@@ -1,6 +1,6 @@
 //! The combined P.618-style total attenuation model.
 
-use crate::climatology::Climatology;
+use crate::climatology::{Climatology, SiteClimate};
 use crate::cloud::cloud_attenuation_db;
 use crate::gas::gaseous_attenuation_db;
 use crate::rain::rain_attenuation_db;
@@ -65,25 +65,35 @@ impl AttenuationModel {
     /// Total attenuation (dB) exceeded for `p_percent` ∈ [0.001, 5] of an
     /// average year: `A_gas + √((A_rain + A_cloud)² + A_scint²)`.
     pub fn total_attenuation_db(&self, path: &SlantPath, p_percent: f64) -> f64 {
-        let a_r = self.rain_db(path, p_percent);
-        let a_c = cloud_attenuation_db(
+        self.total_db_in(&self.climatology.at(path.site), path, p_percent)
+    }
+
+    /// [`AttenuationModel::total_attenuation_db`] in the climate `c` of
+    /// the path's site.
+    pub(crate) fn total_db_in(&self, c: &SiteClimate, path: &SlantPath, p_percent: f64) -> f64 {
+        let a_r = rain_attenuation_db(
             path.frequency_ghz,
             path.elevation_rad,
-            self.climatology.cloud_water(path.site),
+            path.site.lat(),
+            c.rain_rate_001,
+            p_percent,
         );
-        let a_g = gaseous_attenuation_db(
-            path.frequency_ghz,
-            path.elevation_rad,
-            self.climatology.vapour_density(path.site),
-        );
+        let a_c = cloud_attenuation_db(path.frequency_ghz, path.elevation_rad, c.cloud_water);
+        let a_g = self.clear_sky_db_in(c, path);
         let a_s = scintillation_db(
             path.frequency_ghz,
             path.elevation_rad,
-            self.climatology.n_wet(path.site),
+            c.n_wet,
             self.antenna_m,
             p_percent.max(0.01),
         );
         a_g + ((a_r + a_c).powi(2) + a_s * a_s).sqrt()
+    }
+
+    /// [`AttenuationModel::clear_sky_db`] in the climate `c` of the path's
+    /// site.
+    pub(crate) fn clear_sky_db_in(&self, c: &SiteClimate, path: &SlantPath) -> f64 {
+        gaseous_attenuation_db(path.frequency_ghz, path.elevation_rad, c.vapour_density)
     }
 
     /// Fraction of transmitted power surviving attenuation `a_db`:

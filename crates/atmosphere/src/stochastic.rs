@@ -89,11 +89,12 @@ impl WeatherProcess {
     /// the series continuous and monotone in weather severity.
     pub fn attenuation_db(&self, model: &AttenuationModel, path: &SlantPath, t_s: f64) -> f64 {
         let p = self.exceedance_percent(path.site, t_s);
+        let climate = model.climatology().at(path.site);
         if p <= 5.0 {
-            model.total_attenuation_db(path, p.max(0.001))
+            model.total_db_in(&climate, path, p.max(0.001))
         } else {
-            let gas = model.clear_sky_db(path);
-            let a5 = model.total_attenuation_db(path, 5.0);
+            let gas = model.clear_sky_db_in(&climate, path);
+            let a5 = model.total_db_in(&climate, path, 5.0);
             gas + (a5 - gas).max(0.0) * (5.0 / p).powf(1.5)
         }
     }

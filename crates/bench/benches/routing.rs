@@ -15,7 +15,9 @@
 //!   threshold, and `BENCH_routing.json` records the trajectory.
 //! * `inner_loop_sweep` — the same inner loop on a warm [`TimeSweep`]
 //!   stepped 15 s per iteration, i.e. what `sweep_map`-based drivers now
-//!   run per instant after the first.
+//!   run per instant after the first. Here and in `inner_loop_workspace`
+//!   the BP and hybrid graphs of each bundle or step share one two-hop
+//!   index, which the first search builds.
 //! * `k_disjoint_pairs` — fig4's routing step at bench scale: k = 4
 //!   edge-disjoint paths for every pair on one cold Hybrid snapshot, on
 //!   a warm workspace. Every search here has one target, so this is
@@ -23,12 +25,14 @@
 //!   landmark table is built by the first iteration and kept.
 //! * `landmark_table_build` — the table itself: the `LANDMARKS + 1` full
 //!   searches of one landmark table on the same bench Hybrid snapshot,
-//!   what a graph's first goal-directed `run_multi` pays. Its searches
-//!   cross the relays and aircraft through the snapshot's two-hop index,
-//!   which its first iteration builds.
+//!   what a graph's first goal-directed `run_multi` pays, with a row for
+//!   each satellite and city. Its searches cross the relays and aircraft
+//!   through the snapshot's two-hop index, which its first iteration
+//!   builds.
 //! * `two_hop_index_build` — that index itself on the same snapshot: the
-//!   relay pairs kept for every satellite and city, what a BP or hybrid
-//!   graph's first unmasked `run_multi` pays.
+//!   relay pairs kept for every satellite and city, what the first
+//!   unmasked `run_multi` on the BP or hybrid graph of an instant pays,
+//!   once for both.
 //! * `many_targets_sources` — the other side of the goal-direction cap:
 //!   one early-exit search per source of a 15,500-pair bench-scale set
 //!   (~62 destinations per source, a quarter of `ext_million_pairs`'

@@ -28,7 +28,7 @@ fn link_attenuation_db(
     let EdgeKind::UpDown {
         ground,
         elevation_rad,
-    } = snap.edges[e as usize]
+    } = snap.edges.kind(e)
     else {
         return None; // laser ISLs are weather-immune
     };

@@ -172,9 +172,9 @@ pub enum EdgeKind {
 /// The first read through `[]` or [`EdgeKinds::iter`] derives the
 /// [`EdgeKind`] table from them (16 bytes per edge, one `acos` per ground
 /// link), and the snapshot keeps it until the next sweep step writes the
-/// snapshot over. Only the weather experiments read elevations; everything
-/// else asks [`EdgeKinds::len`] and [`EdgeKinds::is_isl`], which derive
-/// nothing.
+/// snapshot over. Readers of a few edges, such as the weather drivers'
+/// path hops, ask [`EdgeKinds::kind`], and everything else asks
+/// [`EdgeKinds::len`] and [`EdgeKinds::is_isl`]: these derive nothing.
 ///
 /// A table made from a `Vec<EdgeKind>` (a hand-built snapshot) is read as
 /// given, with its ISLs wherever it lists them.
@@ -212,6 +212,26 @@ impl EdgeKinds {
         match self.table.get() {
             Some(table) => matches!(table[e as usize], EdgeKind::Isl),
             None => (e as usize) < self.num_isls,
+        }
+    }
+
+    /// The kind of edge `e`. Derives no table: a given or already derived
+    /// table is read, else the one kind is built from its zenith cosine,
+    /// with the bits the derived table would hold.
+    #[inline]
+    pub fn kind(&self, e: EdgeId) -> EdgeKind {
+        if let Some(table) = self.table.get() {
+            return table[e as usize];
+        }
+        let Some(i) = (e as usize).checked_sub(self.num_isls) else {
+            return EdgeKind::Isl;
+        };
+        // The ground node whose block holds link `i`: the last one whose
+        // block starts at or before it (blocks may be empty).
+        let gi = self.ground_off.partition_point(|&o| o as usize <= i) - 1;
+        EdgeKind::UpDown {
+            ground: self.first_ground + gi as NodeId,
+            elevation_rad: elevation_from_cos_zenith(self.cos_zenith[i]),
         }
     }
 
@@ -962,8 +982,25 @@ impl<'a> TimeSweep<'a> {
                 self.assemble_delta(mi);
             }
         }
+        self.share_two_hop();
         if self.track_deltas {
             self.delta_ready = true;
+        }
+    }
+
+    /// Link the step's BP and hybrid graphs (the first of each) to one
+    /// two-hop index, which the first contracted search on either builds
+    /// (see [`Graph::share_two_hop`]). Both are written from the same
+    /// arena blocks, relays and aircraft last at every satellite and in
+    /// the same node order, so they have one transit layout; hybrid only
+    /// adds ISLs, which come first.
+    fn share_two_hop(&mut self) {
+        let bp = self.modes.iter().position(|&m| m == Mode::BpOnly);
+        let hybrid = self.modes.iter().position(|&m| m == Mode::Hybrid);
+        if let (Some(a), Some(b)) = (bp, hybrid) {
+            let (lo, hi) = (a.min(b), a.max(b));
+            let (head, tail) = self.snapshots.split_at_mut(hi);
+            head[lo].graph.share_two_hop(&mut tail[0].graph);
         }
     }
 
@@ -1574,19 +1611,34 @@ mod tests {
 
     #[test]
     fn kind_counts_and_capacities_derive_no_table() {
-        // What coverage and throughput read of the edge kinds — the
-        // count, `is_isl` and the capacities, and through them the
-        // disconnected share and the flow links — must not derive the
-        // table (it costs one `acos` per ground link). A first read does
-        // derive it, and the next sweep step drops it again.
+        // What coverage, throughput and the weather drivers read of the
+        // edge kinds — the count, `is_isl`, the capacities and per-edge
+        // kinds, and through them the disconnected share and the flow
+        // links — must not derive the table (it costs one `acos` per
+        // ground link). A first read does derive it, agreeing bit for bit
+        // with every per-edge kind, and the next sweep step drops it
+        // again. In all three modes, on cold bundles and sweep steps.
         use crate::experiments::throughput::{disconnected_fraction_of, route_flows};
         let c = ctx();
         let net = c.config.network;
         let modes = [Mode::BpOnly, Mode::Hybrid, Mode::IslOnly];
+        let bits = |k: EdgeKind| match k {
+            EdgeKind::Isl => None,
+            EdgeKind::UpDown {
+                ground,
+                elevation_rad,
+            } => Some((ground, elevation_rad.to_bits())),
+        };
         let mut sweep = TimeSweep::new(&c, &modes);
         for t in [0.0, 900.0, 30_000.0] {
-            for snap in sweep.step(t) {
-                let what = format!("t={t} {:?}", snap.mode);
+            let cold = c.snapshot_bundle(t, &modes);
+            for (snap, how) in sweep
+                .step(t)
+                .iter()
+                .zip(["warm"; 3])
+                .chain(cold.iter().zip(["cold"; 3]))
+            {
+                let what = format!("t={t} {:?} {how}", snap.mode);
                 assert!(snap.edges.table.get().is_none(), "{what}: table kept");
                 let n = snap.edges.len();
                 assert_eq!(n, snap.graph.num_edges(), "{what}");
@@ -1594,22 +1646,24 @@ mod tests {
                 for e in 0..n as EdgeId {
                     snap.edge_capacity_gbps(&net, e);
                 }
+                let kinds: Vec<_> = (0..n as EdgeId).map(|e| bits(snap.edges.kind(e))).collect();
                 disconnected_fraction_of(snap);
                 route_flows(&c, snap, 2, net.isl_gbps);
                 assert!(snap.edges.table.get().is_none(), "{what}: table derived");
-                // The derived table agrees with `is_isl` edge by edge.
-                let derived: Vec<bool> = snap
-                    .edges
-                    .iter()
-                    .map(|k| matches!(k, EdgeKind::Isl))
-                    .collect();
+                // The derived table agrees with `is_isl` and `kind` edge by
+                // edge, and `kind` reads it once derived.
+                let derived: Vec<_> = snap.edges.iter().map(|&k| bits(k)).collect();
                 assert!(
                     snap.edges.table.get().is_some(),
                     "{what}: table not derived"
                 );
+                assert_eq!(kinds, derived, "{what}: per-edge kinds");
+                let again: Vec<_> = (0..n as EdgeId).map(|e| bits(snap.edges.kind(e))).collect();
+                assert_eq!(again, derived, "{what}: per-edge kinds from the table");
                 let asked: Vec<bool> = (0..n as EdgeId).map(|e| snap.edges.is_isl(e)).collect();
-                assert_eq!(asked, derived, "{what}");
-                assert_eq!(isls, derived.iter().filter(|&&i| i).count(), "{what}");
+                let isl_kinds: Vec<bool> = derived.iter().map(Option::is_none).collect();
+                assert_eq!(asked, isl_kinds, "{what}");
+                assert_eq!(isls, isl_kinds.iter().filter(|&&i| i).count(), "{what}");
                 assert_eq!(isls > 0, snap.mode != Mode::BpOnly, "{what}");
             }
         }
@@ -1617,8 +1671,8 @@ mod tests {
 
     #[test]
     fn given_tables_are_read_as_given() {
-        // A hand-built table may list ISLs anywhere: `is_isl`, `len` and
-        // indexing read it, not an ISL count.
+        // A hand-built table may list ISLs anywhere: `is_isl`, `kind`,
+        // `len` and indexing read it, not an ISL count.
         let up = EdgeKind::UpDown {
             ground: 3,
             elevation_rad: 0.5,
@@ -1630,6 +1684,7 @@ mod tests {
             [false, true, false]
         );
         assert_eq!(kinds[2], up);
+        assert_eq!((kinds.kind(1), kinds.kind(2)), (EdgeKind::Isl, up));
         assert_eq!(kinds, EdgeKinds::from(vec![up, EdgeKind::Isl, up]));
         assert_ne!(kinds, EdgeKinds::from(vec![up, up, EdgeKind::Isl]));
         assert!(EdgeKinds::default().is_empty());

@@ -4,7 +4,8 @@
 //! table of landmark distances that tightens it (see [`LANDMARKS`]), and
 //! an optional suffix of transit nodes that searches cross through a
 //! lazily built two-hop index instead of settling them (see
-//! [`Graph::set_transit`]).
+//! [`Graph::set_transit`]), which graphs with the same transit layout
+//! can share (see [`Graph::share_two_hop`]).
 //!
 //! Each edge is stored as its two half-edges and one orientation bit; the
 //! `(u, v, w)` edge table behind [`Graph::edge`] is derived from them on
@@ -12,7 +13,7 @@
 
 use crate::transit::TwoHop;
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Node index within a [`Graph`].
 pub type NodeId = u32;
@@ -99,7 +100,8 @@ impl GraphBuilder {
             lambda: OnceLock::new(),
             landmarks: OnceLock::new(),
             transit_from: 0,
-            two_hop: OnceLock::new(),
+            weights: (f64::INFINITY, 0.0),
+            two_hop: IndexCell::default(),
         };
         let mut fill = g.fill(self.num_nodes, self.edges.len(), &mut degree);
         for &(u, v, w) in &self.edges {
@@ -167,6 +169,7 @@ impl CsrFill<'_> {
         scatter(&mut g.adj, &g.offsets, self.due, u, v, weight, id);
         scatter(&mut g.adj, &g.offsets, self.due, v, u, weight, id);
         orient(&mut g.flipped, id, u, v);
+        g.weights = (g.weights.0.min(weight), g.weights.1.max(weight));
         self.next += 1;
     }
 
@@ -194,6 +197,7 @@ impl CsrFill<'_> {
             Block {
                 adj: &mut g.adj,
                 flipped: &mut g.flipped,
+                weights: &mut g.weights,
                 offsets: &g.offsets,
                 due: self.due,
                 num_nodes: self.num_nodes,
@@ -246,6 +250,7 @@ impl CsrFill<'_> {
 struct Block<'b> {
     adj: &'b mut [HalfEdge],
     flipped: &'b mut [u64],
+    weights: &'b mut (f64, f64),
     offsets: &'b [u32],
     due: &'b mut [u32],
     num_nodes: usize,
@@ -261,6 +266,7 @@ fn append_block(b: Block<'_>, u: NodeId, edges: impl IntoIterator<Item = (NodeId
     let Block {
         adj,
         flipped,
+        weights,
         offsets,
         due,
         num_nodes,
@@ -268,6 +274,7 @@ fn append_block(b: Block<'_>, u: NodeId, edges: impl IntoIterator<Item = (NodeId
         next,
         pos,
     } = b;
+    let (mut w_min, mut w_max) = *weights;
     for (v, weight) in edges {
         check_edge(num_nodes, u, v, weight);
         let id = *next;
@@ -284,8 +291,10 @@ fn append_block(b: Block<'_>, u: NodeId, edges: impl IntoIterator<Item = (NodeId
         *pos += 1;
         scatter(adj, offsets, due, v, u, weight, id);
         orient(flipped, id, u, v);
+        (w_min, w_max) = (w_min.min(weight), w_max.max(weight));
         *next += 1;
     }
+    *weights = (w_min, w_max);
 }
 
 /// Record edge `id`'s orientation: its bit is set when it was written
@@ -372,15 +381,44 @@ pub struct Graph {
     coords: Vec<[f64; 3]>,
     /// [`Graph::lambda`], derived on first use.
     lambda: OnceLock<f64>,
-    /// One row of [`LANDMARKS`] exact distances per node, built by the
-    /// first goal-directed `run_multi` on this graph (see
+    /// One row of [`LANDMARKS`] exact distances per non-transit node,
+    /// built by the first goal-directed `run_multi` on this graph that
+    /// settles non-transit nodes only (see
     /// `DijkstraWorkspace::landmark_table`).
     pub(crate) landmarks: OnceLock<Vec<[f64; LANDMARKS]>>,
     /// First transit node; `num_nodes` when there are none (see
     /// [`Graph::set_transit`]).
     transit_from: NodeId,
-    /// [`Graph::two_hop`], built on first use.
-    pub(crate) two_hop: OnceLock<Option<TwoHop>>,
+    /// The smallest and the largest edge weight (`∞` and 0 without
+    /// edges), recorded by the fill: the two-hop index's weight guard and
+    /// margin read them.
+    weights: (f64, f64),
+    /// Where [`Graph::two_hop`] is built on first use.
+    two_hop: IndexCell,
+}
+
+/// Where a graph keeps its two-hop index (see [`Graph::set_transit`]).
+#[derive(Debug, Clone)]
+enum IndexCell {
+    /// Its own, built with its own margin.
+    Own(OnceLock<Option<TwoHop>>),
+    /// One shared with the graphs [`Graph::share_two_hop`] linked it to.
+    Shared(Arc<SharedIndex>),
+}
+
+impl Default for IndexCell {
+    fn default() -> Self {
+        IndexCell::Own(OnceLock::new())
+    }
+}
+
+/// A two-hop index that several graphs reach.
+#[derive(Debug)]
+struct SharedIndex {
+    /// The largest weight of any of the graphs: the index is built with
+    /// the largest of their margins.
+    w_max: f64,
+    index: OnceLock<Option<TwoHop>>,
 }
 
 /// Landmarks per graph: a node's distances to all of them fill one
@@ -392,8 +430,13 @@ pub struct Graph {
 /// from landmark `i` (triangle inequality). The landmarks are picked by
 /// farthest-point selection, so together they see the detours a
 /// straight line cannot, such as a bent-pipe path's climbs and descents.
-/// The table depends on the edges alone: [`Graph::fill`] drops it,
-/// [`Graph::set_coords`] keeps it.
+/// The landmarks and rows are the non-transit nodes' (see
+/// [`Graph::set_transit`]): a search that reads the table settles no
+/// other node. So the table depends on the edges and the transit marking:
+/// [`Graph::fill`] and [`Graph::set_transit`] drop it,
+/// [`Graph::set_coords`] keeps it. Any set of landmarks gives a valid
+/// bound, and the proof in [`Graph::lambda`] holds for every one: it
+/// never asks which nodes the landmarks are.
 pub const LANDMARKS: usize = 8;
 
 /// `1 − 2⁻²⁰`: λ sits this far below the tightest weight-per-length
@@ -417,6 +460,27 @@ pub(crate) fn dist_sq(a: &[f64; 3], b: &[f64; 3]) -> f64 {
     dx * dx + dy * dy + dz * dz
 }
 
+/// Whether `a` and `b` have the transit layout [`Graph::share_two_hop`]
+/// requires (given the same node count and transit marking).
+fn same_transit_layout(a: &Graph, b: &Graph) -> bool {
+    let first = a.transit_from;
+    let key = |h: &HalfEdge| (h.to, h.weight.to_bits());
+    let transit = |h: &&HalfEdge| h.to >= first;
+    let suffix = |links: &[HalfEdge]| links.iter().rev().take_while(transit).count();
+    (0..first).all(|u| {
+        let (x, y) = (a.neighbors(u), b.neighbors(u));
+        suffix(x) == suffix(y)
+            && x.iter()
+                .filter(transit)
+                .map(key)
+                .eq(y.iter().filter(transit).map(key))
+    }) && a
+        .half_edges_from(first)
+        .iter()
+        .map(key)
+        .eq(b.half_edges_from(first).iter().map(key))
+}
+
 impl Default for Graph {
     /// An empty zero-node graph, e.g. the placeholder a [`Graph::fill`]
     /// later writes over.
@@ -436,7 +500,7 @@ impl Graph {
     /// appended. Coordinates are dropped, as on a fresh build, until
     /// [`Graph::set_coords`], and so is the transit marking, until
     /// [`Graph::set_transit`], with the derived edge and landmark tables
-    /// and the two-hop index.
+    /// and the two-hop index, shared or not.
     ///
     /// # Panics
     /// If `degree` is longer than `num_nodes`, or declares more
@@ -478,7 +542,8 @@ impl Graph {
         self.lambda = OnceLock::new();
         self.landmarks = OnceLock::new();
         self.transit_from = num_nodes as NodeId;
-        self.two_hop = OnceLock::new();
+        self.weights = (f64::INFINITY, 0.0);
+        self.two_hop = IndexCell::default();
         let open = degree.len();
         CsrFill {
             g: self,
@@ -543,17 +608,16 @@ impl Graph {
         self.neighbors(u).len()
     }
 
-    /// Slots of node `u`'s half-edges in the adjacency array, the
-    /// positions [`Graph::half_edge`] reads.
+    /// Slots of node `u`'s half-edges in the adjacency array.
     #[inline]
     pub(crate) fn slots(&self, u: NodeId) -> Range<u32> {
         self.offsets[u as usize]..self.offsets[u as usize + 1]
     }
 
-    /// The half-edge in adjacency slot `slot`.
+    /// The half-edges of nodes `u` on, in adjacency order.
     #[inline]
-    pub(crate) fn half_edge(&self, slot: u32) -> &HalfEdge {
-        &self.adj[slot as usize]
+    pub(crate) fn half_edges_from(&self, u: NodeId) -> &[HalfEdge] {
+        &self.adj[self.offsets[u as usize] as usize..]
     }
 
     /// Per-node coordinates in node order, or an empty slice when none
@@ -589,7 +653,8 @@ impl Graph {
     /// one a search crosses but never starts or ends at, such as a
     /// bent-pipe relay or an aircraft, and each of its neighbours must be
     /// a non-transit node. [`Graph::fill`] clears the marking, as it
-    /// clears the coordinates.
+    /// clears the coordinates. A new marking drops the landmark table and
+    /// the two-hop index.
     ///
     /// The marking never changes a search result, only its work. An
     /// unmasked `run_multi` toward non-transit targets, and the landmark
@@ -613,10 +678,23 @@ impl Graph {
     /// through `r` reads; transit nodes keep no label or parent of their
     /// own. The index reads each non-transit node's non-transit
     /// neighbours as a prefix of its adjacency, as snapshots write them
-    /// (ISLs and city links before relay links). There is no index, and
-    /// every search is plain, unless every non-transit node lists its
-    /// neighbours that way and the weights pass a guard: `w_min` is
-    /// normal and at least `2⁻²⁴·D`.
+    /// (ISLs and city links before relay links), and keeps each pair as
+    /// two positions: of `u → r` in `u`'s *transit suffix* (the rest of
+    /// its adjacency) and of `r → v` in the *transit section* (the
+    /// half-edges of the transit nodes). So it reads no edge id and no
+    /// slot of a non-transit node's, and graphs that differ only there
+    /// can share it (see [`Graph::share_two_hop`]). There is no index,
+    /// and every search is plain, unless every non-transit node lists
+    /// its neighbours that way and the weights pass a guard: `w_min` is
+    /// normal and at least `2⁻²⁴·D`. Each graph checks its own guard, on
+    /// its own weights, shared index or not.
+    ///
+    /// A plain run on a marked graph settles transit nodes, which have
+    /// no row in the landmark table (see [`LANDMARKS`]), so it aims with
+    /// the straight-line bound alone, as [`crate::DijkstraWorkspace::run`]
+    /// does, and neither builds nor reads the table: a public masked
+    /// `run_multi`, a run toward a transit target, and every run on a
+    /// marked graph without an index.
     ///
     /// The searches of [`crate::k_edge_disjoint_paths_with`] cross
     /// transit nodes under their mask too. Call a non-transit node
@@ -652,6 +730,15 @@ impl Graph {
     ///   `d ≤ D`, its fold exceeds that of the pair giving `s*` by more
     ///   than `M − 5ε·D − 16ε·w_max > 0`, for every label `d`. So a
     ///   dropped pair never gives a minimum, and never ties one.
+    /// * *A larger margin.* A shared index is built with the largest
+    ///   margin `M' ≥ M` of the graphs that share it. It drops fewer
+    ///   pairs: each dropped one still misses by more than `M`, and so
+    ///   loses as above. Every pair it keeps beyond those is a real relay
+    ///   pair of the graph, whose offer is the fold a plain search makes
+    ///   through `r` from `u`: no smaller than the plain search's fold
+    ///   from `r`'s label, so it can neither beat a minimum nor offer a
+    ///   tie the plain search lacks, and the tie rule below ranks it
+    ///   behind the canonical one.
     /// * *Masks.* Under a mask, a plain search enters and leaves `r` over
     ///   unmasked links only, so each minimum above is over the pairs
     ///   whose two links are unmasked. A non-exposed `u` has no masked
@@ -695,15 +782,80 @@ impl Graph {
             self.num_nodes()
         );
         self.transit_from = first;
-        self.two_hop = OnceLock::new();
+        self.landmarks = OnceLock::new();
+        self.two_hop = IndexCell::default();
     }
 
-    /// The two-hop index (see [`Graph::set_transit`]), built on first
-    /// call; `None` when the graph has no transit nodes, lists a
-    /// non-transit node's neighbours out of order or fails the weight
-    /// guard.
+    /// Make this graph and `other` reach one two-hop index (see
+    /// [`Graph::set_transit`]), which the first contracted search or
+    /// landmark table on either builds, with the larger of their two
+    /// margins, and both keep. Any index either had is dropped, and
+    /// [`Graph::fill`] or [`Graph::set_transit`] on either drops its link.
+    /// O(1): the graphs' weight ranges are known from their fills.
+    ///
+    /// The graphs must share their transit layout, and may differ in
+    /// anything else, such as edges between non-transit nodes or edge
+    /// ids: the same node count and transit marking, the same half-edges
+    /// at every transit node (targets and weights, in order), and at
+    /// every non-transit node the same transit neighbours, in order with
+    /// the same weights, listed after all its other neighbours in both
+    /// graphs or in neither. The BP and hybrid snapshots of one instant
+    /// are such graphs: hybrid only adds ISLs, which come first.
+    ///
+    /// # Panics
+    /// If the graphs differ in node count, transit marking or number of
+    /// transit half-edges. Debug builds check the whole layout.
+    pub fn share_two_hop(&mut self, other: &mut Graph) {
+        let first = self.transit_from;
+        // lint: allow(panic-reachable) documented `# Panics` contract: a shared index's positions must land on the same transit half-edges in both graphs
+        assert!(
+            self.num_nodes() == other.num_nodes()
+                && first == other.transit_from
+                && self.half_edges_from(first).len() == other.half_edges_from(first).len(),
+            "graphs with different transit layouts cannot share a two-hop index"
+        );
+        debug_assert!(same_transit_layout(self, other));
+        let shared = Arc::new(SharedIndex {
+            w_max: self.weights.1.max(other.weights.1),
+            index: OnceLock::new(),
+        });
+        other.two_hop = IndexCell::Shared(Arc::clone(&shared));
+        self.two_hop = IndexCell::Shared(shared);
+    }
+
+    /// The two-hop index (see [`Graph::set_transit`]), this graph's own
+    /// or the one it shares, built on first call; `None` when the graph
+    /// has no transit nodes, lists a non-transit node's neighbours out of
+    /// order or fails the weight guard.
     pub(crate) fn two_hop(&self) -> Option<&TwoHop> {
-        self.two_hop.get_or_init(|| TwoHop::build(self)).as_ref()
+        let (w_min, w_max) = self.weights;
+        let d = 2.0 * self.num_nodes() as f64 * w_max;
+        if !(w_min.is_normal() && w_min >= MARGIN_SCALE * d) {
+            return None;
+        }
+        let (cell, w_max) = match &self.two_hop {
+            IndexCell::Own(cell) => (cell, w_max),
+            IndexCell::Shared(shared) => (&shared.index, shared.w_max),
+        };
+        cell.get_or_init(|| TwoHop::build(self, w_max)).as_ref()
+    }
+
+    /// Whether the graph's two-hop index, its own or a shared one, has
+    /// been built (test hook).
+    #[cfg(test)]
+    pub(crate) fn two_hop_built(&self) -> bool {
+        match &self.two_hop {
+            IndexCell::Own(cell) => cell.get().is_some(),
+            IndexCell::Shared(shared) => shared.index.get().is_some(),
+        }
+    }
+
+    /// Whether this graph and `other` reach one shared two-hop index.
+    pub fn shares_two_hop_with(&self, other: &Graph) -> bool {
+        match (&self.two_hop, &other.two_hop) {
+            (IndexCell::Shared(a), IndexCell::Shared(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// The number of relay pairs in the two-hop index (see
@@ -822,9 +974,9 @@ impl Graph {
         }
         // Every edge is folded twice, once per half-edge. Reversing an
         // edge negates each coordinate difference exactly, so both halves
-        // give the same length bits, and the minima and maximum are those
-        // of a fold over the edges once each.
-        let (mut ratio, mut w_min, mut w_max) = (f64::INFINITY, f64::INFINITY, 0.0f64);
+        // give the same length bits, and the minimum is that of a fold
+        // over the edges once each.
+        let mut ratio = f64::INFINITY;
         for (pu, u) in self.coords.iter().zip(0..) {
             for h in self.neighbors(u) {
                 let (pv, w) = (&self.coords[h.to as usize], h.weight);
@@ -835,13 +987,12 @@ impl Graph {
                 if len > 0.0 {
                     ratio = ratio.min(w / len);
                 }
-                w_min = w_min.min(w);
-                w_max = w_max.max(w);
             }
         }
         if !ratio.is_finite() {
             return 0.0;
         }
+        let (w_min, w_max) = self.weights;
         let lambda = LAMBDA_MARGIN * ratio;
         let d = 2.0 * n as f64 * w_max;
         let h = d.max(4.0 * lambda * m);

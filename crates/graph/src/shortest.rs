@@ -21,9 +21,10 @@
 //! to plain Dijkstra. [`DijkstraWorkspace::run_multi`] takes the larger
 //! of the straight-line bound and a landmark bound read from the graph's
 //! table of exact distances (see [`LANDMARKS`]), which it builds on the
-//! graph's first such search; [`DijkstraWorkspace::run`] uses the
-//! straight line alone and never builds a table. Runs with more targets
-//! are plain Dijkstra.
+//! graph's first such search, whenever the table has a row for every
+//! node the run can settle; [`DijkstraWorkspace::run`] uses the straight
+//! line alone and never builds a table. Runs with more targets are plain
+//! Dijkstra.
 //!
 //! On a graph with transit nodes (see [`Graph::set_transit`]), an
 //! unmasked `run_multi` toward non-transit targets settles non-transit
@@ -33,11 +34,13 @@
 //! [`crate::k_edge_disjoint_paths_with`], masked or not: it tells its
 //! runs which nodes lie next to a masked transit link, and those cross
 //! their transit neighbours without the index. A public masked
-//! `run_multi` and [`DijkstraWorkspace::run`] settle every node.
+//! `run_multi` and [`DijkstraWorkspace::run`] settle every node, and on
+//! a graph with transit nodes aim with the straight line alone: the
+//! landmark table has rows for the non-transit nodes only.
 
 use crate::graph::{dist_sq, EdgeId, Graph, HalfEdge, NodeId, LAMBDA_MARGIN, LANDMARKS};
 use crate::transit::TwoHop;
-use leo_util::telemetry::Counter;
+use leo_util::telemetry::{enabled, now_ns, Counter, Level};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -59,6 +62,11 @@ static DELTA_EDGES_APPLIED: Counter = Counter::new("delta_edges_applied");
 /// Telemetry: [`SptWorkspace::apply_for_targets`] repairs that stopped
 /// the Dial drain early because every queried target had settled.
 static SPT_EARLY_EXITS: Counter = Counter::new("spt_early_exits");
+/// Telemetry: landmark tables built.
+static LANDMARK_TABLES_BUILT: Counter = Counter::new("landmark_tables_built");
+/// Telemetry: nanoseconds spent building landmark tables, not counting a
+/// two-hop index their searches need.
+static LANDMARK_TABLE_NS: Counter = Counter::new("landmark_table_build_ns");
 
 /// Result of a single-source Dijkstra run.
 #[derive(Debug, Clone)]
@@ -431,7 +439,9 @@ impl DijkstraWorkspace {
     /// transit nodes extract as usual. A masked run settles every node
     /// it reaches: only [`crate::k_edge_disjoint_paths_with`], which
     /// knows where its mask touches transit nodes, crosses them under a
-    /// mask.
+    /// mask. A run on a graph with transit nodes that settles them aims
+    /// with the straight line alone, as `run` does: the landmark table
+    /// has no rows for them.
     ///
     /// This is the experiment-loop shape: one source city, a handful of
     /// destination cities, and a constellation graph whose far side never
@@ -518,8 +528,21 @@ impl DijkstraWorkspace {
             1..=GOAL_MAX_TARGETS => g.lambda(),
             _ => 0.0,
         };
-        let multi = shortcuts != Shortcuts::Line;
-        let rows = match (multi && lambda > 0.0, g.landmarks.get()) {
+        let first = g.transit().start;
+        let hops = match (shortcuts, disabled) {
+            (Shortcuts::Multi, None) | (Shortcuts::Exposed, _)
+                if targets.iter().all(|&t| t < first) =>
+            {
+                g.two_hop()
+            }
+            _ => None,
+        };
+        // The landmark table has rows for the non-transit nodes only: a
+        // run reads it when it settles no other node, because it crosses
+        // them through the index or the graph has none.
+        let table =
+            shortcuts != Shortcuts::Line && lambda > 0.0 && (hops.is_some() || first as usize == n);
+        let rows = match (table, g.landmarks.get()) {
             (false, _) => None,
             (true, Some(rows)) => Some(rows.as_slice()),
             (true, None) => {
@@ -531,14 +554,6 @@ impl DijkstraWorkspace {
                 self.begin(n, targets);
                 Some(rows.as_slice())
             }
-        };
-        let hops = match (shortcuts, disabled, g.transit().start) {
-            (Shortcuts::Multi, None, first) | (Shortcuts::Exposed, _, first)
-                if targets.iter().all(|&t| t < first) =>
-            {
-                g.two_hop()
-            }
-            _ => None,
         };
         self.crossed = hops.is_some();
         DIJKSTRA_CALLS.add(1);
@@ -605,6 +620,8 @@ impl DijkstraWorkspace {
     ) -> u64 {
         let gen = self.gen;
         let mut settled_count = 0u64;
+        // Every relay pair's second half-edge, by its position.
+        let section = hops.map_or(&[][..], |ix| ix.section(g));
         while let Some((key, u)) = self.heap.pop() {
             let ui = u as usize;
             debug_assert!(!self.settled[ui], "a node is in the heap at most once");
@@ -623,6 +640,7 @@ impl DijkstraWorkspace {
             // the node's bound to it.
             let d = if GOAL { self.dist[ui] } else { key };
             if let Some(ix) = hops.filter(|ix| HOPS && u < ix.first) {
+                let relays = ix.relays(g, u);
                 for h in ix.direct(g, u) {
                     if let Some(mask) = disabled {
                         if mask[h.edge as usize] {
@@ -635,7 +653,7 @@ impl DijkstraWorkspace {
                     // Next to a masked transit link: the index's pairs
                     // were kept against pairs the mask may cut, so cross
                     // every unmasked pair instead.
-                    for hr in ix.relays(g, u) {
+                    for hr in relays {
                         if mask[hr.edge as usize] {
                             continue;
                         }
@@ -662,7 +680,7 @@ impl DijkstraWorkspace {
                 // Each relay pair `u → r → v`, with the plain search's
                 // folds through `r`; none has a masked link.
                 for &[a, b] in ix.hops(u) {
-                    let (hr, hv) = (g.half_edge(a), g.half_edge(b));
+                    let (hr, hv) = (&relays[a as usize], &section[b as usize]);
                     let dr = d + hr.weight;
                     let via = Via::crossing(dr, u, hr, hv);
                     self.offer::<GOAL, true>(&aim, dr + hv.weight, via, hv.to);
@@ -780,67 +798,67 @@ impl DijkstraWorkspace {
         });
     }
 
-    /// `g`'s landmark table (see [`LANDMARKS`]): for every node, its exact
-    /// distance from each landmark, bit for bit what a full search from
-    /// that landmark reports (`INFINITY` where it does not reach).
+    /// `g`'s landmark table (see [`LANDMARKS`]): for every non-transit
+    /// node (see [`Graph::set_transit`]), its exact distance from each
+    /// landmark, bit for bit what a full plain search from that landmark
+    /// reports (`INFINITY` where it does not reach).
     ///
-    /// Farthest-point selection picks the landmarks: the first is the
-    /// node farthest from the highest-degree node, and each next one the
-    /// node farthest from its nearest landmark so far, lowest id on ties.
-    /// All are drawn from the nodes that first search reaches, so on a
-    /// graph with edges an isolated node is never one. The table costs
-    /// `LANDMARKS + 1` full searches on this workspace, each counted like
-    /// any other run, and each crossing transit nodes as `run_multi` does
-    /// (see [`Graph::set_transit`]). [`DijkstraWorkspace::run_multi`]
-    /// builds it once per graph and keeps it in the graph; this call
-    /// always builds afresh.
+    /// Farthest-point selection picks the landmarks among the non-transit
+    /// nodes: the first is the one farthest from the highest-degree one,
+    /// and each next one the one farthest from its nearest landmark so
+    /// far, lowest id on ties. All are drawn from the nodes that first
+    /// search reaches, so on a graph with edges an isolated node is never
+    /// one. Any landmarks would give a valid bound; these spread out. The
+    /// table costs `LANDMARKS + 1` full searches on this workspace, each
+    /// counted like any other run, and each crossing transit nodes as
+    /// `run_multi` does. [`DijkstraWorkspace::run_multi`] builds it once
+    /// per graph and keeps it in the graph; this call always builds
+    /// afresh.
     pub fn landmark_table(&mut self, g: &Graph) -> Vec<[f64; LANDMARKS]> {
-        let n = g.num_nodes();
+        // An index the searches below build is timed as its own.
+        g.two_hop();
+        let t0 = enabled(Level::Info).then(now_ns);
+        let m = g.transit().start as usize;
         // lint: allow(hot-path-alloc) one table per graph, built by the graph's first goal-directed search and kept in it
-        let mut rows = vec![[f64::INFINITY; LANDMARKS]; n];
-        if n == 0 {
+        let mut rows = vec![[f64::INFINITY; LANDMARKS]; m];
+        if m == 0 {
             return rows;
         }
         let mut hub = 0;
-        for v in 1..n as NodeId {
+        for v in 1..m as NodeId {
             if g.degree(v) > g.degree(hub) {
                 hub = v;
             }
         }
         let mut dist = self.take_dist_buf();
         self.full_dists(g, hub, &mut dist);
-        let mut landmark = farthest(n, |v| dist[v as usize]);
+        let mut landmark = farthest(m, |v| dist[v as usize]);
         for i in 0..LANDMARKS {
             self.full_dists(g, landmark, &mut dist);
             for (row, &d) in rows.iter_mut().zip(&dist) {
                 row[i] = d;
             }
-            landmark = farthest(n, |v| {
+            landmark = farthest(m, |v| {
                 rows[v as usize][..=i]
                     .iter()
                     .fold(f64::INFINITY, |m, &d| m.min(d))
             });
         }
         self.put_dist_buf(dist);
+        if let Some(t0) = t0 {
+            LANDMARK_TABLES_BUILT.add(1);
+            LANDMARK_TABLE_NS.add(now_ns().saturating_sub(t0));
+        }
         rows
     }
 
-    /// Every node's distance from `source` into `out`, bit for bit what
-    /// a full plain search reports: one full search, which on a graph
-    /// with a two-hop index settles non-transit nodes only, then each
-    /// transit node it left unreached gets its label from its neighbours
-    /// (all non-transit), the smallest `fl(d(x) + w)`, as a plain search
-    /// settles it (see [`Graph::set_transit`]).
+    /// Every non-transit node's distance from `source` into `out`, bit
+    /// for bit what a full plain search reports: one full search, which
+    /// on a graph with a two-hop index settles non-transit nodes only
+    /// (see [`Graph::set_transit`]).
     fn full_dists(&mut self, g: &Graph, source: NodeId, out: &mut Vec<f64>) {
         self.run_core(g, source, None, &[], Shortcuts::Multi)
             .write_dists(out);
-        for r in g.transit() {
-            let ri = r as usize;
-            if out[ri].is_infinite() {
-                let from = |m: f64, h: &HalfEdge| m.min(out[h.to as usize] + h.weight);
-                out[ri] = g.neighbors(r).iter().fold(f64::INFINITY, from);
-            }
-        }
     }
 
     /// A view of the most recent run's result (empty before any run).
@@ -950,8 +968,9 @@ enum Shortcuts {
     /// [`DijkstraWorkspace::run`]'s: a goal-directed run adds the
     /// straight-line bound alone, and every node settles.
     Line,
-    /// [`DijkstraWorkspace::run_multi`]'s: the landmark bound too, and an
-    /// unmasked run crosses transit nodes.
+    /// [`DijkstraWorkspace::run_multi`]'s: an unmasked run crosses
+    /// transit nodes, and a run that settles only nodes the landmark
+    /// table has rows for adds the landmark bound.
     Multi,
     /// [`DijkstraWorkspace::run_exposed`]'s: as `Multi`, and a masked run
     /// crosses transit nodes too, reading the exposed set.
@@ -973,8 +992,8 @@ enum Shortcuts {
 /// from 6 up ties on `latency_day`.
 pub const GOAL_MAX_TARGETS: usize = 12;
 
-/// The node with the largest finite `score`, lowest id on ties (node 0
-/// when no score is finite).
+/// The node below `n` with the largest finite `score`, lowest id on ties
+/// (node 0 when no score is finite).
 fn farthest(n: usize, score: impl Fn(NodeId) -> f64) -> NodeId {
     let (mut best, mut best_score) = (0, f64::NEG_INFINITY);
     for v in 0..n as NodeId {
@@ -992,7 +1011,8 @@ struct Aim<'g> {
     /// The straight-line scale, [`Graph::lambda`].
     lambda: f64,
     coords: &'g [[f64; 3]],
-    /// The graph's landmark table, in `run_multi` runs.
+    /// The graph's landmark table, in `run_multi` runs that settle only
+    /// nodes it has rows for.
     rows: Option<&'g [[f64; LANDMARKS]]>,
     /// The aimed target, with its point and table row.
     target: NodeId,
@@ -2117,7 +2137,16 @@ mod tests {
     /// linked to two neighbouring satellites, relay 9 a copy of relay 7
     /// (an exact tie) and relay 10 a dead end under satellite 0.
     fn relay_chain() -> Graph {
+        relay_chain_after(&[])
+    }
+
+    /// [`relay_chain`] with `direct` edges written first, as a snapshot
+    /// writes its ISLs: the same transit layout, other direct edges.
+    fn relay_chain_after(direct: &[(NodeId, NodeId, f64)]) -> Graph {
         let mut b = GraphBuilder::new(11);
+        for &(u, v, w) in direct {
+            b.add_edge(u, v, w);
+        }
         let mut points = vec![[0.0; 3]; 11];
         for (i, p) in points.iter_mut().take(4).enumerate() {
             *p = [2.0 * i as f64, 1.0, 0.0];
@@ -2138,10 +2167,34 @@ mod tests {
         g
     }
 
+    /// Every column of a marked graph's landmark table, at every row it
+    /// holds (one per non-transit node), is a full plain search on the
+    /// unmarked graph from that column's landmark.
+    fn assert_rows_are_plain_searches(rows: &[[f64; LANDMARKS]], g: &Graph) {
+        let mut plain = g.clone();
+        plain.set_transit(g.num_nodes() as NodeId);
+        assert_eq!(
+            rows.len(),
+            g.transit().start as usize,
+            "one row per non-transit node"
+        );
+        for (i, &l) in landmarks_of(rows).iter().enumerate() {
+            let full = dijkstra(&plain, l);
+            for (v, row) in rows.iter().enumerate() {
+                assert_eq!(
+                    row[i].to_bits(),
+                    full.dist[v].to_bits(),
+                    "landmark {l}, node {v}"
+                );
+            }
+        }
+    }
+
     /// Only an unmasked `run_multi` toward non-transit targets, or a
     /// landmark table's search, builds the two-hop index, and a run that
     /// uses it settles no transit node but a transit source: `run`, a
-    /// masked run and a run toward a transit target settle relays. Paths
+    /// masked run and a run toward a transit target settle relays, aim
+    /// with the straight line alone and build no landmark table. Paths
     /// match the unmarked graph's, through the lower-numbered of two tied
     /// relays. `set_coords` keeps the index; `set_transit` and `fill`
     /// drop it.
@@ -2156,13 +2209,16 @@ mod tests {
         assert!(ws.run(&g, 4, None, Some(5)).reached(7));
         let mask = vec![false; g.num_edges()];
         assert!(ws.run_multi(&g, 4, Some(&mask), &[]).reached(7));
-        assert!(g.two_hop.get().is_none(), "plain runs build no index");
-        let table = g.clone();
-        assert_eq!(ws.landmark_table(&table), plain_ws.landmark_table(&plain));
-        assert!(
-            table.two_hop.get().is_some(),
-            "the table's searches build it"
+        assert!(ws.run_multi(&g, 4, Some(&mask), &[5]).reached(7));
+        assert_eq!(
+            ws.run_multi(&g, 4, None, &[5, 7]).dist(5),
+            1.0 + 6.0 * 2f64.sqrt() + 1.0
         );
+        assert!(g.landmarks.get().is_none(), "plain runs build no table");
+        assert!(!g.two_hop_built(), "plain runs build no index");
+        let table = g.clone();
+        assert_rows_are_plain_searches(&ws.landmark_table(&table), &g);
+        assert!(table.two_hop_built(), "the table's searches build it");
         for (source, target) in [(4, 5), (5, 4), (9, 5), (10, 5)] {
             let view = ws.run_multi(&g, source, None, &[target]);
             let want = plain_ws.run_multi(&plain, source, None, &[target]);
@@ -2173,6 +2229,7 @@ mod tests {
                 "{source} → {target}: a transit node other than the source settled"
             );
         }
+        assert!(g.landmarks.get().is_some(), "contracted runs read a table");
         let r2 = 2f64.sqrt();
         assert_eq!(
             ws.run_multi(&g, 4, None, &[5, 7]).dist(7),
@@ -2183,15 +2240,75 @@ mod tests {
         assert_eq!(path.map(|p| p.nodes), Some(vec![4, 0, 6, 1, 7, 2, 8, 3, 5]));
         assert_eq!(g.two_hop_pairs(), Some(8), "both tied relays kept");
         g.set_coords(g.coords().to_vec());
-        assert!(g.two_hop.get().is_some(), "set_coords keeps the index");
+        assert!(g.two_hop_built(), "set_coords keeps the index");
         g.set_transit(6);
-        assert!(g.two_hop.get().is_none(), "set_transit drops the index");
+        assert!(
+            !g.two_hop_built() && g.landmarks.get().is_none(),
+            "set_transit drops the index and the table"
+        );
         ws.run_multi(&g, 4, None, &[5]);
         let mut degree = vec![1, 1];
         let mut fill = g.fill(11, 1, &mut degree);
         fill.edge(0, 1, 1.0);
         fill.complete();
-        assert!(g.two_hop.get().is_none() && g.transit().is_empty());
+        assert!(!g.two_hop_built() && g.transit().is_empty());
+    }
+
+    /// Landmarks are non-transit nodes, with a row each: farthest-point
+    /// selection on [`relay_chain`] would otherwise reach for the dead-end
+    /// relay 10 or a far relay.
+    #[test]
+    fn every_landmark_is_a_non_transit_node() {
+        let g = relay_chain();
+        let rows = DijkstraWorkspace::new().landmark_table(&g);
+        assert_eq!(rows.len(), 6);
+        assert!(landmarks_of(&rows).iter().all(|&l| l < 6));
+        assert_rows_are_plain_searches(&rows, &g);
+        let mut plain = g.clone();
+        plain.set_transit(11);
+        let all = DijkstraWorkspace::new().landmark_table(&plain);
+        assert_eq!(all.len(), 11, "an unmarked graph keeps a row per node");
+        assert!(landmarks_of(&all).iter().any(|&l| l >= 6));
+    }
+
+    /// Two graphs with one transit layout share one index, built with the
+    /// larger margin by the first contracted search on either, and each
+    /// searches as its unmarked copy does; `fill` or `set_transit` on one
+    /// drops its link.
+    #[test]
+    fn a_shared_index_serves_a_sibling_with_heavier_direct_edges() {
+        let mut a = relay_chain();
+        let mut b = relay_chain_after(&[(0, 3, 7.0), (1, 2, 2.5)]);
+        assert!(!a.shares_two_hop_with(&b));
+        a.share_two_hop(&mut b);
+        assert!(a.shares_two_hop_with(&b) && b.shares_two_hop_with(&a));
+        let mut ws = DijkstraWorkspace::new();
+        ws.run_multi(&b, 4, None, &[5]);
+        assert!(a.two_hop_built(), "built once, for both");
+        assert_eq!(a.two_hop_pairs(), b.two_hop_pairs());
+        for g in [&a, &b] {
+            let mut plain = g.clone();
+            plain.set_transit(11);
+            let mut plain_ws = DijkstraWorkspace::new();
+            for (source, target) in [(4, 5), (5, 4), (9, 5), (0, 3)] {
+                let view = ws.run_multi(g, source, None, &[target]);
+                let want = plain_ws.run_multi(&plain, source, None, &[target]);
+                assert_eq!(view.dist(target).to_bits(), want.dist(target).to_bits());
+                assert_eq!(view.extract_path(target), want.extract_path(target));
+            }
+            assert_rows_are_plain_searches(&ws.landmark_table(g), g);
+        }
+        b.set_transit(6);
+        assert!(!a.shares_two_hop_with(&b) && a.two_hop_built());
+        assert!(!b.two_hop_built());
+    }
+
+    #[test]
+    #[should_panic(expected = "different transit layouts")]
+    fn sharing_needs_one_transit_marking() {
+        let (mut a, mut b) = (relay_chain(), relay_chain());
+        b.set_transit(7);
+        a.share_two_hop(&mut b);
     }
 
     #[test]

@@ -386,23 +386,47 @@ fn goal_directed_search_is_bit_identical_to_dijkstra() {
     );
 }
 
-/// A graph in bent-pipe shape with a transit suffix: one to three
-/// components, each of 2 to 12 non-transit nodes (a few joined directly,
-/// as ISLs join satellites) and up to six times as many transit nodes
-/// (at most 36), each linked to one to three of its component's
-/// non-transit nodes, now and then twice. It
-/// is tie-heavy: weights come from a few decimals whose sums and folds
-/// round apart (`0.1 + 0.2 > 0.15 + 0.15`), so relay pairs tie exactly
-/// or miss by an ulp everywhere, and a quarter of the relays copy
-/// another's links. Links are sometimes doubled as parallel edges. The
-/// edge ids put the direct links first, as snapshots do, except in one
-/// graph in eight, whose nodes with both kinds of neighbour then list a
-/// relay first and get no two-hop index. Points lie on a small lattice;
-/// a quarter of the graphs get none (λ = 0), and one in sixteen a zero
-/// weight, which leaves it without a two-hop index too.
-fn arb_transit_graph(gen: &mut Gen) -> Graph {
-    const WEIGHTS: [f64; 8] = [0.1, 0.2, 0.3, 0.15, 0.25, 0.05, 0.7, 0.35];
-    let weight = |gen: &mut Gen| WEIGHTS[gen.usize(0..WEIGHTS.len())];
+/// Decimal weights whose sums and folds round apart
+/// (`0.1 + 0.2 > 0.15 + 0.15`), so relay pairs tie exactly or miss by an
+/// ulp everywhere.
+const DECIMAL_WEIGHTS: [f64; 8] = [0.1, 0.2, 0.3, 0.15, 0.25, 0.05, 0.7, 0.35];
+/// The dyadic variant's one weight: every sum and fold is exact and
+/// labels count hops, so two neighbours of one relay at one depth offer it
+/// equal folds, and a goal-directed search often settles them out of node
+/// order, the tie that an exposed crossing's memo must not skip.
+const DYADIC_WEIGHT: f64 = 1.0;
+
+/// A graph in bent-pipe shape with a transit suffix, and its sibling:
+/// the same graph with one to four heavier direct links written first,
+/// as a hybrid snapshot writes its ISLs before the links it shares with
+/// the BP one, so the two have one transit layout and the sibling the
+/// larger `w_max`.
+///
+/// The graph has one to three components, each of 2 to 12 non-transit
+/// nodes (a few joined directly, as ISLs join satellites) and up to six
+/// times as many transit nodes (at most 36), each linked to one to three
+/// of its component's non-transit nodes (three or four in the dyadic
+/// variant), now and then twice. It is tie-heavy: half the graphs draw
+/// their weights from [`DECIMAL_WEIGHTS`], and the other half, the
+/// dyadic variant, weigh every link [`DYADIC_WEIGHT`] (the sibling's
+/// heavier links 3); a quarter of the relays copy another's links. Links are sometimes doubled as
+/// parallel edges. The edge ids put the direct links first, as snapshots
+/// do, except in one graph in eight, whose nodes with both kinds of
+/// neighbour then list a relay first and get no two-hop index. Points lie
+/// on a small lattice; a quarter of the graphs get none (λ = 0), and one
+/// in sixteen a zero weight, which leaves it without a two-hop index too.
+fn arb_transit_graphs(gen: &mut Gen) -> (Graph, Graph) {
+    let dyadic = gen.bool();
+    let weight = |gen: &mut Gen| {
+        if dyadic {
+            DYADIC_WEIGHT
+        } else {
+            DECIMAL_WEIGHTS[gen.usize(0..DECIMAL_WEIGHTS.len())]
+        }
+    };
+    // Dyadic relays link three or four nodes, so more of them join two
+    // neighbours that tie.
+    let fan = if dyadic { 3..5 } else { 1..4 };
     // Half the graphs are one small, relay-dense component.
     let sizes = if gen.bool() {
         vec![gen.u32(2..6)]
@@ -424,7 +448,7 @@ fn arb_transit_graph(gen: &mut Gen) -> Graph {
             let mut links = if relays.len() > start && gen.u32(0..4) == 0 {
                 relays[gen.usize(start..relays.len())].clone()
             } else {
-                gen.vec(1..4, |gen| (base + gen.u32(0..k), weight(gen)))
+                gen.vec(fan.clone(), |gen| (base + gen.u32(0..k), weight(gen)))
             };
             if gen.u32(0..8) == 0 {
                 links.push(links[0]);
@@ -446,167 +470,239 @@ fn arb_transit_graph(gen: &mut Gen) -> Graph {
         let i = gen.usize(0..edges.len());
         edges[i].2 = 0.0;
     }
+    let heavy: Vec<(u32, u32, f64)> = gen
+        .vec(1..5, |gen| {
+            (gen.u32(0..first), gen.u32(0..first), 2.0 + weight(gen))
+        })
+        .into_iter()
+        .filter(|&(a, b, _)| a != b)
+        .collect();
     let n = first as usize + relays.len();
-    let mut b = GraphBuilder::new(n);
-    for &(u, v, w) in &edges {
-        b.add_edge(u, v, w);
-    }
-    let mut g = b.build();
-    if gen.u32(0..4) != 0 {
-        let points: Vec<[f64; 3]> = (0..n)
+    let points = (gen.u32(0..4) != 0).then(|| {
+        (0..n)
             .map(|v| {
                 let height = if v < first as usize { 1.0 } else { 0.0 };
                 [f64::from(gen.u32(0..4)), f64::from(gen.u32(0..4)), height]
             })
-            .collect();
-        g.set_coords(points);
-    }
-    g.set_transit(first);
-    g
+            .collect::<Vec<[f64; 3]>>()
+    });
+    let build = |edges: &mut dyn Iterator<Item = &(u32, u32, f64)>| {
+        let mut b = GraphBuilder::new(n);
+        for &(u, v, w) in edges {
+            b.add_edge(u, v, w);
+        }
+        let mut g = b.build();
+        if let Some(points) = &points {
+            g.set_coords(points.iter().copied());
+        }
+        g.set_transit(first);
+        g
+    };
+    (
+        build(&mut edges.iter()),
+        build(&mut heavy.iter().chain(&edges)),
+    )
 }
 
 /// Crossing transit nodes is invisible in the results: on
-/// [`arb_transit_graph`]s, a `run_multi` from a non-transit or a transit
-/// source toward 1 to `GOAL_MAX_TARGETS` + 2 non-transit targets (so
-/// goal-directed, plain past the cap, and plain at λ = 0) reports the
-/// same target distance bits and paths as on the same graph unmarked,
-/// settles the same non-transit nodes with the same labels and paths,
-/// and no transit node but the source, and its materialized result
-/// extracts the same paths. Masked runs, and runs toward a
-/// transit target, settle exactly what the unmarked graph's do. Full
-/// searches from every non-transit node extract the same path to every
-/// non-transit node, and landmark tables, whose searches cross transit
-/// nodes too, are bit-identical. So are 1 to 5 edge-disjoint paths
-/// toward each target, with and without a random `disabled`, whose
-/// searches cross transit nodes under their mask.
-/// Counted: runs that used the index, from a transit source, past the
-/// cap and at λ = 0, the tables compared, and the cases where a search
-/// under a mask stepped from an exposed node onto a transit node.
+/// [`arb_transit_graphs`], each graph and its sibling sharing one two-hop
+/// index built by whichever searches first, a `run_multi` from a
+/// non-transit or a transit source toward 1 to `GOAL_MAX_TARGETS` + 2
+/// non-transit targets (so goal-directed, plain past the cap, and plain
+/// at λ = 0) reports the same target distance bits and paths as on the
+/// same graph unmarked, settles every node with a full plain search's
+/// label and path, and no transit node but the source, and its
+/// materialized result extracts the same paths. A run that is not
+/// goal-directed settles exactly what the unmarked graph's does.
+/// Full searches from every non-transit node extract the same path to
+/// every non-transit node, and every column of a landmark table, whose
+/// searches cross transit nodes too, is a full search on the unmarked
+/// graph from its landmark, at every row it holds. So are 1 to 5
+/// edge-disjoint paths toward every non-transit node, with and without a
+/// random `disabled`, whose searches cross transit nodes under their
+/// mask.
+/// Counted, over both graphs: runs that used the index, from a transit
+/// source, past the cap and at λ = 0, the tables compared, and the cases
+/// where a search under a mask stepped from an exposed node onto a
+/// transit node.
 #[test]
 fn transit_contraction_is_bit_identical_to_dijkstra() {
     let (mut ws, mut plain_ws) = (DijkstraWorkspace::new(), DijkstraWorkspace::new());
     let mut counts = [0usize; 6];
     check("transit_contraction_is_bit_identical_to_dijkstra", |gen| {
-        let g = arb_transit_graph(gen);
-        let n = g.num_nodes() as u32;
-        let first = g.transit().start;
-        let mut plain = g.clone();
-        plain.set_transit(n);
-        let source = if first < n && gen.u32(0..4) == 0 {
-            gen.u32(first..n)
+        let (mut g, mut sibling) = arb_transit_graphs(gen);
+        g.share_two_hop(&mut sibling);
+        let order = if gen.bool() {
+            [&g, &sibling]
         } else {
-            gen.u32(0..first)
+            [&sibling, &g]
         };
-        let mask: Vec<bool> = (0..g.num_edges()).map(|_| gen.u32(0..4) == 0).collect();
-        let mask = (gen.u32(0..8) == 0).then_some(mask.as_slice());
-        let mut targets = gen.vec(1..GOAL_MAX_TARGETS + 3, |gen| gen.u32(0..first));
-        if gen.u32(0..4) == 0 {
-            // As many distinct targets as fit, to reach past the cap.
-            let start = gen.u32(0..first);
-            let count = (GOAL_MAX_TARGETS as u32 + 2).min(first);
-            targets = (0..count).map(|i| (start + i) % first).collect();
+        for g in order {
+            check_against_unmarked(gen, g, (&mut ws, &mut plain_ws), &mut counts)?;
         }
-        if first < n && gen.u32(0..16) == 0 {
-            targets.push(gen.u32(first..n));
-        }
-        let reference = plain_ws
-            .run_multi(&plain, source, mask, &targets)
-            .to_shortest_paths();
-        let view = ws.run_multi(&g, source, mask, &targets);
-        let path = |p: Option<Path>| p.map(|p| (p.nodes, p.edges, p.total_weight.to_bits()));
-        let owned = view.to_shortest_paths();
-        for &t in &targets {
-            check_assert_eq!(
-                path(extract_path(&owned, t)),
-                path(view.extract_path(t)),
-                "target {t}, materialized"
-            );
-            check_assert_eq!(
-                view.dist(t).to_bits(),
-                reference.dist[t as usize].to_bits(),
-                "target {t}"
-            );
-            check_assert_eq!(
-                path(view.extract_path(t)),
-                path(extract_path(&reference, t)),
-                "target {t}"
-            );
-        }
-        for v in 0..first {
-            check_assert_eq!(view.reached(v), reference.reached(v), "node {v}");
-            check_assert_eq!(
-                path(view.extract_path(v)),
-                path(extract_path(&reference, v)),
-                "node {v}"
-            );
-        }
-        let contracted =
-            mask.is_none() && targets.iter().all(|&t| t < first) && g.two_hop_pairs().is_some();
-        for r in first..n {
-            let want = if contracted {
-                r == source
-            } else {
-                reference.reached(r)
-            };
-            check_assert_eq!(view.reached(r), want, "transit node {r}");
-        }
-        // Full searches from every non-transit node: every label and path.
-        for s in 0..first {
-            let full = plain_ws.run_multi(&plain, s, None, &[]).to_shortest_paths();
-            let view = ws.run_multi(&g, s, None, &[]);
-            for v in 0..first {
-                check_assert_eq!(
-                    path(view.extract_path(v)),
-                    path(extract_path(&full, v)),
-                    "full search {s} → {v}"
-                );
-            }
-        }
-        if contracted {
-            let mut distinct = targets.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            counts[0] += 1;
-            counts[1] += usize::from(source >= first);
-            counts[2] += usize::from(distinct.len() > GOAL_MAX_TARGETS);
-            counts[3] += usize::from(g.lambda().to_bits() == 0);
-        }
-        if gen.u32(0..4) == 0 {
-            counts[4] += 1;
-            let (rows, want) = (ws.landmark_table(&g), plain_ws.landmark_table(&plain));
-            for (v, (a, b)) in rows.iter().zip(&want).enumerate() {
-                check_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "row {v}");
-            }
-        }
-        let k = gen.usize(1..6);
-        let disabled: Vec<bool> = (0..g.num_edges()).map(|_| gen.u32(0..8) == 0).collect();
-        let disabled = gen.bool().then_some(disabled.as_slice());
-        let mut exposed = false;
-        for &t in &targets {
-            let got = k_edge_disjoint_paths_with(&g, source, t, k, disabled, &mut ws);
-            let want = k_edge_disjoint_paths_with(&plain, source, t, k, disabled, &mut plain_ws);
-            exposed |=
-                t < first && g.two_hop_pairs().is_some() && crosses_at_exposed(&g, &got, disabled);
-            check_assert_eq!(
-                got.into_iter().map(|p| path(Some(p))).collect::<Vec<_>>(),
-                want.into_iter().map(|p| path(Some(p))).collect::<Vec<_>>(),
-                "k = {k}, target {t}"
-            );
-        }
-        counts[5] += usize::from(exposed);
+        check_assert!(g.shares_two_hop_with(&sibling), "one index for both");
+        check_assert_eq!(g.two_hop_pairs(), sibling.two_hop_pairs());
         Ok(())
     });
     let [contracted, transit_sources, over_cap, plain_keys, tables, exposed] = counts;
     assert!(
         contracted > 128 && transit_sources > 16 && over_cap > 8 && plain_keys > 16,
-        "{contracted} of 256 cases used the index: {transit_sources} from a transit source, \
-         {over_cap} past the cap, {plain_keys} at λ = 0"
+        "{contracted} of 512 searches used the index: {transit_sources} from a transit \
+         source, {over_cap} past the cap, {plain_keys} at λ = 0"
     );
     assert!(tables > 32, "only {tables} landmark tables compared");
     assert!(
         exposed > 64,
-        "only {exposed} cases crossed a transit node from an exposed node"
+        "only {exposed} graphs crossed a transit node from an exposed node"
     );
+}
+
+/// One graph's half of a [`transit_contraction_is_bit_identical_to_dijkstra`]
+/// case: `g` against its unmarked copy, on `(ws, plain_ws)`.
+fn check_against_unmarked(
+    gen: &mut Gen,
+    g: &Graph,
+    (ws, plain_ws): (&mut DijkstraWorkspace, &mut DijkstraWorkspace),
+    counts: &mut [usize; 6],
+) -> CaseResult {
+    let n = g.num_nodes() as u32;
+    let first = g.transit().start;
+    let mut plain = g.clone();
+    plain.set_transit(n);
+    let source = if first < n && gen.u32(0..4) == 0 {
+        gen.u32(first..n)
+    } else {
+        gen.u32(0..first)
+    };
+    let mask: Vec<bool> = (0..g.num_edges()).map(|_| gen.u32(0..4) == 0).collect();
+    let mask = (gen.u32(0..8) == 0).then_some(mask.as_slice());
+    let mut targets = gen.vec(1..GOAL_MAX_TARGETS + 3, |gen| gen.u32(0..first));
+    if gen.u32(0..4) == 0 {
+        // As many distinct targets as fit, to reach past the cap.
+        let start = gen.u32(0..first);
+        let count = (GOAL_MAX_TARGETS as u32 + 2).min(first);
+        targets = (0..count).map(|i| (start + i) % first).collect();
+    }
+    if first < n && gen.u32(0..16) == 0 {
+        targets.push(gen.u32(first..n));
+    }
+    let reference = plain_ws
+        .run_multi(&plain, source, mask, &targets)
+        .to_shortest_paths();
+    let view = ws.run_multi(g, source, mask, &targets);
+    let path = |p: Option<Path>| p.map(|p| (p.nodes, p.edges, p.total_weight.to_bits()));
+    let owned = view.to_shortest_paths();
+    for &t in &targets {
+        check_assert_eq!(
+            path(extract_path(&owned, t)),
+            path(view.extract_path(t)),
+            "target {t}, materialized"
+        );
+        check_assert_eq!(
+            view.dist(t).to_bits(),
+            reference.dist[t as usize].to_bits(),
+            "target {t}"
+        );
+        check_assert_eq!(
+            path(view.extract_path(t)),
+            path(extract_path(&reference, t)),
+            "target {t}"
+        );
+    }
+    // Every node the run settled is exact: its label and path are a full
+    // plain search's. Which nodes a goal-directed run settles depends on
+    // its bound, and the marked graph's landmarks differ from the
+    // unmarked one's (they are non-transit nodes), so only a run that is
+    // not goal-directed settles exactly what the unmarked graph's run
+    // does.
+    let full = plain_ws
+        .run_multi(&plain, source, mask, &[])
+        .to_shortest_paths();
+    let mut distinct = targets.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let goal = g.lambda() > 0.0 && distinct.len() <= GOAL_MAX_TARGETS;
+    let contracted =
+        mask.is_none() && targets.iter().all(|&t| t < first) && g.two_hop_pairs().is_some();
+    for v in 0..n {
+        if view.reached(v) {
+            check_assert_eq!(
+                view.dist(v).to_bits(),
+                full.dist[v as usize].to_bits(),
+                "node {v}"
+            );
+            check_assert_eq!(
+                path(view.extract_path(v)),
+                path(extract_path(&full, v)),
+                "node {v}"
+            );
+        }
+        let want = if v >= first && contracted {
+            v == source
+        } else if goal {
+            continue;
+        } else {
+            reference.reached(v)
+        };
+        check_assert_eq!(view.reached(v), want, "node {v}");
+    }
+    // Full searches from every non-transit node: every label and path.
+    for s in 0..first {
+        let full = plain_ws.run_multi(&plain, s, None, &[]).to_shortest_paths();
+        let view = ws.run_multi(g, s, None, &[]);
+        for v in 0..first {
+            check_assert_eq!(
+                path(view.extract_path(v)),
+                path(extract_path(&full, v)),
+                "full search {s} → {v}"
+            );
+        }
+    }
+    if contracted {
+        counts[0] += 1;
+        counts[1] += usize::from(source >= first);
+        counts[2] += usize::from(distinct.len() > GOAL_MAX_TARGETS);
+        counts[3] += usize::from(g.lambda().to_bits() == 0);
+    }
+    if gen.u32(0..4) == 0 {
+        counts[4] += 1;
+        let rows = ws.landmark_table(g);
+        check_assert_eq!(rows.len(), first as usize, "one row per non-transit node");
+        for i in 0..LANDMARKS {
+            // The landmark is at distance 0 from itself; so is any node a
+            // zero-weight edge joins to it, whose distances are the same.
+            let at_zero = (0..rows.len()).find(|&v| rows[v][i].to_bits() == 0);
+            check_assert!(at_zero.is_some(), "column {i} has no landmark");
+            let l = at_zero.unwrap_or_default();
+            let full = plain_ws
+                .run_multi(&plain, l as u32, None, &[])
+                .to_shortest_paths();
+            for (v, row) in rows.iter().enumerate() {
+                check_assert_eq!(
+                    row[i].to_bits(),
+                    full.dist[v].to_bits(),
+                    "landmark {l}, row {v}"
+                );
+            }
+        }
+    }
+    let k = gen.usize(1..6);
+    let disabled: Vec<bool> = (0..g.num_edges()).map(|_| gen.u32(0..8) == 0).collect();
+    let disabled = gen.bool().then_some(disabled.as_slice());
+    let mut exposed = false;
+    for t in 0..first {
+        let got = k_edge_disjoint_paths_with(g, source, t, k, disabled, ws);
+        let want = k_edge_disjoint_paths_with(&plain, source, t, k, disabled, plain_ws);
+        exposed |=
+            t < first && g.two_hop_pairs().is_some() && crosses_at_exposed(g, &got, disabled);
+        check_assert_eq!(
+            got.into_iter().map(|p| path(Some(p))).collect::<Vec<_>>(),
+            want.into_iter().map(|p| path(Some(p))).collect::<Vec<_>>(),
+            "k = {k}, target {t}"
+        );
+    }
+    counts[5] += usize::from(exposed);
+    Ok(())
 }
 
 /// Whether one of `paths`, edge-disjoint paths found in order under

@@ -63,7 +63,7 @@
 #    figure byte fails here.
 #    The streaming drivers hold per-snapshot samples only inside
 #    fixed-size sketches, so memory is O(1) in snapshot count —
-#    observed peak is 207.6 MiB of VmHWM in 34.7 s (this lane's
+#    observed peak is 186.0 MiB of VmHWM in 39.4 s (this lane's
 #    command, then `leo-report` on its run log; mostly the live
 #    snapshot graphs, the visibility state and, at this log level,
 #    both link-arena buffers, not samples); the budget is loose for

@@ -309,12 +309,14 @@ fn spt_repairs_match_fresh_dijkstra_through_sweep_deltas() {
 
 /// Relays and aircraft are the transit nodes of BP and hybrid snapshots,
 /// and ISL-only snapshots have none; crossing them through the two-hop
-/// index changes no search. On a Tiny sweep in all three modes, every
-/// `pairs_by_src` search reports the same distance bits and paths as on
-/// the same graph unmarked, and settles no relay or aircraft, and the
-/// landmark tables are bit-identical. In BP and hybrid modes, every
-/// pair's k = 4 edge-disjoint paths, whose later searches cross relays
-/// under their mask, are the unmarked graph's too.
+/// index, which the BP and hybrid graphs of a step share, changes no
+/// search. On a Tiny sweep in all three modes, every `pairs_by_src`
+/// search reports the same distance bits and paths as on the same graph
+/// unmarked, and settles no relay or aircraft, and every column of each
+/// landmark table, at every row it holds (one per satellite and city),
+/// is a full search on the unmarked graph from its landmark. In BP and
+/// hybrid modes, every pair's k = 4 edge-disjoint paths, whose later
+/// searches cross relays under their mask, are the unmarked graph's too.
 #[test]
 fn transit_searches_match_the_unmarked_graph() {
     const MODES: [Mode; 3] = [Mode::BpOnly, Mode::Hybrid, Mode::IslOnly];
@@ -325,7 +327,13 @@ fn transit_searches_match_the_unmarked_graph() {
     let mut targets = Vec::new();
     let (mut searches, mut disjoint_pairs) = (0, 0);
     for t in [0.0, 900.0, 43_200.0] {
-        for (snap, mode) in sweep.step(t).iter().zip(MODES) {
+        let snaps = sweep.step(t);
+        assert!(
+            snaps[0].graph.shares_two_hop_with(&snaps[1].graph),
+            "t={t}: BP and hybrid share one index"
+        );
+        assert!(!snaps[2].graph.shares_two_hop_with(&snaps[1].graph));
+        for (snap, mode) in snaps.iter().zip(MODES) {
             let n = snap.graph.num_nodes() as u32;
             let what = format!("t={t} {mode:?}");
             let transit = if mode == Mode::IslOnly {
@@ -388,12 +396,22 @@ fn transit_searches_match_the_unmarked_graph() {
                     disjoint_pairs += 1;
                 }
             }
-            let (rows, want) = (
-                ws.landmark_table(&snap.graph),
-                plain_ws.landmark_table(&plain),
-            );
-            for (v, (a, b)) in rows.iter().zip(&want).enumerate() {
-                assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "{what}: row {v}");
+            let rows = ws.landmark_table(&snap.graph);
+            assert_eq!(rows.len(), snap.graph.transit().start as usize, "{what}");
+            for i in 0..rows[0].len() {
+                // The landmark is the one node at distance 0: weights are
+                // positive propagation delays.
+                let mut at_zero = (0..rows.len()).filter(|&v| rows[v][i].to_bits() == 0);
+                let l = at_zero.next().expect("a landmark is at distance 0") as u32;
+                assert!(at_zero.next().is_none(), "{what}: column {i}");
+                let full = plain_ws.run_multi(&plain, l, None, &[]).to_shortest_paths();
+                for (v, row) in rows.iter().enumerate() {
+                    assert_eq!(
+                        row[i].to_bits(),
+                        full.dist[v].to_bits(),
+                        "{what}: landmark {l}, row {v}"
+                    );
+                }
             }
         }
     }
